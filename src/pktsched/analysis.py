@@ -521,7 +521,7 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     step of a deterministic (mg-prime) run.
 
     Checked per step with nonempty buffer: the oblivious schedule reaches
-    the matching optimum of the pending set; a conforming clairvoyant
+    the ``opt_schedule`` optimum of the pending set; a conforming clairvoyant
     schedule can be built and follows the deadline-first order; its
     already-pending packets lie inside the oblivious schedule; every
     oblivious packet order-before its first packet weighs strictly less;

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Mapping
 
 
@@ -78,6 +79,21 @@ def precedes(first: Packet, second: Packet) -> bool:
     return order_key(first) < order_key(second)
 
 
+def has_agreeable_deadlines(packets: Iterable[Packet]) -> bool:
+    """True if packets released later never have earlier deadlines.
+
+    Equivalently, the deadlines never decrease in ``(release, deadline)``
+    order: equal releases are sorted by deadline, and each later release
+    must reach every deadline before it.
+    """
+    floor = 0
+    for packet in sorted(packets, key=lambda p: (p.release, p.deadline)):
+        if packet.deadline < floor:
+            return False
+        floor = packet.deadline
+    return True
+
+
 @dataclass(frozen=True)
 class Instance:
     """An arrival-ordered packet sequence."""
@@ -134,18 +150,7 @@ class Instance:
     @cached_property
     def is_agreeable(self) -> bool:
         """True if packets released later never have earlier deadlines."""
-        floor = 0
-        group_release = None
-        group_max = 0
-        for packet in self.packets:
-            if packet.release != group_release:
-                floor = max(floor, group_max)
-                group_release = packet.release
-                group_max = 0
-            if packet.deadline < floor:
-                return False
-            group_max = max(group_max, packet.deadline)
-        return True
+        return has_agreeable_deadlines(self.packets)
 
     @cached_property
     def arrivals_by_step(self) -> Mapping[int, tuple[Packet, ...]]:
@@ -157,10 +162,6 @@ class Instance:
     @cached_property
     def total_weight(self) -> Fraction:
         return sum((p.weight for p in self.packets), Fraction(0))
-
-
-def is_agreeable(instance: Instance) -> bool:
-    return instance.is_agreeable
 
 
 @dataclass(frozen=True)
@@ -253,27 +254,66 @@ def advance_buffer(buffer: Buffer, step: int, arrivals: Iterable[Packet]) -> Buf
 
 
 def is_feasible_set(packets: Iterable[Packet], start: int) -> bool:
-    """Can all packets be scheduled in consecutive steps from ``start``?
+    """Can every packet be transmitted inside its window from ``start`` on?
 
-    Deadline check only: the k-th packet in deadline order needs
-    deadline >= start + k.  Release times are not consulted, so this is
-    meant for sets that are all available at ``start`` (pending sets).
+    Earliest-deadline-first simulation over plain deadlines: each step sends
+    the released packet with the earliest deadline, and a step with nothing
+    released is skipped.  EDF schedules a set of unit packets whenever any
+    schedule does, so the answer is exact also for packets released after
+    ``start``.
     """
-    deadlines = sorted(p.deadline for p in packets)
-    return all(d >= start + k for k, d in enumerate(deadlines, start=1))
+    deadlines = []
+    later = []
+    for p in packets:
+        if p.release <= start:
+            deadlines.append(p.deadline)
+        else:
+            later.append((p.release, p.deadline))
+    heapify(deadlines)
+    later.sort(reverse=True)
+    step = start
+    while later:
+        if not deadlines and later[-1][0] > step:
+            step = later[-1][0]
+        while later and later[-1][0] <= step:
+            heappush(deadlines, later.pop()[1])
+        if heappop(deadlines) <= step:
+            return False
+        step += 1
+    # Everything is released: the rest go out in deadline order.
+    for deadline in sorted(deadlines):
+        if deadline <= step:
+            return False
+        step += 1
+    return True
 
 
 def edf_schedule(packets: Iterable[Packet], start: int) -> Schedule:
-    """The unique deadline-first-order schedule of a feasible set.
+    """The deadline-first-order schedule of a feasible set.
 
-    Assigns the packets to consecutive steps from ``start`` following the
-    deadline-first order.
+    Each step from ``start`` on transmits the order-minimal released packet
+    and idles when none is released; packets with equal order keys keep
+    their input order.  Raises ValueError if a packet misses its deadline,
+    that is, if the set is not feasible from ``start``.
     """
-    packets = list(packets)
-    if not is_feasible_set(packets, start):
-        raise ValueError(f"packet set is not feasible from step {start}")
-    ordered = sorted(packets, key=order_key)
-    return Schedule(tuple((start + i, p) for i, p in enumerate(ordered)))
+    waiting = sorted(
+        ((p.release, i, p) for i, p in enumerate(packets)), reverse=True
+    )
+    available: list[tuple] = []
+    slots = []
+    step = start
+    while waiting or available:
+        if not available and waiting[-1][0] > step:
+            step = waiting[-1][0]
+        while waiting and waiting[-1][0] <= step:
+            _, i, p = waiting.pop()
+            heappush(available, (order_key(p), i, p))
+        packet = heappop(available)[2]
+        if packet.deadline <= step:
+            raise ValueError(f"packet set is not feasible from step {start}")
+        slots.append((step, packet))
+        step += 1
+    return Schedule(tuple(slots))
 
 
 def follows_priority_order(schedule: Schedule, start: int) -> bool:

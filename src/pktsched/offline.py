@@ -1,170 +1,54 @@
 """Offline optima and canonical per-step schedules.
 
-A feasible schedule is a matching in the bipartite schedulability graph
-(packets on one side, steps on the other, edges over transmission windows),
-so the offline optimum is a maximum-weight matching.  We compute it with a
-Kuhn-Munkres assignment over exact rationals.
+Sets of unit packets that can all be transmitted inside their windows form
+a transversal matroid, so a weight greedy is exact: take packets by weight
+descending (ties in the deadline-first order) and keep each one while the
+kept set stays feasible.  The same greedy gives the offline optimum over
+pending plus future packets and, over a pending set, the *oblivious
+schedule* (optimal deadline-first-order schedule of the pending set, made
+canonical by the tie order).  Both are laid out by ``edf_schedule``, so an
+optimum lists its packets in the deadline-first order.
 
-The per-step canonical objects used by the online policies are built here
-as well: the *oblivious schedule* (optimal deadline-first-order schedule of
-the pending set, fixed deterministically by a greedy-by-weight selection)
-and a *conforming clairvoyant schedule* (optimal over pending plus future
-packets, repaired so that its already-pending part lies inside the oblivious
-schedule and its first packet outweighs every order-earlier oblivious
-member).
+The *conforming clairvoyant schedule* is built here as well: optimal over
+pending plus future packets, repaired so that its already-pending part lies
+inside the oblivious schedule and its first packet outweighs every
+order-earlier oblivious member.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import (
-    EMPTY_SCHEDULE,
     InvariantError,
     Packet,
     Schedule,
     edf_schedule,
+    has_agreeable_deadlines,
     is_feasible_set,
     order_key,
 )
 
 
-@dataclass(frozen=True)
-class SchedulabilityGraph:
-    """Bipartite packets-vs-steps graph; an edge means the step is usable."""
-
-    packets: tuple[Packet, ...]
-    steps: tuple[int, ...]
-    edges: dict[Packet, tuple[int, ...]]
-
-    def edge_weight(self, packet: Packet, step: int) -> Fraction:
-        if step in self.edges.get(packet, ()):
-            return packet.weight
-        raise KeyError(f"no edge between {packet.id} and step {step}")
-
-
-def build_graph(packets: Iterable[Packet], start: int, end: int) -> SchedulabilityGraph:
-    """Graph over steps ``start..end`` with window edges (release <= t < deadline)."""
-    if start > end:
-        raise ValueError(f"empty step range {start}..{end}")
-    packets = tuple(packets)
-    steps = tuple(range(start, end + 1))
-    edges = {
-        p: tuple(t for t in steps if p.pending_window(t))
-        for p in packets
-    }
-    return SchedulabilityGraph(packets, steps, edges)
-
-
-def _candidate_steps(packets: Sequence[Packet], start: int) -> list[int]:
-    """Steps that some maximum-weight schedule can use.
-
-    In a deadline-first reordering every busy interval begins at ``start``
-    or at a release, and is at most len(packets) long, so the union of the
-    windows [max(release, start), +n) covers some optimal schedule.
-    """
-    n = len(packets)
-    top = max(p.deadline for p in packets) - 1
-    steps: set[int] = set()
-    for p in packets:
-        first = max(p.release, start)
-        for offset in range(n):
-            step = first + offset
-            if step > top:
-                break
-            steps.add(step)
-    return sorted(steps)
-
-
-def _max_weight_assignment(weights: list[list[int]]) -> list[int]:
-    """Kuhn-Munkres maximum-weight perfect assignment on a square matrix.
-
-    Returns the column matched to each row.  Runs in O(n^3) with exact
-    integer arithmetic.
-    """
-    n = len(weights)
-    lx = [max(row) for row in weights]
-    ly = [0] * n
-    row_match = [-1] * n
-    col_match = [-1] * n
-    for root in range(n):
-        parent = [-1] * n
-        in_tree_row = [False] * n
-        in_tree_col = [False] * n
-        in_tree_row[root] = True
-        slack = [lx[root] + ly[j] - weights[root][j] for j in range(n)]
-        slack_row = [root] * n
-        while True:
-            delta = None
-            chosen = -1
-            for j in range(n):
-                if not in_tree_col[j] and (delta is None or slack[j] < delta):
-                    delta = slack[j]
-                    chosen = j
-            if delta:
-                for i in range(n):
-                    if in_tree_row[i]:
-                        lx[i] -= delta
-                for j in range(n):
-                    if in_tree_col[j]:
-                        ly[j] += delta
-                    else:
-                        slack[j] -= delta
-            in_tree_col[chosen] = True
-            parent[chosen] = slack_row[chosen]
-            if col_match[chosen] == -1:
-                col = chosen
-                while col != -1:
-                    row = parent[col]
-                    next_col = row_match[row]
-                    row_match[row] = col
-                    col_match[col] = row
-                    col = next_col
-                break
-            grown = col_match[chosen]
-            in_tree_row[grown] = True
-            for j in range(n):
-                if not in_tree_col[j]:
-                    candidate = lx[grown] + ly[j] - weights[grown][j]
-                    if candidate < slack[j]:
-                        slack[j] = candidate
-                        slack_row[j] = grown
-    return row_match
+def _greedy_optimal_set(packets: Iterable[Packet], start: int) -> list[Packet]:
+    """Maximum-weight subset feasible from ``start``, by the weight greedy."""
+    kept: list[Packet] = []
+    for p in sorted(packets, key=lambda q: (-q.weight, order_key(q))):
+        if is_feasible_set(kept + [p], start):
+            kept.append(p)
+    return kept
 
 
 def opt_schedule(packets: Iterable[Packet], start: int) -> tuple[Schedule, Fraction]:
     """Maximum-weight feasible schedule from ``start`` and its exact value.
 
-    Unmatched packets and unused steps are allowed; release times are
+    Packets left out and idle steps are allowed; release times are
     respected, so future packets may appear with windows beyond ``start``.
+    The schedule is the deadline-first-order schedule of the greedy set.
     """
-    packets = sorted(packets, key=order_key)
-    if not packets:
-        return EMPTY_SCHEDULE, Fraction(0)
-    steps = _candidate_steps(packets, start)
-    if not steps:
-        return EMPTY_SCHEDULE, Fraction(0)
-    # Scale to integers by the common denominator so the assignment runs
-    # on plain ints; the result is rescaled exactly afterwards.
-    scale = math.lcm(*(p.weight.denominator for p in packets))
-    size = max(len(packets), len(steps))
-    matrix = [[0] * size for _ in range(size)]
-    for i, p in enumerate(packets):
-        scaled = int(p.weight * scale)
-        row = matrix[i]
-        for j, t in enumerate(steps):
-            if p.pending_window(t):
-                row[j] = scaled
-    row_match = _max_weight_assignment(matrix)
-    assignment = {}
-    for i, p in enumerate(packets):
-        j = row_match[i]
-        if j < len(steps) and p.pending_window(steps[j]):
-            assignment[steps[j]] = p
-    schedule = Schedule.from_map(assignment)
+    schedule = edf_schedule(_greedy_optimal_set(packets, start), start)
     return schedule, schedule.weight
 
 
@@ -199,11 +83,10 @@ def select_earliest_heaviest(schedule: Schedule) -> tuple[Packet, Packet]:
 def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedule:
     """Optimal deadline-first-order schedule over the pending set.
 
-    Canonicalized by greedy selection: packets are considered by weight
-    descending (ties in the deadline-first order) and kept while the kept
-    set stays feasible.  Greedy over this feasibility structure reaches the
-    maximum-weight matching value, which the test suite verifies against
-    the matching route.
+    Canonicalized by the weight greedy of ``opt_schedule``: packets are
+    considered by weight descending (ties in the deadline-first order) and
+    kept while the kept set stays feasible.  The test suite checks the
+    value against exhaustive enumeration.
     """
     pending = list(pending)
     if not pending:
@@ -211,11 +94,7 @@ def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedul
     for p in pending:
         if not p.pending_window(step):
             raise ValueError(f"packet {p.id} is not pending at step {step}")
-    kept: list[Packet] = []
-    for p in sorted(pending, key=lambda q: (-q.weight, order_key(q))):
-        if is_feasible_set(kept + [p], step):
-            kept.append(p)
-    schedule = edf_schedule(kept, step)
+    schedule = edf_schedule(_greedy_optimal_set(pending, step), step)
     earliest, heaviest = select_earliest_heaviest(schedule)
     dominated = frozenset(pending) - schedule.packets
     return ObliviousSchedule(schedule, step, earliest, heaviest, dominated)
@@ -288,29 +167,6 @@ def _repair_onto(
     return Schedule.from_map(c_by_step)
 
 
-def _priority_reorder(packets: Iterable[Packet], start: int) -> Schedule:
-    """Reorder a feasible packet set into its deadline-first-order schedule,
-    respecting release times (steps with nothing available stay idle)."""
-    remaining = set(packets)
-    if not remaining:
-        return EMPTY_SCHEDULE
-    slots = []
-    step = start
-    top = max(p.deadline for p in remaining)
-    while remaining:
-        if step >= top:
-            raise InvariantError("reordering ran past every deadline")
-        if any(p.deadline <= step for p in remaining):
-            raise InvariantError("reordering lost a packet to its deadline")
-        available = [p for p in remaining if p.pending_window(step)]
-        if available:
-            chosen = min(available, key=order_key)
-            slots.append((step, chosen))
-            remaining.remove(chosen)
-        step += 1
-    return Schedule(tuple(slots))
-
-
 def conforming_clairvoyant(
     pending: Iterable[Packet],
     future: Iterable[Packet],
@@ -338,11 +194,15 @@ def conforming_clairvoyant(
         if p.release <= step:
             raise ValueError(f"packet {p.id} is not a future arrival at step {step}")
     universe = pending + future
-    _require_agreeable(universe)
+    if not has_agreeable_deadlines(universe):
+        raise ValueError("conforming schedules require agreeable deadlines")
 
     optimal, value = opt_schedule(universe, step)
     repaired = _repair_onto(optimal, oblivious.schedule, step)
-    ordered = _priority_reorder(repaired.packets, step)
+    try:
+        ordered = edf_schedule(repaired.packets, step)
+    except ValueError as err:
+        raise InvariantError(f"reordering the repaired schedule failed: {err}") from err
     if ordered.weight != value:
         raise InvariantError("conforming construction changed the schedule value")
     first = ordered.at(step)
@@ -367,20 +227,3 @@ def conforming_clairvoyant(
         ordered = Schedule(slots)
     return ordered
 
-
-def _require_agreeable(packets: Sequence[Packet]) -> None:
-    ordered = sorted(packets, key=lambda p: (p.release, p.arrival_index))
-    floor = 0
-    group_release = None
-    group_max = 0
-    for packet in ordered:
-        if packet.release != group_release:
-            floor = max(floor, group_max)
-            group_release = packet.release
-            group_max = 0
-        if packet.deadline < floor:
-            raise ValueError(
-                "conforming schedules require agreeable deadlines "
-                f"(packet {packet.id} breaks the release/deadline ordering)"
-            )
-        group_max = max(group_max, packet.deadline)

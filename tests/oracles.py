@@ -2,10 +2,10 @@
 
 Everything here is deliberately written by a different route than the
 library: the offline optimum by exhaustive assignment enumeration instead
-of a matching algorithm, feasibility by that enumeration instead of the
-deadline count, the canonical pending-set schedule by subset enumeration
-instead of incremental greedy, and golden-ratio comparisons by 60-digit
-decimal arithmetic instead of the integer quadratic.
+of the weight greedy, feasibility by that enumeration instead of the
+deadline-first simulation, the canonical pending-set schedule by subset
+enumeration instead of incremental greedy, and golden-ratio comparisons by
+60-digit decimal arithmetic instead of the integer quadratic.
 """
 
 from __future__ import annotations

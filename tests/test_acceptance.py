@@ -197,7 +197,7 @@ class TestCriterion4OfflineOracle:
             if value != brute_force_opt(instance.packets, 1):
                 mismatches += 1
         ok = mismatches == 0
-        report(4, ok, f"matching == brute force on 1000 random instances (<= 8 packets)")
+        report(4, ok, "optimum == brute force on 1000 random instances (<= 8 packets)")
         assert ok
 
 
@@ -221,15 +221,17 @@ class TestCriterion5ObliviousOptimality:
             pending = Instance.build(rows).packets
             oblivious = oblivious_schedule(pending, step)
             _, value = opt_schedule(pending, step)
-            if oblivious.schedule.weight != value or not follows_priority_order(
-                oblivious.schedule, step
+            if (
+                oblivious.schedule.weight != value
+                or value != brute_force_opt(pending, step)
+                or not follows_priority_order(oblivious.schedule, step)
             ):
                 bad += 1
         ok = bad == 0
         report(
             5,
             ok,
-            "greedy weight == matching value and valid deadline-first order "
+            "greedy weight == optimum == brute force and valid deadline-first order "
             "on 1000 random pending sets",
         )
         assert ok

@@ -161,12 +161,13 @@ class TestFeasibility:
         for _ in range(150):
             start = rng.randint(1, 3)
             size = rng.randint(0, 6)
-            packets = [
-                mk(f"p{i}", rng.randint(1, start), start + rng.randint(1, 4), 1, i)
-                for i in range(size)
-            ]
-            # all packets available at start, so the deadline count and the
-            # exhaustive assignment must agree
+            packets = []
+            for i in range(size):
+                release = rng.randint(1, start + 3)
+                deadline = max(release, start) + rng.randint(1, 4)
+                packets.append(mk(f"p{i}", release, deadline, 1, i))
+            # releases fall before and after start, so the simulation must
+            # respect them to agree with the exhaustive assignment
             assert is_feasible_set(packets, start) == feasible_by_enumeration(
                 packets, start
             )

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk, mk_instance, random_agreeable
 from oracles import brute_force_opt, oracle_oblivious
 
 from pktsched.model import InvariantError, follows_priority_order, order_key, precedes
 from pktsched.offline import (
-    build_graph,
     conforming_clairvoyant,
     oblivious_schedule,
     opt_schedule,
@@ -22,34 +23,27 @@ def fig_packets():
     return [mk(f"j{i+1}", r, d, 1, i) for i, (r, d) in enumerate(windows)]
 
 
-class TestGraph:
-    def test_window_edges(self):
-        graph = build_graph(fig_packets(), 2, 6)
-        by_id = {p.id: steps for p, steps in graph.edges.items()}
-        assert by_id == {
-            "j1": (2,),
-            "j2": (2, 3),
-            "j3": (3, 4, 5, 6),
-            "j4": (4, 5, 6),
-            "j5": (6,),
-        }
-
-    def test_single_packet_single_edge(self):
-        p = mk("a", 1, 2, 1)
-        graph = build_graph([p], 1, 1)
-        assert graph.edges[p] == (1,)
-        assert graph.edge_weight(p, 1) == 1
-
-    def test_unreleased_packet_is_isolated(self):
-        p = mk("a", 5, 7, 1)
-        graph = build_graph([p], 1, 3)
-        assert graph.edges[p] == ()
-        with pytest.raises(KeyError):
-            graph.edge_weight(p, 2)
-
-    def test_rejects_empty_range(self):
-        with pytest.raises(ValueError):
-            build_graph([], 3, 2)
+@st.composite
+def packets_around_start(draw):
+    """Up to 8 packets, not necessarily agreeable, released before or after
+    a start step (some already expired by it)."""
+    start = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, start + 3),  # release
+                st.integers(1, 4),  # lifespan
+                st.integers(1, 9),  # weight numerator
+                st.integers(1, 3),  # weight denominator
+            ),
+            max_size=8,
+        )
+    )
+    packets = [
+        mk(f"p{i}", r, r + span, Fraction(num, den), i)
+        for i, (r, span, num, den) in enumerate(rows)
+    ]
+    return packets, start
 
 
 class TestOptSchedule:
@@ -102,8 +96,17 @@ class TestOptSchedule:
     def test_respects_release_times(self):
         # the far packet cannot fill the early slot
         a, b = mk("a", 1, 2, 1, 0), mk("b", 3, 4, 5, 1)
-        _, value = opt_schedule([a, b], 1)
+        sched, value = opt_schedule([a, b], 1)
         assert value == 6
+        assert sched.slots == ((1, a), (3, b))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(packets_around_start())
+    def test_greedy_matches_brute_force_on_non_agreeable_sets(self, case):
+        packets, start = case
+        sched, value = opt_schedule(packets, start)
+        assert value == brute_force_opt(packets, start)
+        assert follows_priority_order(sched, start)
 
     def test_large_deadline_does_not_blow_up(self):
         a = mk("a", 1, 10**6, 1, 0)
@@ -150,6 +153,7 @@ class TestObliviousSchedule:
                 assert ob.earliest == e and ob.heaviest == h and ob.dominated == dom
                 _, value = opt_schedule(pending, 1)
                 assert ob.schedule.weight == value
+                assert value == brute_force_opt(pending, 1)
 
     def test_matches_matching_value_on_random_sets(self):
         rng = random.Random(4)
@@ -168,6 +172,7 @@ class TestObliviousSchedule:
             ob = oblivious_schedule(pending, step)
             _, value = opt_schedule(pending, step)
             assert ob.schedule.weight == value
+            assert value == brute_force_opt(pending, step)
             assert follows_priority_order(ob.schedule, step)
 
 
