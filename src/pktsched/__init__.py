@@ -1,105 +1,7 @@
-"""Exact workbench for online packet scheduling with agreeable deadlines."""
+"""Exact workbench for online packet scheduling with agreeable deadlines.
 
-from .analysis import (
-    FAMILIES,
-    FactsReport,
-    GeneratorSpec,
-    SearchResult,
-    adversary_search,
-    check_facts,
-    competitive_ratio,
-    enumerate_two_bounded,
-    generate,
-    golden_chain,
-)
-from .engine import (
-    DEFAULT_EXACT_CAP,
-    BranchState,
-    ExactCapExceeded,
-    RunReport,
-    StepRecord,
-    iter_rg_branches,
-    run_policy,
-    run_rg_exact,
-    run_rg_mc,
-)
-from .model import (
-    Buffer,
-    Instance,
-    InvariantError,
-    Packet,
-    Schedule,
-    advance_buffer,
-    edf_schedule,
-    follows_priority_order,
-    is_feasible_set,
-    order_key,
-    precedes,
-)
-from .offline import (
-    ObliviousSchedule,
-    conforming_clairvoyant,
-    oblivious_schedule,
-    opt_schedule,
-    select_earliest_heaviest,
-)
-from .policies import (
-    DETERMINISTIC_POLICIES,
-    POLICIES,
-    PolicyDecision,
-    baseline_choose,
-    decide,
-    golden_test,
-    mg_choose,
-    mg_prime_choose,
-    rg_distribution,
-)
+The package exports nothing itself; import the submodules: ``model``,
+``offline``, ``policies``, ``engine``, ``analysis`` and ``cli``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Buffer",
-    "BranchState",
-    "DEFAULT_EXACT_CAP",
-    "DETERMINISTIC_POLICIES",
-    "ExactCapExceeded",
-    "FAMILIES",
-    "FactsReport",
-    "GeneratorSpec",
-    "Instance",
-    "InvariantError",
-    "ObliviousSchedule",
-    "POLICIES",
-    "Packet",
-    "PolicyDecision",
-    "RunReport",
-    "Schedule",
-    "SearchResult",
-    "StepRecord",
-    "advance_buffer",
-    "adversary_search",
-    "baseline_choose",
-    "check_facts",
-    "competitive_ratio",
-    "conforming_clairvoyant",
-    "decide",
-    "edf_schedule",
-    "enumerate_two_bounded",
-    "follows_priority_order",
-    "generate",
-    "golden_chain",
-    "golden_test",
-    "is_feasible_set",
-    "iter_rg_branches",
-    "mg_choose",
-    "mg_prime_choose",
-    "oblivious_schedule",
-    "opt_schedule",
-    "order_key",
-    "precedes",
-    "rg_distribution",
-    "run_policy",
-    "run_rg_exact",
-    "run_rg_mc",
-    "select_earliest_heaviest",
-]

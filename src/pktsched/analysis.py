@@ -5,10 +5,10 @@ The adversarial search explores two-bounded agreeable injections (every
 packet lives one or two steps).  That restriction keeps the game tree
 tractable and loses little: the known worst-case families for this problem
 are two-bounded.  Because a two-bounded packet never survives two steps,
-both the policy's buffer and the offline optimum carry at most the current
-step's long-lived arrivals, which lets the search advance policy state,
-exact randomized expectations, and an offline-optimum table incrementally
-instead of re-simulating every prefix.
+both the policy's pending set and the offline optimum carry at most the
+current step's long-lived arrivals, which lets the search step the
+engine's state map (``engine.advance``) and an offline-optimum table
+incrementally instead of re-simulating every prefix.
 """
 
 from __future__ import annotations
@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .engine import DEFAULT_EXACT_CAP, run_policy, run_rg_exact
+from .engine import (
+    DEFAULT_EXACT_CAP,
+    START,
+    advance,
+    carry_after,
+    run_policy,
+    run_rg_exact,
+)
 from .model import (
     EMPTY_SCHEDULE,
     Instance,
@@ -257,9 +264,10 @@ def adversary_search(
     keeps only the best states per step (deterministic: states are ranked by
     ratio, ties by witness).  Every explored node is evaluated as a complete
     instance (remaining packets drain), so results are monotone in depth.
-    Deterministic policies use their exact gains; rg is scored by exact
-    expectation.  ``jobs`` parallelizes the exhaustive mode over first-step
-    injections; the merge order makes the result independent of scheduling.
+    Every policy is scored by the exact expected gain of its state map,
+    which a deterministic policy keeps as a single state.  ``jobs``
+    parallelizes the exhaustive mode over first-step injections; the merge
+    order makes the result independent of scheduling.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -323,16 +331,16 @@ def _explore_roots(policy, depth, options, roots, max_nodes):
             nodes += 1
             option = options[oi]
             packets = _materialize_option(option, step, base)
-            state2 = _advance_policy_state(policy, state, step, packets)
+            state2 = advance(policy, state, step, packets)
             dp2 = _advance_opt_state(dp, step, packets)
-            ratio = _node_ratio(policy, state2, dp2, step)
+            ratio = _node_ratio(state2, dp2)
             child = path + (oi,)
             if best_ratio is None or ratio > best_ratio:
                 best_ratio, best_path = ratio, child
             if step < depth:
                 explore(step + 1, state2, dp2, base + len(option), child, None)
 
-    explore(1, _initial_policy_state(policy), {frozenset(): ZERO}, 0, (), tuple(roots))
+    explore(1, START, {frozenset(): ZERO}, 0, (), tuple(roots))
     return best_ratio, best_path, nodes, complete
 
 
@@ -341,7 +349,7 @@ def _beam_search(policy, depth, options, beam_width, max_nodes):
     best_path: tuple | None = None
     nodes = 0
     complete = True
-    frontier = [(_initial_policy_state(policy), {frozenset(): ZERO}, 0, ())]
+    frontier = [(START, {frozenset(): ZERO}, 0, ())]
     for step in range(1, depth + 1):
         scored = []
         for state, dp, base, path in frontier:
@@ -351,9 +359,9 @@ def _beam_search(policy, depth, options, beam_width, max_nodes):
                     break
                 nodes += 1
                 packets = _materialize_option(option, step, base)
-                state2 = _advance_policy_state(policy, state, step, packets)
+                state2 = advance(policy, state, step, packets)
                 dp2 = _advance_opt_state(dp, step, packets)
-                ratio = _node_ratio(policy, state2, dp2, step)
+                ratio = _node_ratio(state2, dp2)
                 child = path + (oi,)
                 if best_ratio is None or ratio > best_ratio:
                     best_ratio, best_path = ratio, child
@@ -382,53 +390,6 @@ def _instance_from_path(options, path) -> Instance:
     return Instance.build(specs)
 
 
-def _initial_policy_state(policy):
-    if policy == "rg":
-        return {frozenset(): (Fraction(1), ZERO)}
-    return (frozenset(), ZERO)
-
-
-def _carry_after(pending, transmitted, step):
-    return frozenset(p for p in pending if p != transmitted and p.deadline > step + 1)
-
-
-def _advance_policy_state(policy, state, step, packets):
-    if policy == "rg":
-        out: dict[frozenset, tuple[Fraction, Fraction]] = {}
-
-        def put(key, prob, weighted):
-            if key in out:
-                p0, m0 = out[key]
-                out[key] = (p0 + prob, m0 + weighted)
-            else:
-                out[key] = (prob, weighted)
-
-        for carry, (prob, weighted) in state.items():
-            pending = carry | frozenset(packets)
-            ob = oblivious_schedule(pending, step)
-            e, h = ob.earliest, ob.heaviest
-            if e == h:
-                put(_carry_after(pending, e, step), prob, weighted + prob * e.weight)
-            else:
-                q = e.weight / h.weight
-                put(
-                    _carry_after(pending, e, step),
-                    prob * q,
-                    q * (weighted + prob * e.weight),
-                )
-                put(
-                    _carry_after(pending, h, step),
-                    prob * (1 - q),
-                    (1 - q) * (weighted + prob * h.weight),
-                )
-        return out
-    carry, gain = state
-    pending = carry | frozenset(packets)
-    ob = oblivious_schedule(pending, step)
-    choice = decide(policy, ob).deterministic
-    return (_carry_after(pending, choice, step), gain + choice.weight)
-
-
 def _advance_opt_state(dp, step, packets):
     long_lived = frozenset(p for p in packets if p.deadline > step + 1)
     out: dict[frozenset, Fraction] = {}
@@ -444,28 +405,19 @@ def _advance_opt_state(dp, step, packets):
     return out
 
 
-def _drain_gain(carry, step):
-    # Every carried packet expires right after step + 1, so the oblivious
-    # schedule there is a single packet and every policy transmits it.
-    if not carry:
-        return ZERO
-    ob = oblivious_schedule(carry, step + 1)
-    return ob.earliest.weight
+def _drain_gain(carry):
+    # Every carried packet has deadline step + 2, so at step + 1 the
+    # oblivious schedule is the heaviest one alone and every policy, like
+    # the optimum, transmits it.
+    return max((p.weight for p in carry), default=ZERO)
 
 
-def _node_ratio(policy, state, dp, step):
-    opt_value = max(
-        value + max((p.weight for p in carry), default=ZERO)
-        for carry, value in dp.items()
+def _node_ratio(states, dp):
+    opt_value = max(value + _drain_gain(carry) for carry, value in dp.items())
+    algorithm = sum(
+        (weighted + prob * _drain_gain(carry) for carry, (prob, weighted, _) in states.items()),
+        ZERO,
     )
-    if policy == "rg":
-        algorithm = sum(
-            (weighted + prob * _drain_gain(carry, step) for carry, (prob, weighted) in state.items()),
-            ZERO,
-        )
-    else:
-        carry, gain = state
-        algorithm = gain + _drain_gain(carry, step)
     if opt_value == 0:
         return Fraction(1)
     if algorithm == 0:
@@ -537,11 +489,9 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
         raise ValueError("fact checks require an agreeable instance")
     arrivals = instance.arrivals_by_step
     report = FactsReport()
-    pending: frozenset[Packet] = frozenset()
+    carry: frozenset[Packet] = frozenset()
     for step in range(instance.first_release, instance.horizon + 1):
-        pending = frozenset(p for p in pending if p.deadline > step) | frozenset(
-            arrivals.get(step, ())
-        )
+        pending = carry | frozenset(arrivals.get(step, ()))
         if not pending:
             continue
         truth = oblivious_schedule(pending, step)
@@ -553,7 +503,7 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
         future = [p for p in instance.packets if p.release > step]
         report.steps.append(_check_step(pending, future, step, checked))
         choice = decide("mg-prime", truth).deterministic
-        pending = pending - {choice}
+        carry = carry_after(pending, choice, step)
     return report
 
 

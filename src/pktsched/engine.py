@@ -1,14 +1,21 @@
 """Step-loop simulation over instances.
 
+Every mode steps the same rule.  At each step the arrivals join the
+carried pending set, the policy decides on its oblivious schedule, and
+``carry_after`` drops the sent packet and every packet whose deadline has
+come.  ``advance`` takes that step for a distribution over carried sets,
+merging outcomes that carry the same set.
+
 Three execution modes:
 
 * ``run_policy``   - deterministic policies, one pass over the steps;
-* ``run_rg_exact`` - exact expected gain of the randomized policy, by
-  branching on every two-point lottery with exact probabilities (memoized
-  on the pending set, which fully determines the future);
+* ``run_rg_exact`` - exact expected gain of the randomized policy: a
+  forward pass of ``advance`` over the steps, keeping per carried pending
+  set (which fully determines the future) its exact probability, its
+  probability-weighted gain and the number of tree paths reaching it;
 * ``run_rg_mc``    - seeded Monte Carlo estimate for instances too large
-  for exact branching; every draw compares a 64-bit uniform integer with
-  the exact rational threshold, so the lottery itself is bias-free.
+  for exact mode; every draw compares a 64-bit uniform integer with the
+  exact rational threshold, so the lottery itself is bias-free.
 """
 
 from __future__ import annotations
@@ -18,16 +25,25 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
-from .model import Buffer, Instance, InvariantError, Packet, advance_buffer
-from .offline import ObliviousSchedule, oblivious_schedule, opt_schedule
-from .policies import DETERMINISTIC_POLICIES, decide
+from .model import Instance, InvariantError, Packet
+from .offline import oblivious_schedule, opt_schedule
+from .policies import DETERMINISTIC_POLICIES, PolicyDecision, decide
 
 DEFAULT_EXACT_CAP = 1 << 20
 
+# Carried pending set -> (probability of reaching it, probability-weighted
+# gain so far, number of branching-tree paths reaching it).
+States = Mapping[frozenset[Packet], tuple[Fraction, Fraction, int]]
+
+# Before the first step: nothing carried, reached surely by one path.
+START: States = MappingProxyType({frozenset(): (Fraction(1), Fraction(0), 1)})
+
 
 class ExactCapExceeded(RuntimeError):
-    """The branching tree outgrew the configured cap."""
+    """Exact mode outgrew the configured state cap."""
 
 
 @dataclass(frozen=True)
@@ -53,14 +69,48 @@ class RunReport:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class BranchState:
-    """A leaf of the randomized policy's branching tree."""
+def carry_after(pending: frozenset[Packet], sent: Packet, step: int) -> frozenset[Packet]:
+    """The packets of ``pending`` other than ``sent`` that are still pending
+    at ``step + 1``, i.e. whose deadline lies beyond it."""
+    return frozenset(p for p in pending if p != sent and p.deadline > step + 1)
 
-    step: int
-    transmitted: frozenset[str]
-    probability: Fraction
-    gain: Fraction
+
+def advance(policy: str, states: States, step: int, arrivals: Iterable[Packet]) -> States:
+    """One step of a policy's distribution over carried pending sets.
+
+    The arrivals join every carried set, the policy decides on the
+    oblivious schedule of the result, and every outcome of the decision is
+    carried on with its probability; outcomes that carry the same set are
+    merged.  A deterministic policy keeps a single state of probability 1.
+    """
+    arrivals = frozenset(arrivals)
+    out: dict[frozenset[Packet], tuple[Fraction, Fraction, int]] = {}
+
+    def put(carry, prob, weighted, paths):
+        if carry in out:
+            p0, w0, n0 = out[carry]
+            out[carry] = (p0 + prob, w0 + weighted, n0 + paths)
+        else:
+            out[carry] = (prob, weighted, paths)
+
+    for carry, (prob, weighted, paths) in states.items():
+        pending = carry | arrivals
+        if not pending:
+            put(pending, prob, weighted, paths)
+            continue
+        decision = decide(policy, oblivious_schedule(pending, step))
+        if decision.deterministic is not None:
+            sent = decision.deterministic
+            put(carry_after(pending, sent, step), prob, weighted + prob * sent.weight, paths)
+            continue
+        for sent, q in decision.lottery:
+            put(
+                carry_after(pending, sent, step),
+                prob * q,
+                q * (weighted + prob * sent.weight),
+                paths,
+            )
+    return out
 
 
 def run_policy(instance: Instance, policy: str) -> RunReport:
@@ -71,14 +121,14 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
             "use run_rg_exact or run_rg_mc for rg"
         )
     arrivals = instance.arrivals_by_step
-    buffer = Buffer(frozenset(), instance.first_release - 1)
+    carry: frozenset[Packet] = frozenset()
     records: list[StepRecord] = []
     total = Fraction(0)
     for step in range(instance.first_release, instance.horizon + 1):
-        buffer = advance_buffer(buffer, step, arrivals.get(step, ()))
-        if not buffer.pending:
+        pending = carry | frozenset(arrivals.get(step, ()))
+        if not pending:
             continue
-        oblivious = oblivious_schedule(buffer.pending, step)
+        oblivious = oblivious_schedule(pending, step)
         choice = decide(policy, oblivious).deterministic
         if choice is None or choice not in oblivious.schedule.packets:
             raise InvariantError(f"policy {policy} chose outside the oblivious schedule")
@@ -93,7 +143,7 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
                 choice.weight,
             )
         )
-        buffer = Buffer(buffer.pending - {choice}, step)
+        carry = carry_after(pending, choice, step)
     _, opt_value = opt_schedule(instance.packets, instance.first_release)
     if total > opt_value:
         raise InvariantError("online gain exceeded the offline optimum")
@@ -107,110 +157,29 @@ def run_rg_exact(
     """Exact expected gain of the randomized policy and the branching-tree
     leaf count.
 
-    Branches on {earliest, heaviest} at every step where they differ,
-    weighting by the exact lottery probabilities.  Memoized on
-    (step, pending set); memoization cannot change the expectation because
-    the pending set determines everything that follows.  Raises
-    ExactCapExceeded once the (tree) leaf count passes ``cap``.
+    A forward pass of ``advance`` over the steps.  Merging the paths that
+    carry the same pending set cannot change the expectation, because that
+    set determines everything that follows; their path counts add up to
+    the tree's leaves.  Raises ExactCapExceeded once the number of states,
+    summed over the steps, passes ``cap``; each state costs at most one
+    oblivious schedule.
     """
     arrivals = instance.arrivals_by_step
-    horizon = instance.horizon
-    memo: dict[tuple[int, frozenset[Packet]], tuple[Fraction, int]] = {}
+    states = START
     spent = 0
-
-    def spend(leaves: int) -> None:
-        nonlocal spent
-        spent += leaves
+    for step in range(instance.first_release, instance.horizon + 1):
+        spent += len(states)
         if spent > cap:
             raise ExactCapExceeded(
-                f"instance too large for exact mode (branching leaves > {cap})"
+                f"instance too large for exact mode (exact states > {cap})"
             )
-
-    def advance(pending: frozenset[Packet], step: int) -> frozenset[Packet]:
-        kept = frozenset(p for p in pending if p.deadline > step)
-        return kept | frozenset(arrivals.get(step, ()))
-
-    def expected(step: int, pending: frozenset[Packet]) -> tuple[Fraction, int]:
-        if step > horizon:
-            spend(1)
-            return Fraction(0), 1
-        key = (step, pending)
-        hit = memo.get(key)
-        if hit is not None:
-            spend(hit[1])
-            return hit
-        if not pending:
-            result = expected(step + 1, advance(pending, step + 1))
-        else:
-            oblivious = oblivious_schedule(pending, step)
-            e, h = oblivious.earliest, oblivious.heaviest
-            if e == h:
-                sub, leaves = expected(step + 1, advance(pending - {e}, step + 1))
-                result = (e.weight + sub, leaves)
-            else:
-                p_e = e.weight / h.weight
-                gain_e, leaves_e = expected(step + 1, advance(pending - {e}, step + 1))
-                gain_h, leaves_h = expected(step + 1, advance(pending - {h}, step + 1))
-                value = p_e * (e.weight + gain_e) + (1 - p_e) * (h.weight + gain_h)
-                result = (value, leaves_e + leaves_h)
-        memo[key] = result
-        return result
-
-    start = instance.first_release
-    value, leaves = expected(start, advance(frozenset(), start))
-    _, opt_value = opt_schedule(instance.packets, start)
+        states = advance("rg", states, step, arrivals.get(step, ()))
+    value = sum((weighted for _, weighted, _ in states.values()), Fraction(0))
+    leaves = sum(paths for _, _, paths in states.values())
+    _, opt_value = opt_schedule(instance.packets, instance.first_release)
     if value > opt_value:
         raise InvariantError("expected gain exceeded the offline optimum")
     return value, leaves
-
-
-def iter_rg_branches(instance: Instance, cap: int = DEFAULT_EXACT_CAP):
-    """Yield every leaf of the randomized policy's branching tree.
-
-    Plain enumeration without memoization; probabilities over all yielded
-    leaves sum to exactly 1.
-    """
-    arrivals = instance.arrivals_by_step
-    horizon = instance.horizon
-    count = 0
-
-    def walk(step, pending, probability, gain, sent):
-        nonlocal count
-        pending = frozenset(p for p in pending if p.deadline > step) | frozenset(
-            arrivals.get(step, ())
-        )
-        if step > horizon:
-            count += 1
-            if count > cap:
-                raise ExactCapExceeded(
-                    f"instance too large for exact mode (branching leaves > {cap})"
-                )
-            yield BranchState(step, sent, probability, gain)
-            return
-        if not pending:
-            yield from walk(step + 1, pending, probability, gain, sent)
-            return
-        oblivious = oblivious_schedule(pending, step)
-        e, h = oblivious.earliest, oblivious.heaviest
-        if e == h:
-            yield from walk(
-                step + 1, pending - {e}, probability, gain + e.weight, sent | {e.id}
-            )
-            return
-        p_e = e.weight / h.weight
-        yield from walk(
-            step + 1, pending - {e}, probability * p_e, gain + e.weight, sent | {e.id}
-        )
-        yield from walk(
-            step + 1,
-            pending - {h},
-            probability * (1 - p_e),
-            gain + h.weight,
-            sent | {h.id},
-        )
-
-    start = instance.first_release
-    yield from walk(start, frozenset(), Fraction(1), Fraction(0), frozenset())
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -231,34 +200,30 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
     arrivals = instance.arrivals_by_step
     horizon = instance.horizon
     start = instance.first_release
-    cache: dict[tuple[int, frozenset[Packet]], ObliviousSchedule] = {}
+    cache: dict[tuple[int, frozenset[Packet]], PolicyDecision] = {}
     totals: list[float] = []
     shift = 1 << 64
     for trial in range(trials):
         rng = random.Random(_trial_seed(seed, trial))
-        pending: frozenset[Packet] = frozenset()
+        carry: frozenset[Packet] = frozenset()
         gain = Fraction(0)
         for step in range(start, horizon + 1):
-            pending = frozenset(p for p in pending if p.deadline > step) | frozenset(
-                arrivals.get(step, ())
-            )
+            pending = carry | frozenset(arrivals.get(step, ()))
             if not pending:
                 continue
             key = (step, pending)
-            oblivious = cache.get(key)
-            if oblivious is None:
-                oblivious = oblivious_schedule(pending, step)
-                cache[key] = oblivious
-            e, h = oblivious.earliest, oblivious.heaviest
-            if e == h:
-                chosen = e
-            else:
-                p_e = e.weight / h.weight
+            decision = cache.get(key)
+            if decision is None:
+                decision = decide("rg", oblivious_schedule(pending, step))
+                cache[key] = decision
+            chosen = decision.deterministic
+            if chosen is None:
+                (e, p_e), (h, _) = decision.lottery
                 draw = rng.getrandbits(64)
                 # draw / 2^64 < p_e, compared exactly in integers.
                 chosen = e if draw * p_e.denominator < p_e.numerator * shift else h
             gain += chosen.weight
-            pending = pending - {chosen}
+            carry = carry_after(pending, chosen, step)
         totals.append(float(gain))
     mean = math.fsum(totals) / trials
     if trials == 1:

@@ -1,9 +1,9 @@
-"""Core data model: packets, instances, schedules, buffers.
+"""Core data model: packets, instances, schedules and their feasibility.
 
 Everything here is an immutable value type over exact rationals, so every
 weight comparison and every gain total is decided without floating point.
 Steps are 1-based integers; a packet with deadline d can be transmitted at
-steps release..d-1 and is removed from the buffer at the beginning of step d.
+steps release..d-1 and is no longer pending from step d on.
 """
 
 from __future__ import annotations
@@ -220,37 +220,6 @@ class Schedule:
 
 
 EMPTY_SCHEDULE = Schedule(())
-
-
-@dataclass(frozen=True)
-class Buffer:
-    """Set of pending packets together with the current step."""
-
-    pending: frozenset[Packet]
-    current_step: int
-
-    def __post_init__(self):
-        for packet in self.pending:
-            if not packet.pending_window(self.current_step):
-                raise ValueError(
-                    f"packet {packet.id} cannot be pending at step {self.current_step}"
-                )
-
-
-def advance_buffer(buffer: Buffer, step: int, arrivals: Iterable[Packet]) -> Buffer:
-    """Advance one step: expire packets whose deadline has come, add arrivals."""
-    if step != buffer.current_step + 1:
-        raise ValueError(
-            f"buffer at step {buffer.current_step} cannot advance to step {step}"
-        )
-    arrivals = tuple(arrivals)
-    for packet in arrivals:
-        if packet.release != step:
-            raise ValueError(
-                f"packet {packet.id} with release {packet.release} cannot arrive at step {step}"
-            )
-    kept = frozenset(p for p in buffer.pending if p.deadline > step)
-    return Buffer(kept | frozenset(arrivals), step)
 
 
 def is_feasible_set(packets: Iterable[Packet], start: int) -> bool:

@@ -7,6 +7,7 @@ import pytest
 from conftest import mk_instance
 
 from pktsched import cli
+from pktsched.analysis import golden_chain
 from pktsched.model import InvariantError
 
 
@@ -161,6 +162,24 @@ class TestCommands:
         assert "too large for exact mode" in capsys.readouterr().err
         monkeypatch.setenv(cli.CAP_ENV_VAR, "banana")
         assert cli.main(["expected", "--instance", tiny]) == 1
+
+    def test_expected_on_long_horizon(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+        rows = [(f"c{t}", t, t + 1, 1 + t % 9) for t in range(1, 1500)]
+        path = tmp_path / "steps.jsonl"
+        cli.write_instance(mk_instance(*rows), str(path))
+        assert cli.main(["expected", "--instance", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"expected gain = {sum(row[3] for row in rows)}/1" in out
+        assert "branching leaves = 1\n" in out
+
+    def test_expected_counts_states_not_leaves(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+        path = tmp_path / "chain.jsonl"
+        cli.write_instance(golden_chain(22), str(path))
+        assert 2**22 > cli.DEFAULT_EXACT_CAP
+        assert cli.main(["expected", "--instance", str(path)]) == 0
+        assert f"branching leaves = {2**22}" in capsys.readouterr().out
 
     def test_gen_then_ratio_pipeline(self, tmp_path, capsys):
         out = tmp_path / "gen.jsonl"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_instance, random_agreeable
 from oracles import (
@@ -11,18 +13,59 @@ from oracles import (
     oracle_rg_expectation,
 )
 
+from pktsched.analysis import golden_chain
 from pktsched.engine import (
+    START,
     ExactCapExceeded,
-    iter_rg_branches,
+    advance,
     run_policy,
     run_rg_exact,
     run_rg_mc,
 )
 from pktsched.model import Instance
+from pktsched.policies import DETERMINISTIC_POLICIES
 
 
 def three_packet_instance():
     return mk_instance(("a", 1, 2, 1), ("b", 1, 3, 2), ("c", 2, 3, 2))
+
+
+@st.composite
+def small_agreeable(draw):
+    """Up to 4 release steps with up to 3 arrivals each; every deadline
+    reaches the latest deadline released before it, so the instance is
+    agreeable by construction."""
+    rows = []
+    floor = 0
+    for step in range(1, draw(st.integers(1, 4)) + 1):
+        batch_max = 0
+        arrivals = st.tuples(st.integers(0, 2), st.integers(1, 9), st.integers(1, 3))
+        for spread, num, den in draw(st.lists(arrivals, max_size=3)):
+            deadline = max(floor, step + 1) + spread
+            rows.append((f"p{len(rows)}", step, deadline, Fraction(num, den)))
+            batch_max = max(batch_max, deadline)
+        floor = max(floor, batch_max)
+    return Instance.build(rows)
+
+
+def step_states(instance, policy):
+    """The state map after ``advance`` has stepped through every step."""
+    states = START
+    for step in range(instance.first_release, instance.horizon + 1):
+        states = advance(policy, states, step, instance.arrivals_by_step.get(step, ()))
+    return states
+
+
+def gadget_horizon(gadgets):
+    """Ten steps per gadget: a tight packet of weight 1 and a flexible one
+    of weight 2 whose lottery splits every path in two; a last packet of
+    weight 1 closes the horizon at step 10 * gadgets."""
+    rows = []
+    for k in range(gadgets):
+        rows.append((f"t{k}", 10 * k + 1, 10 * k + 2, 1))
+        rows.append((f"f{k}", 10 * k + 1, 10 * k + 3, 2))
+    rows.append(("z", 10 * gadgets - 9, 10 * gadgets + 1, 1))
+    return mk_instance(*rows)
 
 
 class TestRunPolicy:
@@ -117,10 +160,10 @@ class TestRunRgExact:
         for _ in range(40):
             inst = random_agreeable(rng, max_steps=3, max_per_step=2)
             value, leaves = run_rg_exact(inst)
-            branches = list(iter_rg_branches(inst))
-            assert sum(b.probability for b in branches) == 1
-            assert sum(b.probability * b.gain for b in branches) == value
-            assert len(branches) == leaves
+            oracle_value, oracle_leaves, mass = oracle_rg_expectation(inst)
+            assert mass == 1
+            assert oracle_value == value
+            assert oracle_leaves == leaves
 
     def test_expectation_bounded_by_optimum(self):
         rng = random.Random(8)
@@ -133,8 +176,38 @@ class TestRunRgExact:
         inst = three_packet_instance()
         with pytest.raises(ExactCapExceeded, match="too large for exact mode"):
             run_rg_exact(inst, cap=1)
-        with pytest.raises(ExactCapExceeded):
-            list(iter_rg_branches(inst, cap=1))
+
+    def test_long_horizon_without_recursion(self):
+        value, leaves = run_rg_exact(gadget_horizon(500))
+        assert value == 1251
+        assert leaves == 2**500
+
+    def test_golden_chain_matches_oracle(self):
+        for length in range(4, 9):
+            inst = golden_chain(length)
+            value, leaves = run_rg_exact(inst)
+            oracle_value, oracle_leaves, mass = oracle_rg_expectation(inst)
+            assert (value, leaves, mass) == (oracle_value, oracle_leaves, 1)
+            assert sum(prob for prob, _, _ in step_states(inst, "rg").values()) == 1
+
+    def test_long_golden_chain_finishes_exactly(self):
+        inst = golden_chain(40)
+        value, leaves = run_rg_exact(inst)
+        assert leaves == 2**40
+        ratio = brute_force_opt(inst.packets, inst.first_release) / value
+        assert 1 < ratio <= Fraction(4, 3)
+
+
+class TestAdvance:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(small_agreeable())
+    def test_deterministic_policy_keeps_one_sure_state(self, inst):
+        for policy in DETERMINISTIC_POLICIES:
+            states = step_states(inst, policy)
+            assert len(states) == 1
+            ((prob, gain, paths),) = states.values()
+            assert prob == 1 and paths == 1
+            assert gain == run_policy(inst, policy).total_gain
 
 
 class TestRunRgMc:

@@ -6,11 +6,10 @@ import pytest
 from conftest import mk, mk_instance
 from oracles import feasible_by_enumeration
 
+from pktsched.engine import START, advance, carry_after
 from pktsched.model import (
-    Buffer,
     Instance,
     Schedule,
-    advance_buffer,
     edf_schedule,
     follows_priority_order,
     is_feasible_set,
@@ -101,42 +100,43 @@ class TestInstance:
 
 
 class TestBuffer:
+    """The pending buffer from one step to the next: ``carry_after`` keeps
+    what is still pending, ``advance`` admits the arrivals and refuses a
+    packet outside its window."""
+
     def test_expiry_at_deadline(self):
-        buf = Buffer(frozenset({mk("a", 1, 2, 1)}), 1)
-        assert advance_buffer(buf, 2, ()).pending == frozenset()
+        a, b = mk("a", 1, 2, 1, 0), mk("b", 1, 3, 2, 1)
+        assert carry_after(frozenset({a, b}), b, 1) == frozenset()
 
     def test_arrival_joins_buffer(self):
         b = mk("b", 1, 5, 1)
         c = mk("c", 3, 5, 1, 1)
-        buf = Buffer(frozenset({b}), 2)
-        assert advance_buffer(buf, 3, (c,)).pending == {b, c}
+        states = advance("mg-prime", {frozenset({b}): (Fraction(1), Fraction(0), 1)}, 3, (c,))
+        assert states == {frozenset({c}): (1, 1, 1)}
 
     def test_only_expired_dropped(self):
-        a, b = mk("a", 1, 3, 1, 0), mk("b", 1, 4, 1, 1)
-        buf = Buffer(frozenset({a, b}), 2)
-        assert advance_buffer(buf, 3, ()).pending == {b}
+        a, b, x = mk("a", 1, 3, 1, 0), mk("b", 1, 4, 1, 1), mk("x", 2, 4, 1, 2)
+        assert carry_after(frozenset({a, b, x}), x, 2) == {b}
 
     def test_rejects_step_jump(self):
-        buf = Buffer(frozenset(), 1)
-        with pytest.raises(ValueError, match="advance"):
-            advance_buffer(buf, 3, ())
+        stale = {frozenset({mk("a", 1, 3, 1)}): (Fraction(1), Fraction(0), 1)}
+        with pytest.raises(ValueError, match="not pending"):
+            advance("mg-prime", stale, 3, ())
 
     def test_rejects_misdated_arrival(self):
-        buf = Buffer(frozenset(), 1)
-        with pytest.raises(ValueError, match="arrive"):
-            advance_buffer(buf, 2, (mk("x", 3, 4, 1),))
+        with pytest.raises(ValueError, match="not pending"):
+            advance("mg-prime", START, 2, (mk("x", 3, 4, 1),))
 
     def test_never_retains_expired_never_drops_live(self):
         rng = random.Random(5)
         for _ in range(100):
             step = rng.randint(2, 6)
-            packets = frozenset(
-                mk(f"p{i}", 1, rng.randint(step, step + 3), 1, i) for i in range(4)
-            )
-            buf = Buffer(frozenset(p for p in packets if p.deadline > step - 1), step - 1)
-            advanced = advance_buffer(buf, step, ())
-            assert all(p.deadline > step for p in advanced.pending)
-            assert advanced.pending == {p for p in buf.pending if p.deadline > step}
+            packets = [mk(f"p{i}", 1, rng.randint(step, step + 3), 1, i) for i in range(4)]
+            pending = frozenset(p for p in packets if p.deadline > step - 1)
+            sent = packets[rng.randrange(4)]
+            carry = carry_after(pending, sent, step - 1)
+            assert all(p.deadline > step for p in carry)
+            assert carry == {p for p in pending if p != sent and p.deadline > step}
 
 
 class TestFeasibility:
