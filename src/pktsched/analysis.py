@@ -23,10 +23,11 @@ from typing import Callable, Iterable, Iterator
 from .engine import (
     DEFAULT_EXACT_CAP,
     START,
+    _rg_exact,
     advance,
+    busy_steps,
     carry_after,
     run_policy,
-    run_rg_exact,
 )
 from .model import (
     EMPTY_SCHEDULE,
@@ -59,8 +60,7 @@ def competitive_ratio(
     """Offline optimum divided by the policy's (expected) gain; 1 when the
     optimum is zero."""
     if policy == "rg":
-        expected, _ = run_rg_exact(instance, cap)
-        _, opt_value = opt_schedule(instance.packets, instance.first_release)
+        expected, _, opt_value = _rg_exact(instance, cap)
         if opt_value == 0:
             return Fraction(1)
         return opt_value / expected
@@ -490,10 +490,8 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     arrivals = instance.arrivals_by_step
     report = FactsReport()
     carry: frozenset[Packet] = frozenset()
-    for step in range(instance.first_release, instance.horizon + 1):
+    for step in busy_steps(instance, lambda: bool(carry)):
         pending = carry | frozenset(arrivals.get(step, ()))
-        if not pending:
-            continue
         truth = oblivious_schedule(pending, step)
         checked = truth
         if corrupt is not None:

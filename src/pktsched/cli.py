@@ -31,8 +31,8 @@ from .engine import (
     DEFAULT_EXACT_CAP,
     ExactCapExceeded,
     RunReport,
+    _rg_exact,
     run_policy,
-    run_rg_exact,
     run_rg_mc,
 )
 from .model import Instance, InvariantError, as_weight
@@ -270,8 +270,7 @@ def _cmd_ratio(args) -> int:
 
 def _cmd_expected(args) -> int:
     instance = _load(args, require_agreeable=True)
-    expected, leaves = run_rg_exact(instance, cap=_exact_cap())
-    _, opt_value = opt_schedule(instance.packets, instance.first_release)
+    expected, leaves, opt_value = _rg_exact(instance, cap=_exact_cap())
     ratio = Fraction(1) if opt_value == 0 else opt_value / expected
     _print_ratio("expected gain", expected)
     _print_ratio("optimum", opt_value)

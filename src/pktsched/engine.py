@@ -4,7 +4,8 @@ Every mode steps the same rule.  At each step the arrivals join the
 carried pending set, the policy decides on its oblivious schedule, and
 ``carry_after`` drops the sent packet and every packet whose deadline has
 come.  ``advance`` takes that step for a distribution over carried sets,
-merging outcomes that carry the same set.
+merging outcomes that carry the same set.  ``busy_steps`` lists the steps
+a run visits, skipping the idle ones where nothing is pending.
 
 Three execution modes:
 
@@ -26,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .model import Instance, InvariantError, Packet
 from .offline import oblivious_schedule, opt_schedule
@@ -73,6 +74,21 @@ def carry_after(pending: frozenset[Packet], sent: Packet, step: int) -> frozense
     """The packets of ``pending`` other than ``sent`` that are still pending
     at ``step + 1``, i.e. whose deadline lies beyond it."""
     return frozenset(p for p in pending if p != sent and p.deadline > step + 1)
+
+
+def busy_steps(instance: Instance, carrying: Callable[[], bool]) -> Iterator[int]:
+    """The steps a run visits: each arrival step, and after a step the next
+    one while ``carrying()`` reports a nonempty carried set.  From an empty
+    carry the run jumps to the next arrival step, skipping the idle steps
+    in between, where nothing is pending."""
+    arrival_steps = iter(instance.arrivals_by_step)
+    step = next(arrival_steps, None)
+    while step is not None:
+        yield step
+        if carrying():
+            step += 1
+        else:
+            step = next((s for s in arrival_steps if s > step), None)
 
 
 def advance(policy: str, states: States, step: int, arrivals: Iterable[Packet]) -> States:
@@ -124,10 +140,8 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
     carry: frozenset[Packet] = frozenset()
     records: list[StepRecord] = []
     total = Fraction(0)
-    for step in range(instance.first_release, instance.horizon + 1):
+    for step in busy_steps(instance, lambda: bool(carry)):
         pending = carry | frozenset(arrivals.get(step, ()))
-        if not pending:
-            continue
         oblivious = oblivious_schedule(pending, step)
         choice = decide(policy, oblivious).deterministic
         if choice is None or choice not in oblivious.schedule.packets:
@@ -161,13 +175,20 @@ def run_rg_exact(
     carry the same pending set cannot change the expectation, because that
     set determines everything that follows; their path counts add up to
     the tree's leaves.  Raises ExactCapExceeded once the number of states,
-    summed over the steps, passes ``cap``; each state costs at most one
-    oblivious schedule.
+    summed over the steps where something is pending, passes ``cap``; each
+    state costs at most one oblivious schedule.
     """
+    value, leaves, _ = _rg_exact(instance, cap)
+    return value, leaves
+
+
+def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction]:
+    """``run_rg_exact`` plus the offline optimum it checks the value against,
+    so that callers reporting both compute the optimum once."""
     arrivals = instance.arrivals_by_step
     states = START
     spent = 0
-    for step in range(instance.first_release, instance.horizon + 1):
+    for step in busy_steps(instance, lambda: any(states)):
         spent += len(states)
         if spent > cap:
             raise ExactCapExceeded(
@@ -179,7 +200,7 @@ def run_rg_exact(
     _, opt_value = opt_schedule(instance.packets, instance.first_release)
     if value > opt_value:
         raise InvariantError("expected gain exceeded the offline optimum")
-    return value, leaves
+    return value, leaves, opt_value
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -198,8 +219,6 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
     if trials < 1:
         raise ValueError("trials must be >= 1")
     arrivals = instance.arrivals_by_step
-    horizon = instance.horizon
-    start = instance.first_release
     cache: dict[tuple[int, frozenset[Packet]], PolicyDecision] = {}
     totals: list[float] = []
     shift = 1 << 64
@@ -207,10 +226,8 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
         rng = random.Random(_trial_seed(seed, trial))
         carry: frozenset[Packet] = frozenset()
         gain = Fraction(0)
-        for step in range(start, horizon + 1):
+        for step in busy_steps(instance, lambda: bool(carry)):
             pending = carry | frozenset(arrivals.get(step, ()))
-            if not pending:
-                continue
             key = (step, pending)
             decision = cache.get(key)
             if decision is None:

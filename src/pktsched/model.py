@@ -56,6 +56,12 @@ class Packet:
     def lifespan(self) -> int:
         return self.deadline - self.release
 
+    def __hash__(self) -> int:
+        # Equal packets share their arrival_index, so this agrees with the
+        # generated equality; it spares hashing the Fraction weight on every
+        # set and dict operation, and it is the same in every process.
+        return self.arrival_index
+
     def pending_window(self, step: int) -> bool:
         """True if the step lies inside this packet's transmission window."""
         return self.release <= step < self.deadline

@@ -6,8 +6,12 @@ descending (ties in the deadline-first order) and keep each one while the
 kept set stays feasible.  The same greedy gives the offline optimum over
 pending plus future packets and, over a pending set, the *oblivious
 schedule* (optimal deadline-first-order schedule of the pending set, made
-canonical by the tie order).  Both are laid out by ``edf_schedule``, so an
-optimum lists its packets in the deadline-first order.
+canonical by the tie order).  Two exact feasibility tests back the
+greedy, chosen by the input: when every packet is released by the start,
+the kept packets hold distinct steps (each the latest free one inside its
+window); otherwise ``is_feasible_set`` simulates earliest-deadline-first
+with release times.  Either way the kept set is laid out in the
+deadline-first order.
 
 The *conforming clairvoyant schedule* is built here as well: optimal over
 pending plus future packets, repaired so that its already-pending part lies
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .model import (
@@ -33,10 +38,51 @@ from .model import (
 
 
 def _greedy_optimal_set(packets: Iterable[Packet], start: int) -> list[Packet]:
-    """Maximum-weight subset feasible from ``start``, by the weight greedy."""
+    """Maximum-weight subset feasible from ``start``, by the weight greedy.
+
+    Returns the kept packets in greedy order, so over a pending set the
+    first one is the order-minimal packet of maximum weight.  When every
+    packet is released by ``start``, a candidate is kept iff some step in
+    ``[start, deadline)`` is still free, and it takes the latest such step
+    (unit jobs with deadlines: the kept set stays feasible exactly then);
+    otherwise each candidate is probed with the release-aware
+    ``is_feasible_set``.
+    """
+    packets = list(packets)
+    # Weight descending, ties in the deadline-first order: the reverse of
+    # ascending (weight, -deadline, -arrival_index).  The weights compare as
+    # integers over their common denominator, which orders them exactly as
+    # the Fractions do, without Fraction arithmetic.
+    scale = lcm(*(p.weight.denominator for p in packets))
+    candidates = sorted(
+        packets,
+        key=lambda p: (
+            p.weight.numerator * (scale // p.weight.denominator),
+            -p.deadline,
+            -p.arrival_index,
+        ),
+        reverse=True,
+    )
     kept: list[Packet] = []
-    for p in sorted(packets, key=lambda q: (-q.weight, order_key(q))):
-        if is_feasible_set(kept + [p], start):
+    if any(p.release > start for p in candidates):
+        for p in candidates:
+            if is_feasible_set(kept + [p], start):
+                kept.append(p)
+        return kept
+    # A taken step maps to a lower step to try next (t - 1 when t is taken,
+    # shortened by path compression); the first step reached that is not in
+    # ``below`` is the latest free one.
+    below: dict[int, int] = {}
+    for p in candidates:
+        step = p.deadline - 1
+        path = []
+        while step in below:
+            path.append(step)
+            step = below[step]
+        for taken in path:
+            below[taken] = step
+        if step >= start:
+            below[step] = step - 1
             kept.append(p)
     return kept
 
@@ -85,8 +131,10 @@ def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedul
 
     Canonicalized by the weight greedy of ``opt_schedule``: packets are
     considered by weight descending (ties in the deadline-first order) and
-    kept while the kept set stays feasible.  The test suite checks the
-    value against exhaustive enumeration.
+    kept while the kept set stays feasible.  Every packet is released, so
+    the kept set goes out in the deadline-first order on consecutive steps
+    from ``step``, and the greedy's first packet is the heaviest.  The test
+    suite checks the result against exhaustive enumeration.
     """
     pending = list(pending)
     if not pending:
@@ -94,10 +142,13 @@ def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedul
     for p in pending:
         if not p.pending_window(step):
             raise ValueError(f"packet {p.id} is not pending at step {step}")
-    schedule = edf_schedule(_greedy_optimal_set(pending, step), step)
-    earliest, heaviest = select_earliest_heaviest(schedule)
+    kept = _greedy_optimal_set(pending, step)
+    # Sorting is stable, so equal deadlines keep the greedy's heavier-first,
+    # earlier-arrival-first order: the result is the deadline-first order.
+    sequence = sorted(kept, key=lambda p: p.deadline)
+    schedule = Schedule(tuple(enumerate(sequence, start=step)))
     dominated = frozenset(pending) - schedule.packets
-    return ObliviousSchedule(schedule, step, earliest, heaviest, dominated)
+    return ObliviousSchedule(schedule, step, sequence[0], kept[0], dominated)
 
 
 def _repair_onto(

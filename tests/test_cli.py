@@ -6,7 +6,7 @@ import pytest
 
 from conftest import mk_instance
 
-from pktsched import cli
+from pktsched import analysis, cli, engine
 from pktsched.analysis import golden_chain
 from pktsched.model import InvariantError
 
@@ -180,6 +180,23 @@ class TestCommands:
         assert 2**22 > cli.DEFAULT_EXACT_CAP
         assert cli.main(["expected", "--instance", str(path)]) == 0
         assert f"branching leaves = {2**22}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["expected"], ["ratio", "--policy", "rg"], ["ratio", "--policy", "mg-prime"]],
+    )
+    def test_optimum_computed_once_per_command(self, tiny, monkeypatch, argv):
+        calls = []
+        original = engine.opt_schedule
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (engine, analysis, cli):
+            monkeypatch.setattr(module, "opt_schedule", counted)
+        assert cli.main(argv + ["--instance", tiny]) == 0
+        assert len(calls) == 1
 
     def test_gen_then_ratio_pipeline(self, tmp_path, capsys):
         out = tmp_path / "gen.jsonl"

@@ -177,6 +177,11 @@ class TestRunRgExact:
         with pytest.raises(ExactCapExceeded, match="too large for exact mode"):
             run_rg_exact(inst, cap=1)
 
+    def test_idle_steps_cost_no_states(self):
+        # two pending steps around 1,999 idle ones: only the former count
+        inst = mk_instance(("a", 1, 2, 1), ("b", 2001, 2002, 1))
+        assert run_rg_exact(inst, cap=1000) == (2, 1)
+
     def test_long_horizon_without_recursion(self):
         value, leaves = run_rg_exact(gadget_horizon(500))
         assert value == 1251
@@ -229,6 +234,11 @@ class TestRunRgMc:
         mean, stderr = run_rg_mc(inst, trials=20_000, seed=7)
         assert stderr > 0
         assert abs(mean - float(exact)) <= 4 * stderr
+
+    def test_skips_long_idle_gap(self):
+        inst = mk_instance(("a", 1, 2, 1), ("b", 2 + 2**20, 3 + 2**20, 1))
+        assert run_rg_mc(inst, trials=50, seed=0) == (2.0, 0.0)
+        assert run_policy(inst, "mg-prime").total_gain == 2
 
     def test_single_trial(self):
         mean, stderr = run_rg_mc(mk_instance(("x", 1, 2, 2)), trials=1, seed=0)

@@ -51,6 +51,20 @@ class TestPacketOrder:
         assert (order_key(a) < order_key(b)) == precedes(a, b)
 
 
+class TestPacketHash:
+    def test_equal_packets_hash_equal(self):
+        assert mk("a", 1, 3, Fraction(3, 2), 5) == mk("a", 1, 3, Fraction(6, 4), 5)
+        assert hash(mk("a", 1, 3, Fraction(3, 2), 5)) == hash(mk("a", 1, 3, Fraction(6, 4), 5))
+
+    def test_same_arrival_index_different_weight_stay_apart(self):
+        light, heavy = mk("a", 1, 3, 2, 5), mk("a", 1, 3, Fraction(7, 3), 5)
+        assert light != heavy
+        both = frozenset({light, heavy})
+        assert len(both) == 2
+        assert light in both and heavy in both
+        assert both - {light} == {heavy}
+
+
 class TestPacketValidation:
     def test_rejects_empty_lifespan(self):
         with pytest.raises(ValueError, match="empty lifespan"):

@@ -46,6 +46,31 @@ def packets_around_start(draw):
     return packets, start
 
 
+@st.composite
+def pending_at_step(draw):
+    """1 to 8 packets pending at a step in 1..5: released by it, deadlines
+    beyond it from a short range (so often repeated), and fractional weights
+    from a small menu (so often tied, also across representations)."""
+    step = draw(st.integers(1, 5))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, step),  # release
+                st.integers(1, 4),  # deadline - step
+                st.integers(1, 4),  # weight numerator
+                st.integers(1, 2),  # weight denominator
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    pending = [
+        mk(f"p{i}", r, step + span, Fraction(num, den), i)
+        for i, (r, span, num, den) in enumerate(rows)
+    ]
+    return pending, step
+
+
 class TestOptSchedule:
     def test_window_example_all_scheduled(self):
         sched, value = opt_schedule(fig_packets(), 2)
@@ -154,6 +179,17 @@ class TestObliviousSchedule:
                 _, value = opt_schedule(pending, 1)
                 assert ob.schedule.weight == value
                 assert value == brute_force_opt(pending, 1)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(pending_at_step())
+    def test_matches_oracles_on_pending_sets_at_any_step(self, case):
+        pending, step = case
+        ob = oblivious_schedule(pending, step)
+        seq, e, h, dom = oracle_oblivious(pending, step)
+        assert ob.schedule.sequence() == seq
+        assert ob.earliest == e and ob.heaviest == h and ob.dominated == dom
+        _, value = opt_schedule(pending, step)
+        assert ob.schedule.weight == value == brute_force_opt(pending, step)
 
     def test_matches_matching_value_on_random_sets(self):
         rng = random.Random(4)
