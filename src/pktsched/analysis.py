@@ -18,11 +18,14 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from math import lcm
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .engine import (
     DEFAULT_EXACT_CAP,
     START,
+    Decisions,
     _rg_exact,
     advance,
     busy_steps,
@@ -38,13 +41,13 @@ from .model import (
     as_weight,
     edf_schedule,
     follows_priority_order,
+    order_key,
     precedes,
 )
 from .offline import (
     ObliviousSchedule,
     conforming_clairvoyant,
     oblivious_schedule,
-    opt_schedule,
     select_earliest_heaviest,
 )
 from .policies import decide
@@ -320,6 +323,10 @@ def _explore_roots(policy, depth, options, roots, max_nodes):
     best_path: tuple | None = None
     nodes = 0
     complete = True
+    # ``explore`` is a closure that refers to itself, so this memo would
+    # live on until the cyclic garbage collector ran; it is cleared instead.
+    memo: Decisions = {}
+    scale, moves = _offline_moves(options)
 
     def explore(step, state, dp, base, path, allowed):
         nonlocal best_ratio, best_path, nodes, complete
@@ -331,16 +338,19 @@ def _explore_roots(policy, depth, options, roots, max_nodes):
             nodes += 1
             option = options[oi]
             packets = _materialize_option(option, step, base)
-            state2 = advance(policy, state, step, packets)
-            dp2 = _advance_opt_state(dp, step, packets)
-            ratio = _node_ratio(state2, dp2)
+            state2 = advance(policy, state, step, packets, memo)
+            dp2 = _advance_opt_state(dp, *moves[oi])
+            ratio = _node_ratio(state2, dp2, scale)
             child = path + (oi,)
             if best_ratio is None or ratio > best_ratio:
                 best_ratio, best_path = ratio, child
             if step < depth:
                 explore(step + 1, state2, dp2, base + len(option), child, None)
 
-    explore(1, START, {frozenset(): ZERO}, 0, (), tuple(roots))
+    try:
+        explore(1, START, OPT_START, 0, (), tuple(roots))
+    finally:
+        memo.clear()
     return best_ratio, best_path, nodes, complete
 
 
@@ -349,7 +359,9 @@ def _beam_search(policy, depth, options, beam_width, max_nodes):
     best_path: tuple | None = None
     nodes = 0
     complete = True
-    frontier = [(START, {frozenset(): ZERO}, 0, ())]
+    memo: Decisions = {}
+    scale, moves = _offline_moves(options)
+    frontier = [(START, OPT_START, 0, ())]
     for step in range(1, depth + 1):
         scored = []
         for state, dp, base, path in frontier:
@@ -359,9 +371,9 @@ def _beam_search(policy, depth, options, beam_width, max_nodes):
                     break
                 nodes += 1
                 packets = _materialize_option(option, step, base)
-                state2 = advance(policy, state, step, packets)
-                dp2 = _advance_opt_state(dp, step, packets)
-                ratio = _node_ratio(state2, dp2)
+                state2 = advance(policy, state, step, packets, memo)
+                dp2 = _advance_opt_state(dp, *moves[oi])
+                ratio = _node_ratio(state2, dp2, scale)
                 child = path + (oi,)
                 if best_ratio is None or ratio > best_ratio:
                     best_ratio, best_path = ratio, child
@@ -390,18 +402,46 @@ def _instance_from_path(options, path) -> Instance:
     return Instance.build(specs)
 
 
-def _advance_opt_state(dp, step, packets):
-    long_lived = frozenset(p for p in packets if p.deadline > step + 1)
-    out: dict[frozenset, Fraction] = {}
+# The offline optimum's table: carried packets -> best gain so far.  Every
+# carried packet has deadline step + 2, so equal weights are interchangeable
+# and a carry is keyed by its sorted weights.  Weights and gains are ints,
+# the menu's weights times their common denominator.
+OPT_START: Mapping[tuple[int, ...], int] = MappingProxyType({(): 0})
+
+
+def _offline_moves(options):
+    """The common denominator of the options' weights and, per option, what
+    the offline table needs of it: the heaviest scaled weight among the
+    packets that expire after this step (0 if none) and the sorted scaled
+    weights of the ones it may carry."""
+    scale = lcm(*(w.denominator for option in options for _, w in option))
+    moves = []
+    for option in options:
+        scaled = [(lifespan, w.numerator * (scale // w.denominator)) for lifespan, w in option]
+        moves.append(
+            (
+                max((w for lifespan, w in scaled if lifespan == 1), default=0),
+                tuple(sorted(w for lifespan, w in scaled if lifespan == 2)),
+            )
+        )
+    return scale, moves
+
+
+def _advance_opt_state(dp, expiring, long_lived):
+    """One step of the offline table on arrivals whose expiring packets'
+    heaviest scaled weight is ``expiring`` and whose long-lived scaled
+    weights are ``long_lived`` (sorted)."""
+    out: dict[tuple[int, ...], int] = {}
 
     def put(key, value):
-        if key not in out or value > out[key]:
+        if out.get(key, -1) < value:
             out[key] = value
 
     for carry, value in dp.items():
-        put(long_lived, value)  # offline may idle
-        for packet in carry | frozenset(packets):
-            put(long_lived - {packet}, value + packet.weight)
+        put(long_lived, value + max(expiring, carry[-1] if carry else 0))  # 0: idle
+        for i, w in enumerate(long_lived):
+            if i == 0 or long_lived[i - 1] != w:
+                put(long_lived[:i] + long_lived[i + 1 :], value + w)
     return out
 
 
@@ -412,17 +452,17 @@ def _drain_gain(carry):
     return max((p.weight for p in carry), default=ZERO)
 
 
-def _node_ratio(states, dp):
-    opt_value = max(value + _drain_gain(carry) for carry, value in dp.items())
+def _node_ratio(states, dp, scale):
+    opt_scaled = max(value + (carry[-1] if carry else 0) for carry, value in dp.items())
     algorithm = sum(
         (weighted + prob * _drain_gain(carry) for carry, (prob, weighted, _) in states.items()),
         ZERO,
     )
-    if opt_value == 0:
+    if opt_scaled == 0:
         return Fraction(1)
     if algorithm == 0:
         raise InvariantError("policy gained nothing on a nonempty injection")
-    return opt_value / algorithm
+    return Fraction(opt_scaled, scale) / algorithm
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +513,8 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     step of a deterministic (mg-prime) run.
 
     Checked per step with nonempty buffer: the oblivious schedule reaches
-    the ``opt_schedule`` optimum of the pending set; a conforming clairvoyant
+    the optimum of the pending set (the value of the true oblivious
+    schedule, which is the greedy of ``opt_schedule``); a conforming clairvoyant
     schedule can be built and follows the deadline-first order; its
     already-pending packets lie inside the oblivious schedule; every
     oblivious packet order-before its first packet weighs strictly less;
@@ -488,8 +529,10 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     if not instance.is_agreeable:
         raise ValueError("fact checks require an agreeable instance")
     arrivals = instance.arrivals_by_step
+    packets = instance.packets
     report = FactsReport()
     carry: frozenset[Packet] = frozenset()
+    released = 0  # packets[released:] are the future arrivals
     for step in busy_steps(instance, lambda: bool(carry)):
         pending = carry | frozenset(arrivals.get(step, ()))
         truth = oblivious_schedule(pending, step)
@@ -498,17 +541,23 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
             replacement = corrupt(step, truth)
             if replacement is not None:
                 checked = replacement
-        future = [p for p in instance.packets if p.release > step]
-        report.steps.append(_check_step(pending, future, step, checked))
+        while released < len(packets) and packets[released].release <= step:
+            released += 1
+        report.steps.append(
+            _check_step(pending, packets[released:], step, checked, truth.schedule.weight)
+        )
         choice = decide("mg-prime", truth).deterministic
         carry = carry_after(pending, choice, step)
     return report
 
 
-def _check_step(pending, future, step, oblivious: ObliviousSchedule) -> StepFacts:
+def _check_step(
+    pending, future, step, oblivious: ObliviousSchedule, pending_opt: Fraction
+) -> StepFacts:
+    """The facts at one step; ``pending_opt`` is the optimum of the pending
+    set, the value of its true oblivious schedule."""
     results = {name: False for name in FACT_CHECKS}
     note = None
-    _, pending_opt = opt_schedule(pending, step)
     results["oblivious_optimal"] = oblivious.schedule.weight == pending_opt
     try:
         conforming = conforming_clairvoyant(pending, future, step, oblivious)
@@ -525,18 +574,30 @@ def _check_step(pending, future, step, oblivious: ObliviousSchedule) -> StepFact
         for p in scheduled
         if p != first and precedes(p, first)
     )
-    results["heavier_scheduled_monotone"] = all(
-        later in conforming.packets
-        for earlier in scheduled
-        for later in scheduled
-        if earlier.weight < later.weight
-        and precedes(earlier, later)
-        and earlier in conforming.packets
+    results["heavier_scheduled_monotone"] = heavier_scheduled_monotone(
+        scheduled, conforming.packets
     )
     results["front_swap_feasible"] = _front_swap_feasible(
         conforming, step, oblivious
     )
     return StepFacts(step, results, note)
+
+
+def heavier_scheduled_monotone(scheduled, chosen) -> bool:
+    """For packets i order-before j in ``scheduled`` with w_i < w_j: i in
+    ``chosen`` implies j in ``chosen``.
+
+    One pass in the deadline-first order: a packet left out of ``chosen``
+    must weigh no more than every chosen packet before it.
+    """
+    lightest = None  # of the chosen packets seen so far
+    for p in sorted(scheduled, key=order_key):
+        if p in chosen:
+            if lightest is None or p.weight < lightest:
+                lightest = p.weight
+        elif lightest is not None and lightest < p.weight:
+            return False
+    return True
 
 
 def _front_swap_feasible(

@@ -5,7 +5,9 @@ carried pending set, the policy decides on its oblivious schedule, and
 ``carry_after`` drops the sent packet and every packet whose deadline has
 come.  ``advance`` takes that step for a distribution over carried sets,
 merging outcomes that carry the same set.  ``busy_steps`` lists the steps
-a run visits, skipping the idle ones where nothing is pending.
+a run visits, skipping the idle ones where nothing is pending.  A decision
+memo (``Decisions``) lets runs that meet a pending set again at the same
+step, such as Monte Carlo trials and search paths, decide it once.
 
 Three execution modes:
 
@@ -41,6 +43,9 @@ States = Mapping[frozenset[Packet], tuple[Fraction, Fraction, int]]
 
 # Before the first step: nothing carried, reached surely by one path.
 START: States = MappingProxyType({frozenset(): (Fraction(1), Fraction(0), 1)})
+
+# (step, pending set) -> the decision of one policy there.
+Decisions = dict[tuple[int, frozenset[Packet]], PolicyDecision]
 
 
 class ExactCapExceeded(RuntimeError):
@@ -91,13 +96,37 @@ def busy_steps(instance: Instance, carrying: Callable[[], bool]) -> Iterator[int
             step = next((s for s in arrival_steps if s > step), None)
 
 
-def advance(policy: str, states: States, step: int, arrivals: Iterable[Packet]) -> States:
+def _decision(
+    policy: str, pending: frozenset[Packet], step: int, memo: Decisions | None
+) -> PolicyDecision:
+    """The policy's decision on the oblivious schedule of ``pending``, taken
+    from ``memo`` when it holds this step and pending set, and stored there
+    otherwise.  A memo serves one policy.  A remembered decision names
+    packets equal to, not identical with, the caller's, so callers compare
+    packets by equality."""
+    if memo is None:
+        return decide(policy, oblivious_schedule(pending, step))
+    key = (step, pending)
+    decision = memo.get(key)
+    if decision is None:
+        decision = memo[key] = decide(policy, oblivious_schedule(pending, step))
+    return decision
+
+
+def advance(
+    policy: str,
+    states: States,
+    step: int,
+    arrivals: Iterable[Packet],
+    memo: Decisions | None = None,
+) -> States:
     """One step of a policy's distribution over carried pending sets.
 
     The arrivals join every carried set, the policy decides on the
     oblivious schedule of the result, and every outcome of the decision is
     carried on with its probability; outcomes that carry the same set are
     merged.  A deterministic policy keeps a single state of probability 1.
+    ``memo``, if given, remembers the policy's decisions across calls.
     """
     arrivals = frozenset(arrivals)
     out: dict[frozenset[Packet], tuple[Fraction, Fraction, int]] = {}
@@ -114,7 +143,7 @@ def advance(policy: str, states: States, step: int, arrivals: Iterable[Packet]) 
         if not pending:
             put(pending, prob, weighted, paths)
             continue
-        decision = decide(policy, oblivious_schedule(pending, step))
+        decision = _decision(policy, pending, step, memo)
         if decision.deterministic is not None:
             sent = decision.deterministic
             put(carry_after(pending, sent, step), prob, weighted + prob * sent.weight, paths)
@@ -219,7 +248,7 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
     if trials < 1:
         raise ValueError("trials must be >= 1")
     arrivals = instance.arrivals_by_step
-    cache: dict[tuple[int, frozenset[Packet]], PolicyDecision] = {}
+    memo: Decisions = {}
     totals: list[float] = []
     shift = 1 << 64
     for trial in range(trials):
@@ -228,11 +257,7 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
         gain = Fraction(0)
         for step in busy_steps(instance, lambda: bool(carry)):
             pending = carry | frozenset(arrivals.get(step, ()))
-            key = (step, pending)
-            decision = cache.get(key)
-            if decision is None:
-                decision = decide("rg", oblivious_schedule(pending, step))
-                cache[key] = decision
+            decision = _decision("rg", pending, step, memo)
             chosen = decision.deterministic
             if chosen is None:
                 (e, p_e), (h, _) = decision.lottery

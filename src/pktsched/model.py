@@ -8,7 +8,7 @@ steps release..d-1 and is no longer pending from step d on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -20,14 +20,15 @@ class InvariantError(RuntimeError):
 
 
 def as_weight(value) -> Fraction:
-    """Coerce to an exact positive rational weight."""
-    weight = Fraction(value)
+    """Coerce to an exact positive rational weight.  A Fraction is kept as
+    is (it is immutable), so packets built from one menu share its weights."""
+    weight = value if isinstance(value, Fraction) else Fraction(value)
     if weight <= 0:
         raise ValueError(f"non-positive weight {value!r}")
     return weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Packet:
     """A packet with release step, deadline, weight and arrival tie-break.
 
@@ -41,6 +42,7 @@ class Packet:
     deadline: int
     weight: Fraction
     arrival_index: int
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.release < 1:
@@ -50,17 +52,32 @@ class Packet:
                 f"packet {self.id}: empty lifespan "
                 f"(deadline {self.deadline} <= release {self.release})"
             )
-        object.__setattr__(self, "weight", as_weight(self.weight))
+        weight = as_weight(self.weight)
+        object.__setattr__(self, "weight", weight)
+        # Hashed once from the compared fields other than the id, so packets
+        # that differ only in weight or deadline (as on different search
+        # paths) hash apart, and every set or dict operation reads an int.
+        # Hashes of int tuples are the same in every process.
+        object.__setattr__(
+            self,
+            "_hash",
+            hash(
+                (
+                    self.arrival_index,
+                    self.release,
+                    self.deadline,
+                    weight.numerator,
+                    weight.denominator,
+                )
+            ),
+        )
 
     @property
     def lifespan(self) -> int:
         return self.deadline - self.release
 
     def __hash__(self) -> int:
-        # Equal packets share their arrival_index, so this agrees with the
-        # generated equality; it spares hashing the Fraction weight on every
-        # set and dict operation, and it is the same in every process.
-        return self.arrival_index
+        return self._hash
 
     def pending_window(self, step: int) -> bool:
         """True if the step lies inside this packet's transmission window."""
@@ -295,21 +312,27 @@ def follows_priority_order(schedule: Schedule, start: int) -> bool:
     """Check that a schedule always transmits its order-minimal available packet.
 
     Gaps are allowed only at steps where none of the schedule's remaining
-    packets is available.
+    packets is available.  A remaining packet's window reaches past its own
+    slot, so it is available at every step from its release to that slot;
+    the walk keeps the released remaining packets on a heap in the order.
     """
-    if not schedule.slots:
+    slots = schedule.slots
+    if not slots:
         return True
-    remaining = set(schedule.packets)
-    by_step = dict(schedule.slots)
-    last_step = schedule.slots[-1][0]
-    for step in range(start, last_step + 1):
-        available = [p for p in remaining if p.pending_window(step)]
-        assigned = by_step.get(step)
-        if assigned is None:
-            if available:
-                return False
-            continue
-        if not available or assigned != min(available, key=order_key):
+    if slots[0][0] < start:
+        return False
+    waiting = sorted(
+        ((p.release, i, p) for i, (_, p) in enumerate(slots)), reverse=True
+    )
+    available: list[tuple] = []
+    step = start
+    for slot_step, assigned in slots:
+        if slot_step > step and (available or waiting[-1][0] < slot_step):
+            return False  # an idle step with a packet available
+        while waiting and waiting[-1][0] <= slot_step:
+            _, i, p = waiting.pop()
+            heappush(available, (order_key(p), i, p))
+        if heappop(available)[2] != assigned:
             return False
-        remaining.remove(assigned)
-    return not remaining
+        step = slot_step + 1
+    return True

@@ -51,24 +51,32 @@ class PolicyDecision:
 
 
 def at_most_golden(x: Fraction) -> bool:
-    """x <= phi, decided exactly for nonnegative rationals."""
-    if x < 0:
+    """x <= phi, decided exactly for nonnegative rationals: with x = n/d,
+    x*x <= x + 1 iff n*n <= n*d + d*d."""
+    n, d = x.numerator, x.denominator
+    if n < 0:
         raise ValueError("golden-ratio comparison needs a nonnegative value")
-    return x * x <= x + 1
+    return n * n <= n * d + d * d
 
 
 def at_least_golden(x: Fraction) -> bool:
     """x >= phi, decided exactly for nonnegative rationals."""
-    if x < 0:
+    n, d = x.numerator, x.denominator
+    if n < 0:
         raise ValueError("golden-ratio comparison needs a nonnegative value")
-    return x * x >= x + 1
+    return n * n >= n * d + d * d
 
 
 def golden_test(w_e: Fraction, w_h: Fraction) -> bool:
-    """True iff phi * w_e >= w_h, i.e. the weight gap is within the golden ratio."""
+    """True iff phi * w_e >= w_h, i.e. the weight gap is within the golden ratio.
+
+    Over the common denominator the weights are the integers e and h, and
+    h/e <= phi iff h*h <= h*e + e*e."""
     if w_e <= 0 or w_h <= 0:
         raise ValueError("weights must be positive")
-    return at_most_golden(Fraction(w_h) / Fraction(w_e))
+    e = w_e.numerator * w_h.denominator
+    h = w_h.numerator * w_e.denominator
+    return h * h <= h * e + e * e
 
 
 def mg_choose(oblivious: ObliviousSchedule) -> Packet:

@@ -4,8 +4,10 @@ Everything here is deliberately written by a different route than the
 library: the offline optimum by exhaustive assignment enumeration instead
 of the weight greedy, feasibility by that enumeration instead of the
 deadline-first simulation, the canonical pending-set schedule by subset
-enumeration instead of incremental greedy, and golden-ratio comparisons by
-60-digit decimal arithmetic instead of the integer quadratic.
+enumeration instead of incremental greedy, golden-ratio comparisons by
+60-digit decimal arithmetic instead of the integer quadratic, and the
+order checks of the fact checker by comparing every step or every pair
+instead of a heap walk or a single pass.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import decimal
 from fractions import Fraction
 from itertools import chain, combinations
 
-from pktsched.model import Instance, Packet, order_key
+from pktsched.model import Instance, Packet, order_key, precedes
 
 ZERO = Fraction(0)
 
@@ -117,6 +119,41 @@ def oracle_oblivious(pending, step):
     heaviest = min((p for p in sequence if p.weight == top), key=order_key)
     dominated = frozenset(pending) - frozenset(sequence)
     return sequence, earliest, heaviest, dominated
+
+
+def oracle_follows_priority_order(schedule, start) -> bool:
+    """``follows_priority_order`` step by step: at every step from ``start``
+    to the last slot, the available remaining packets are listed, and the
+    step must send their order-minimal one or, when none is available,
+    idle."""
+    if not schedule.slots:
+        return True
+    remaining = set(schedule.packets)
+    by_step = dict(schedule.slots)
+    last_step = schedule.slots[-1][0]
+    for step in range(start, last_step + 1):
+        available = [p for p in remaining if p.pending_window(step)]
+        assigned = by_step.get(step)
+        if assigned is None:
+            if available:
+                return False
+            continue
+        if not available or assigned != min(available, key=order_key):
+            return False
+        remaining.remove(assigned)
+    return not remaining
+
+
+def oracle_heavier_scheduled_monotone(scheduled, chosen) -> bool:
+    """``heavier_scheduled_monotone`` over every pair of packets."""
+    return all(
+        later in chosen
+        for earlier in scheduled
+        for later in scheduled
+        if earlier.weight < later.weight
+        and precedes(earlier, later)
+        and earlier in chosen
+    )
 
 
 def golden_at_most(x: Fraction) -> bool:

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import mk_instance, random_agreeable
+from conftest import mk, mk_instance, random_agreeable
+from oracles import oracle_heavier_scheduled_monotone
 
 from pktsched.analysis import (
     GeneratorSpec,
@@ -14,6 +17,7 @@ from pktsched.analysis import (
     enumerate_two_bounded,
     generate,
     golden_chain,
+    heavier_scheduled_monotone,
     two_bounded_step_options,
 )
 from pktsched.engine import run_policy
@@ -217,6 +221,19 @@ class TestAdversarySearch:
 
 
 class TestCheckFacts:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(2, 5), st.integers(1, 4), st.booleans()), max_size=7
+        )
+    )
+    def test_monotone_check_matches_pairwise_oracle(self, rows):
+        scheduled = [mk(f"p{i}", 1, d, w, i) for i, (d, w, _) in enumerate(rows)]
+        chosen = frozenset(p for p, (_, _, keep) in zip(scheduled, rows) if keep)
+        assert heavier_scheduled_monotone(
+            frozenset(scheduled), chosen
+        ) == oracle_heavier_scheduled_monotone(scheduled, chosen)
+
     def test_passes_on_random_agreeable_instances(self):
         rng = random.Random(2024)
         nonempty = 0

@@ -23,7 +23,7 @@ from pktsched.engine import (
     run_rg_mc,
 )
 from pktsched.model import Instance
-from pktsched.policies import DETERMINISTIC_POLICIES
+from pktsched.policies import DETERMINISTIC_POLICIES, POLICIES
 
 
 def three_packet_instance():
@@ -48,11 +48,11 @@ def small_agreeable(draw):
     return Instance.build(rows)
 
 
-def step_states(instance, policy):
+def step_states(instance, policy, memo=None):
     """The state map after ``advance`` has stepped through every step."""
     states = START
     for step in range(instance.first_release, instance.horizon + 1):
-        states = advance(policy, states, step, instance.arrivals_by_step.get(step, ()))
+        states = advance(policy, states, step, instance.arrivals_by_step.get(step, ()), memo)
     return states
 
 
@@ -213,6 +213,21 @@ class TestAdvance:
             ((prob, gain, paths),) = states.values()
             assert prob == 1 and paths == 1
             assert gain == run_policy(inst, policy).total_gain
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(small_agreeable(), small_agreeable())
+    def test_shared_memo_changes_nothing(self, first, second):
+        # One memo per policy serves two instances whose packets share
+        # arrival indices, then a rebuilt copy of the first, whose packets
+        # are equal to, not identical with, the remembered ones.
+        copy = Instance.build((p.id, p.release, p.deadline, p.weight) for p in first)
+        for policy in POLICIES:
+            memo = {}
+            for inst in (first, second):
+                assert step_states(inst, policy, memo) == step_states(inst, policy)
+            remembered = len(memo)
+            assert step_states(copy, policy, memo) == step_states(first, policy)
+            assert len(memo) == remembered  # every decision was found again
 
 
 class TestRunRgMc:

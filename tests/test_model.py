@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk, mk_instance
-from oracles import feasible_by_enumeration
+from oracles import feasible_by_enumeration, oracle_follows_priority_order
 
 from pktsched.engine import START, advance, carry_after
 from pktsched.model import (
@@ -63,6 +65,16 @@ class TestPacketHash:
         assert len(both) == 2
         assert light in both and heavy in both
         assert both - {light} == {heavy}
+
+    def test_weight_or_deadline_alone_moves_the_hash(self):
+        by_weight = {hash(mk("a", 1, 3, Fraction(k, 7), 5)) for k in range(1, 1001)}
+        by_deadline = {hash(mk("a", 1, d, 2, 5)) for d in range(2, 1002)}
+        assert len(by_weight) == 1000 and len(by_deadline) == 1000
+
+    def test_hash_is_stored_without_an_instance_dict(self):
+        packet = mk("a", 1, 3, 2, 5)
+        assert not hasattr(packet, "__dict__")
+        assert packet == mk("a", 1, 3, 2, 5) and repr(packet) == "Packet(a, r=1, d=3, w=2)"
 
 
 class TestPacketValidation:
@@ -216,6 +228,47 @@ class TestEdfSchedule:
             sched = edf_schedule(packets, 1)
             assert follows_priority_order(sched, 1)
             assert sched.weight == sum(p.weight for p in packets)
+
+
+@st.composite
+def schedules(draw):
+    """A start step and a schedule of up to 6 packets: either the
+    deadline-first schedule of a feasible set or slots drawn inside the
+    packets' windows, some of them before the start step."""
+    start = draw(st.integers(1, 3))
+    packets = []
+    for i in range(draw(st.integers(0, 6))):
+        release = draw(st.integers(1, start + 3))
+        deadline = release + draw(st.integers(1, 4))
+        weight = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 2)))
+        packets.append(mk(f"p{i}", release, deadline, weight, i))
+    if draw(st.booleans()):
+        kept = [p for p in packets if is_feasible_set([p], start)]
+        while kept and not is_feasible_set(kept, start):
+            kept.pop()
+        return edf_schedule(kept, start), start
+    slots = {}
+    for p in packets:
+        step = draw(st.integers(p.release, p.deadline - 1))
+        slots.setdefault(step, p)
+    return Schedule.from_map(slots), start
+
+
+class TestFollowsPriorityOrder:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(schedules())
+    def test_matches_stepwise_oracle(self, drawn):
+        schedule, start = drawn
+        assert follows_priority_order(schedule, start) == oracle_follows_priority_order(
+            schedule, start
+        )
+
+    def test_idle_step_with_a_packet_available(self):
+        a, b = mk("a", 1, 4, 1, 0), mk("b", 1, 4, 2, 1)
+        assert follows_priority_order(Schedule(((1, b), (2, a))), 1)
+        assert not follows_priority_order(Schedule(((1, b), (3, a))), 1)
+        assert not follows_priority_order(Schedule(((2, b), (3, a))), 1)
+        assert not follows_priority_order(Schedule(((1, b), (2, a))), 2)
 
 
 class TestSchedule:

@@ -77,6 +77,18 @@ class TestGoldenTest:
         with pytest.raises(ValueError):
             at_most_golden(Fraction(-1))
 
+    def test_fibonacci_ratios_on_both_sides_of_phi(self):
+        # Consecutive Fibonacci ratios close in on phi from alternating
+        # sides: 987/610 lies just below it, 1597/987 just above.
+        below, above = Fraction(987, 610), Fraction(1597, 987)
+        assert at_most_golden(below) and not at_least_golden(below)
+        assert at_least_golden(above) and not at_most_golden(above)
+        for scale in (Fraction(1), Fraction(3, 7), Fraction(11, 2)):
+            assert golden_test(610 * scale, 987 * scale)
+            assert not golden_test(987 * scale, 1597 * scale)
+        for w_e, w_h in ((Fraction(610), Fraction(987)), (Fraction(987, 5), Fraction(1597, 5))):
+            assert golden_test(w_e, w_h) == oracle_golden_test(w_e, w_h)
+
 
 class TestMgChoose:
     def test_falls_back_to_heaviest(self):
