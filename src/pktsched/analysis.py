@@ -24,13 +24,13 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .engine import (
     DEFAULT_EXACT_CAP,
-    START,
-    Decisions,
+    Transitions,
     _rg_exact,
     advance,
     busy_steps,
     carry_after,
     run_policy,
+    start,
 )
 from .model import (
     EMPTY_SCHEDULE,
@@ -53,8 +53,6 @@ from .offline import (
 from .policies import decide
 
 FAMILIES = ("agreeable-random", "two-bounded", "s-uniform", "golden-chain")
-
-ZERO = Fraction(0)
 
 
 def competitive_ratio(
@@ -319,49 +317,43 @@ def _search_subtree(args) -> tuple[Fraction | None, tuple | None, int, bool]:
 
 
 def _explore_roots(policy, depth, options, roots, max_nodes):
-    best_ratio: Fraction | None = None
+    best: tuple[int, int] | None = None  # the best ratio, as (numerator, denominator)
     best_path: tuple | None = None
     nodes = 0
     complete = True
-    # ``explore`` is a closure that refers to itself, so this memo would
-    # live on until the cyclic garbage collector ran; it is cleared instead.
-    memo: Decisions = {}
-    scale, moves = _offline_moves(options)
+    kernel = _SearchKernel(policy, options)
 
     def explore(step, state, dp, base, path, allowed):
-        nonlocal best_ratio, best_path, nodes, complete
+        nonlocal best, best_path, nodes, complete
         indices = allowed if allowed is not None else range(len(options))
         for oi in indices:
             if max_nodes is not None and nodes >= max_nodes:
                 complete = False
                 return
             nodes += 1
-            option = options[oi]
-            packets = _materialize_option(option, step, base)
-            state2 = advance(policy, state, step, packets, memo)
-            dp2 = _advance_opt_state(dp, *moves[oi])
-            ratio = _node_ratio(state2, dp2, scale)
+            state2, dp2, ratio = kernel.node(state, dp, step, base, oi)
             child = path + (oi,)
-            if best_ratio is None or ratio > best_ratio:
-                best_ratio, best_path = ratio, child
+            if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
+                best, best_path = ratio, child
             if step < depth:
-                explore(step + 1, state2, dp2, base + len(option), child, None)
+                explore(step + 1, state2, dp2, base + len(options[oi]), child, None)
 
     try:
-        explore(1, START, OPT_START, 0, (), tuple(roots))
+        explore(1, kernel.start, OPT_START, 0, (), tuple(roots))
     finally:
-        memo.clear()
-    return best_ratio, best_path, nodes, complete
+        # ``explore`` is a closure that refers to itself, so the kernel's
+        # memos would live on until the cyclic garbage collector ran.
+        kernel.clear()
+    return (None if best is None else Fraction(*best)), best_path, nodes, complete
 
 
 def _beam_search(policy, depth, options, beam_width, max_nodes):
-    best_ratio: Fraction | None = None
+    best: tuple[int, int] | None = None
     best_path: tuple | None = None
     nodes = 0
     complete = True
-    memo: Decisions = {}
-    scale, moves = _offline_moves(options)
-    frontier = [(START, OPT_START, 0, ())]
+    kernel = _SearchKernel(policy, options)
+    frontier = [(kernel.start, OPT_START, 0, ())]
     for step in range(1, depth + 1):
         scored = []
         for state, dp, base, path in frontier:
@@ -370,28 +362,91 @@ def _beam_search(policy, depth, options, beam_width, max_nodes):
                     complete = False
                     break
                 nodes += 1
-                packets = _materialize_option(option, step, base)
-                state2 = advance(policy, state, step, packets, memo)
-                dp2 = _advance_opt_state(dp, *moves[oi])
-                ratio = _node_ratio(state2, dp2, scale)
+                state2, dp2, ratio = kernel.node(state, dp, step, base, oi)
                 child = path + (oi,)
-                if best_ratio is None or ratio > best_ratio:
-                    best_ratio, best_path = ratio, child
+                if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
+                    best, best_path = ratio, child
                 scored.append((ratio, child, state2, dp2, base + len(option)))
             if not complete:
                 break
         if not complete or not scored:
             break
-        scored.sort(key=lambda row: (-row[0], row[1]))
+        # Two distinct ratios over denominators below 2**bits differ by more
+        # than 4**-bits, so their floors times 4**bits differ: the integer
+        # keys order the ratios exactly.
+        bits = max(ratio[1].bit_length() for ratio, *_ in scored)
+        scored.sort(key=lambda row: (-((row[0][0] << 2 * bits) // row[0][1]), row[1]))
         frontier = [(s, d, b, p) for _, p, s, d, b in scored[:beam_width]]
-    return best_ratio, best_path, nodes, complete
+    return (None if best is None else Fraction(*best)), best_path, nodes, complete
 
 
-def _materialize_option(option, step, base):
-    return tuple(
-        Packet(f"s{step}p{k}", step, step + lifespan, weight, base + k)
-        for k, (lifespan, weight) in enumerate(option)
-    )
+class _SearchKernel:
+    """One search node's work, in integers: the policy's state map stepped
+    by ``engine.advance`` with one transition memo, the offline table, and
+    the ratio of their drained gains.  Weights are scaled by the options'
+    common denominator.  Each option's packets are built once per step and
+    arrival base, so equal packets are identical and set and memo lookups
+    stop at the identity test."""
+
+    def __init__(self, policy, options):
+        self.policy = policy
+        self.options = options
+        self.scale, self.moves = _offline_moves(options)
+        self.start = start(self.scale)
+        self.memo: Transitions = {}
+        self.arrivals: dict[tuple[int, int, int], frozenset[Packet]] = {}
+        self.packets: dict[tuple, Packet] = {}
+        self.drains: dict[frozenset[Packet], int] = {}
+
+    def clear(self):
+        self.memo.clear()
+        self.arrivals.clear()
+        self.packets.clear()
+        self.drains.clear()
+
+    def node(self, state, dp, step, base, oi):
+        """The state map, offline table and ratio after option ``oi``
+        arrives at ``step``, its packets numbered from ``base``."""
+        key = (oi, step, base)
+        arrivals = self.arrivals.get(key)
+        if arrivals is None:
+            arrivals = self.arrivals[key] = frozenset(
+                self._packet(step, base + k, k, lifespan, weight)
+                for k, (lifespan, weight) in enumerate(self.options[oi])
+            )
+        state2 = advance(self.policy, state, step, arrivals, self.memo)
+        dp2 = _advance_opt_state(dp, *self.moves[oi])
+        return state2, dp2, self._node_ratio(state2, dp2)
+
+    def _packet(self, step, index, k, lifespan, weight):
+        key = (step, index, k, lifespan, weight)
+        packet = self.packets.get(key)
+        if packet is None:
+            packet = Packet(f"s{step}p{k}", step, step + lifespan, weight, index)
+            self.packets[key] = packet
+        return packet
+
+    def _node_ratio(self, states, dp):
+        """OPT over the policy's expected gain, both drained, as an
+        unreduced (numerator, denominator) pair.  Every carried packet has
+        deadline step + 2, so at step + 1 the oblivious schedule is the
+        heaviest one alone and every policy, like the optimum, transmits
+        it."""
+        opt_scaled = max(value + (carry[-1] if carry else 0) for carry, value in dp.items())
+        drains = self.drains
+        algorithm = 0  # times the map's denominator and the scale
+        for carry, (prob, weighted, _) in states.carried.items():
+            drain = drains.get(carry)
+            if drain is None:
+                heaviest = max((p.weight for p in carry), default=Fraction(0))
+                drain = heaviest.numerator * (self.scale // heaviest.denominator)
+                drains[carry] = drain
+            algorithm += weighted + prob * drain
+        if opt_scaled == 0:
+            return 1, 1
+        if algorithm == 0:
+            raise InvariantError("policy gained nothing on a nonempty injection")
+        return opt_scaled * states.denominator, algorithm
 
 
 def _instance_from_path(options, path) -> Instance:
@@ -443,26 +498,6 @@ def _advance_opt_state(dp, expiring, long_lived):
             if i == 0 or long_lived[i - 1] != w:
                 put(long_lived[:i] + long_lived[i + 1 :], value + w)
     return out
-
-
-def _drain_gain(carry):
-    # Every carried packet has deadline step + 2, so at step + 1 the
-    # oblivious schedule is the heaviest one alone and every policy, like
-    # the optimum, transmits it.
-    return max((p.weight for p in carry), default=ZERO)
-
-
-def _node_ratio(states, dp, scale):
-    opt_scaled = max(value + (carry[-1] if carry else 0) for carry, value in dp.items())
-    algorithm = sum(
-        (weighted + prob * _drain_gain(carry) for carry, (prob, weighted, _) in states.items()),
-        ZERO,
-    )
-    if opt_scaled == 0:
-        return Fraction(1)
-    if algorithm == 0:
-        raise InvariantError("policy gained nothing on a nonempty injection")
-    return Fraction(opt_scaled, scale) / algorithm
 
 
 # ---------------------------------------------------------------------------

@@ -42,19 +42,38 @@ from .policies import POLICIES
 CAP_ENV_VAR = "SCHED_EXACT_CAP"
 
 
+# Python's default limit for converting between int and str: a rational
+# whose numerator or denominator had more digits could not be printed.
+MAX_DIGITS = 4300
+
+
 def parse_rational(value) -> Fraction:
     """Parse a rational from "num/den", a plain number string, or a number.
 
     JSON floats are read through their shortest decimal form, so 1.5 means
-    exactly 3/2.
+    exactly 3/2.  A numerator or denominator of more than ``MAX_DIGITS``
+    digits is refused before it is built: an exponent such as "1e999999"
+    would otherwise allocate it.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
+    if isinstance(value, float):
+        value = repr(value)
+    if isinstance(value, str):
+        mantissa, _, exponent = value.strip().lower().partition("e")
+        if exponent and len(mantissa) + abs(int(exponent)) > MAX_DIGITS:
+            raise ValueError(f"numerator or denominator of more than {MAX_DIGITS} digits")
     if isinstance(value, (int, str)):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
     raise ValueError(f"not a rational: {value!r}")
+
+
+def parse_weight(text: str, option: str) -> Fraction:
+    """A positive rational given on the command line as ``option``."""
+    try:
+        return as_weight(parse_rational(text))
+    except (ValueError, ZeroDivisionError) as err:
+        raise ValueError(f"invalid weight {text!r} in {option}: {err}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -73,7 +92,8 @@ def parse_instance(path: str) -> Instance:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as err:
+            except (ValueError, RecursionError) as err:
+                # RecursionError: nesting too deep for the decoder.
                 raise ValueError(f"invalid JSON, line {number}: {err}") from None
             if not isinstance(row, dict):
                 raise ValueError(f"expected an object, line {number}")
@@ -88,7 +108,7 @@ def parse_instance(path: str) -> Instance:
                 raise ValueError(f"packet id must be a nonempty string, line {number}")
             if pid in seen_ids:
                 raise ValueError(f"duplicate packet id {pid!r}, line {number}")
-            if not isinstance(release, int) or not isinstance(deadline, int):
+            if any(type(v) is not int for v in (release, deadline)):  # bool is an int
                 raise ValueError(f"release and deadline must be integers, line {number}")
             if release < 1:
                 raise ValueError(f"release must be >= 1, line {number}")
@@ -100,8 +120,10 @@ def parse_instance(path: str) -> Instance:
                 )
             try:
                 weight = parse_rational(weight_raw)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"invalid weight {weight_raw!r}, line {number}") from None
+            except (ValueError, ZeroDivisionError) as err:
+                raise ValueError(
+                    f"invalid weight {weight_raw!r}, line {number}: {err}"
+                ) from None
             if weight <= 0:
                 raise ValueError(f"non-positive weight, line {number}")
             seen_ids.add(pid)
@@ -289,10 +311,10 @@ def _cmd_gen(args) -> int:
         family=args.family,
         steps=args.steps,
         max_per_step=args.per_step,
-        weights=tuple(as_weight(w) for w in args.weights.split(",")),
+        weights=tuple(parse_weight(w, "--weights") for w in args.weights.split(",")),
         lifespan=args.lifespan,
         chain_length=args.chain_length,
-        growth=as_weight(args.growth),
+        growth=parse_weight(args.growth, "--growth"),
         deadline_spread=args.spread,
         seed=args.seed,
     )
@@ -303,7 +325,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    menu = tuple(as_weight(w) for w in args.menu.split(","))
+    menu = tuple(parse_weight(w, "--menu") for w in args.menu.split(","))
     result = adversary_search(
         args.policy,
         args.depth,

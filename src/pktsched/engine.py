@@ -5,9 +5,15 @@ carried pending set, the policy decides on its oblivious schedule, and
 ``carry_after`` drops the sent packet and every packet whose deadline has
 come.  ``advance`` takes that step for a distribution over carried sets,
 merging outcomes that carry the same set.  ``busy_steps`` lists the steps
-a run visits, skipping the idle ones where nothing is pending.  A decision
-memo (``Decisions``) lets runs that meet a pending set again at the same
-step, such as Monte Carlo trials and search paths, decide it once.
+a run visits, skipping the idle ones where nothing is pending.  A
+transition memo (``Transitions``) lets search paths that meet a pending
+set again at the same step decide it once, and a decision memo
+(``Decisions``) does the same for Monte Carlo trials.
+
+Inside the kernel everything is an integer: weights over their common
+denominator (``model.weight_scale``), and a state map's probabilities and gains
+over one denominator per map (``States``).  A ``Fraction`` is built once,
+for the result.
 
 Three execution modes:
 
@@ -28,24 +34,51 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .model import Instance, InvariantError, Packet
+from .model import Instance, InvariantError, Packet, weight_scale
 from .offline import oblivious_schedule, opt_schedule
 from .policies import DETERMINISTIC_POLICIES, PolicyDecision, decide
 
 DEFAULT_EXACT_CAP = 1 << 20
 
-# Carried pending set -> (probability of reaching it, probability-weighted
-# gain so far, number of branching-tree paths reaching it).
-States = Mapping[frozenset[Packet], tuple[Fraction, Fraction, int]]
 
-# Before the first step: nothing carried, reached surely by one path.
-START: States = MappingProxyType({frozenset(): (Fraction(1), Fraction(0), 1)})
+class States(NamedTuple):
+    """A distribution over carried pending sets, in integers.
+
+    Weights are integers over ``scale``.  Each carried set maps to its
+    probability, as a numerator over ``denominator``; its
+    probability-weighted gain so far, as a numerator over
+    ``denominator * scale``; and the number of branching-tree paths
+    reaching it.
+    """
+
+    scale: int
+    denominator: int
+    carried: Mapping[frozenset[Packet], tuple[int, int, int]]
+
+
+def start(scale: int) -> States:
+    """The map before the first step: nothing carried, reached surely by
+    one path.  ``scale`` must make every weight of the run an integer."""
+    return States(scale, 1, {frozenset(): (1, 0, 1)})
+
+
+# One policy decision as integers: the common denominator of its
+# probabilities and, per outcome, the carried set, the probability's
+# numerator over that denominator and the sent packet's weight times the
+# scale.
+Transition = tuple[int, tuple[tuple[frozenset[Packet], int, int], ...]]
+
+# (step, pending set) -> the transition of one policy there.
+Transitions = dict[tuple[int, frozenset[Packet]], Transition]
 
 # (step, pending set) -> the decision of one policy there.
 Decisions = dict[tuple[int, frozenset[Packet]], PolicyDecision]
+
+# An empty pending set sends nothing and carries nothing.
+_IDLE: Transition = (1, ((frozenset(), 1, 0),))
 
 
 class ExactCapExceeded(RuntimeError):
@@ -78,7 +111,7 @@ class RunReport:
 def carry_after(pending: frozenset[Packet], sent: Packet, step: int) -> frozenset[Packet]:
     """The packets of ``pending`` other than ``sent`` that are still pending
     at ``step + 1``, i.e. whose deadline lies beyond it."""
-    return frozenset(p for p in pending if p != sent and p.deadline > step + 1)
+    return frozenset(p for p in pending if p.deadline > step + 1) - {sent}
 
 
 def busy_steps(instance: Instance, carrying: Callable[[], bool]) -> Iterator[int]:
@@ -97,15 +130,13 @@ def busy_steps(instance: Instance, carrying: Callable[[], bool]) -> Iterator[int
 
 
 def _decision(
-    policy: str, pending: frozenset[Packet], step: int, memo: Decisions | None
+    policy: str, pending: frozenset[Packet], step: int, memo: Decisions
 ) -> PolicyDecision:
     """The policy's decision on the oblivious schedule of ``pending``, taken
     from ``memo`` when it holds this step and pending set, and stored there
-    otherwise.  A memo serves one policy.  A remembered decision names
-    packets equal to, not identical with, the caller's, so callers compare
-    packets by equality."""
-    if memo is None:
-        return decide(policy, oblivious_schedule(pending, step))
+    otherwise.  A memo serves one policy.  Unlike a transition it holds no
+    carried sets, so a Monte Carlo trial, which follows one outcome, does
+    not pay for the other."""
     key = (step, pending)
     decision = memo.get(key)
     if decision is None:
@@ -113,49 +144,104 @@ def _decision(
     return decision
 
 
+def _scaled(weight: Fraction, scale: int) -> int:
+    if scale % weight.denominator:
+        raise ValueError(f"weight {weight} is not a whole multiple of 1/{scale}")
+    return weight.numerator * (scale // weight.denominator)
+
+
+def _transition(
+    policy: str,
+    pending: frozenset[Packet],
+    step: int,
+    scale: int,
+    memo: Transitions | None,
+) -> Transition:
+    """The outcomes of the policy's decision on the oblivious schedule of
+    ``pending``, taken from ``memo`` when it holds this step and pending
+    set, and stored there otherwise.  A memo serves one policy and one
+    scale.  A remembered outcome carries packets equal to, not identical
+    with, the caller's, so callers compare packets by equality."""
+    key = (step, pending)
+    if memo is not None:
+        transition = memo.get(key)
+        if transition is not None:
+            return transition
+    decision = decide(policy, oblivious_schedule(pending, step))
+    if decision.deterministic is not None:
+        sent = decision.deterministic
+        transition = (1, ((carry_after(pending, sent, step), 1, _scaled(sent.weight, scale)),))
+    else:
+        denominator = lcm(*(q.denominator for _, q in decision.lottery))
+        transition = (
+            denominator,
+            tuple(
+                (
+                    carry_after(pending, sent, step),
+                    q.numerator * (denominator // q.denominator),
+                    _scaled(sent.weight, scale),
+                )
+                for sent, q in decision.lottery
+            ),
+        )
+    if memo is not None:
+        memo[key] = transition
+    return transition
+
+
 def advance(
     policy: str,
     states: States,
     step: int,
     arrivals: Iterable[Packet],
-    memo: Decisions | None = None,
+    memo: Transitions | None = None,
 ) -> States:
     """One step of a policy's distribution over carried pending sets.
 
     The arrivals join every carried set, the policy decides on the
     oblivious schedule of the result, and every outcome of the decision is
     carried on with its probability; outcomes that carry the same set are
-    merged.  A deterministic policy keeps a single state of probability 1.
-    ``memo``, if given, remembers the policy's decisions across calls.
+    merged.  The new denominator is the old one times the least common
+    multiple of the step's lottery denominators, divided by the gcd of the
+    map when a lottery multiplied it.  A deterministic policy keeps a
+    single state of probability 1.  ``memo``, if given, remembers the
+    policy's transitions across calls.
     """
+    scale, denominator, current = states
     arrivals = frozenset(arrivals)
-    out: dict[frozenset[Packet], tuple[Fraction, Fraction, int]] = {}
-
-    def put(carry, prob, weighted, paths):
-        if carry in out:
-            p0, w0, n0 = out[carry]
-            out[carry] = (p0 + prob, w0 + weighted, n0 + paths)
-        else:
-            out[carry] = (prob, weighted, paths)
-
-    for carry, (prob, weighted, paths) in states.items():
+    moves = []
+    common = 1
+    for carry, value in current.items():
         pending = carry | arrivals
-        if not pending:
-            put(pending, prob, weighted, paths)
-            continue
-        decision = _decision(policy, pending, step, memo)
-        if decision.deterministic is not None:
-            sent = decision.deterministic
-            put(carry_after(pending, sent, step), prob, weighted + prob * sent.weight, paths)
-            continue
-        for sent, q in decision.lottery:
-            put(
-                carry_after(pending, sent, step),
-                prob * q,
-                q * (weighted + prob * sent.weight),
-                paths,
-            )
-    return out
+        if pending:
+            transition = _transition(policy, pending, step, scale, memo)
+            if transition[0] != 1:
+                common = lcm(common, transition[0])
+        else:
+            transition = _IDLE
+        moves.append((value, transition))
+    out: dict[frozenset[Packet], tuple[int, int, int]] = {}
+    for (prob, weighted, paths), (lottery, outcomes) in moves:
+        spread = common // lottery
+        for carry, factor, sent in outcomes:
+            factor *= spread
+            prob2 = prob * factor
+            weighted2 = (weighted + prob * sent) * factor
+            entry = out.get(carry)
+            if entry is None:
+                out[carry] = (prob2, weighted2, paths)
+            else:
+                out[carry] = (entry[0] + prob2, entry[1] + weighted2, entry[2] + paths)
+    denominator *= common
+    if common != 1:
+        divisor = gcd(denominator, *(n for p, w, _ in out.values() for n in (p, w)))
+        if divisor != 1:
+            denominator //= divisor
+            out = {
+                carry: (prob // divisor, weighted // divisor, paths)
+                for carry, (prob, weighted, paths) in out.items()
+            }
+    return States(scale, denominator, out)
 
 
 def run_policy(instance: Instance, policy: str) -> RunReport:
@@ -215,17 +301,18 @@ def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction]:
     """``run_rg_exact`` plus the offline optimum it checks the value against,
     so that callers reporting both compute the optimum once."""
     arrivals = instance.arrivals_by_step
-    states = START
+    states = start(weight_scale(instance))
     spent = 0
-    for step in busy_steps(instance, lambda: any(states)):
-        spent += len(states)
+    for step in busy_steps(instance, lambda: any(states.carried)):
+        spent += len(states.carried)
         if spent > cap:
             raise ExactCapExceeded(
                 f"instance too large for exact mode (exact states > {cap})"
             )
         states = advance("rg", states, step, arrivals.get(step, ()))
-    value = sum((weighted for _, weighted, _ in states.values()), Fraction(0))
-    leaves = sum(paths for _, _, paths in states.values())
+    scale, denominator, final = states
+    value = Fraction(sum(weighted for _, weighted, _ in final.values()), denominator * scale)
+    leaves = sum(paths for _, _, paths in final.values())
     _, opt_value = opt_schedule(instance.packets, instance.first_release)
     if value > opt_value:
         raise InvariantError("expected gain exceeded the offline optimum")

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 
@@ -85,6 +86,11 @@ class Packet:
 
     def __repr__(self) -> str:
         return f"Packet({self.id}, r={self.release}, d={self.deadline}, w={self.weight})"
+
+
+def weight_scale(packets: Iterable[Packet]) -> int:
+    """The common denominator of the packets' weights."""
+    return lcm(*(p.weight.denominator for p in packets))
 
 
 def order_key(packet: Packet):
@@ -181,10 +187,6 @@ class Instance:
         for packet in self.packets:
             grouped.setdefault(packet.release, []).append(packet)
         return {step: tuple(batch) for step, batch in grouped.items()}
-
-    @cached_property
-    def total_weight(self) -> Fraction:
-        return sum((p.weight for p in self.packets), Fraction(0))
 
 
 @dataclass(frozen=True)

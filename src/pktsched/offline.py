@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable
 
 from .model import (
@@ -34,6 +33,7 @@ from .model import (
     has_agreeable_deadlines,
     is_feasible_set,
     order_key,
+    weight_scale,
 )
 
 
@@ -53,7 +53,7 @@ def _greedy_optimal_set(packets: Iterable[Packet], start: int) -> list[Packet]:
     # ascending (weight, -deadline, -arrival_index).  The weights compare as
     # integers over their common denominator, which orders them exactly as
     # the Fractions do, without Fraction arithmetic.
-    scale = lcm(*(p.weight.denominator for p in packets))
+    scale = weight_scale(packets)
     candidates = sorted(
         packets,
         key=lambda p: (

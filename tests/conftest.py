@@ -12,6 +12,16 @@ def mk(pid: str, release: int, deadline: int, weight, index: int = 0) -> Packet:
     return Packet(pid, release, deadline, Fraction(weight), index)
 
 
+def as_fractions(states) -> dict:
+    """An ``engine.States`` map in ``Fraction``s: carried set ->
+    (probability, probability-weighted gain, path count)."""
+    scale, denominator, entries = states
+    return {
+        carry: (Fraction(prob, denominator), Fraction(weighted, denominator * scale), paths)
+        for carry, (prob, weighted, paths) in entries.items()
+    }
+
+
 def mk_instance(*rows) -> Instance:
     """Instance from ``(id, release, deadline, weight)`` rows."""
     return Instance.build(rows)

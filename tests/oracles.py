@@ -7,7 +7,8 @@ deadline-first simulation, the canonical pending-set schedule by subset
 enumeration instead of incremental greedy, golden-ratio comparisons by
 60-digit decimal arithmetic instead of the integer quadratic, and the
 order checks of the fact checker by comparing every step or every pair
-instead of a heap walk or a single pass.
+instead of a heap walk or a single pass, and the step kernel's state map
+in ``Fraction``s instead of integers over a common denominator.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import decimal
 from fractions import Fraction
 from itertools import chain, combinations
 
+from pktsched.engine import carry_after
 from pktsched.model import Instance, Packet, order_key, precedes
+from pktsched.offline import oblivious_schedule
+from pktsched.policies import decide
 
 ZERO = Fraction(0)
 
@@ -263,3 +267,40 @@ def oracle_rg_expectation(instance: Instance):
     expected = sum((p * g for p, g in leaves), ZERO)
     mass = sum((p for p, _ in leaves), ZERO)
     return expected, len(leaves), mass
+
+
+def oracle_advance(policy, states, step, arrivals):
+    """One step of a policy's distribution over carried pending sets, in
+    ``Fraction``s: the step kernel's reference.
+
+    ``states`` maps each carried pending set to its probability, its
+    probability-weighted gain and the number of tree paths reaching it.
+    """
+    arrivals = frozenset(arrivals)
+    out: dict[frozenset[Packet], tuple[Fraction, Fraction, int]] = {}
+
+    def put(carry, prob, weighted, paths):
+        if carry in out:
+            p0, w0, n0 = out[carry]
+            out[carry] = (p0 + prob, w0 + weighted, n0 + paths)
+        else:
+            out[carry] = (prob, weighted, paths)
+
+    for carry, (prob, weighted, paths) in states.items():
+        pending = carry | arrivals
+        if not pending:
+            put(pending, prob, weighted, paths)
+            continue
+        decision = decide(policy, oblivious_schedule(pending, step))
+        if decision.deterministic is not None:
+            sent = decision.deterministic
+            put(carry_after(pending, sent, step), prob, weighted + prob * sent.weight, paths)
+            continue
+        for sent, q in decision.lottery:
+            put(
+                carry_after(pending, sent, step),
+                prob * q,
+                q * (weighted + prob * sent.weight),
+                paths,
+            )
+    return out

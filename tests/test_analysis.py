@@ -200,6 +200,36 @@ class TestAdversarySearch:
         assert beam.ratio == exhaustive.ratio
         assert beam.witness == exhaustive.witness
 
+    @pytest.mark.parametrize("policy", ["mg-prime", "rg"])
+    def test_narrow_beam_prunes_by_exact_ratio(self, policy):
+        # A beam replayed from scratch: every node's instance is scored by
+        # competitive_ratio, and each level keeps the best ratios, ties by
+        # path, as Fractions.
+        # On this menu, rg's best two-step witness (90/73) survives a beam
+        # of two only when the first level is ranked by exact ratio.
+        menu = (Fraction(1, 2), Fraction(1), Fraction(5, 2))
+        options = two_bounded_step_options(menu, 2)
+        best, best_path, frontier = None, None, [()]
+        for _ in range(2):
+            scored = []
+            for path in frontier:
+                for oi in range(len(options)):
+                    child = path + (oi,)
+                    rows = [
+                        (f"s{step}p{k}", step, step + lifespan, weight)
+                        for step, index in enumerate(child, start=1)
+                        for k, (lifespan, weight) in enumerate(options[index])
+                    ]
+                    ratio = competitive_ratio(Instance.build(rows), policy)
+                    if best is None or ratio > best:
+                        best, best_path = ratio, rows
+                    scored.append((ratio, child))
+            scored.sort(key=lambda row: (-row[0], row[1]))
+            frontier = [path for _, path in scored[:2]]
+        result = adversary_search(policy, 2, menu, beam_width=2)
+        assert result.ratio == best
+        assert result.witness == Instance.build(best_path)
+
     def test_node_budget_flags_partial_result(self):
         result = adversary_search("mg-prime", 2, MENU12, max_nodes=5)
         assert not result.complete

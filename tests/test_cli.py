@@ -65,6 +65,20 @@ class TestInstanceFiles:
         with pytest.raises(ValueError, match=re.escape(message)):
             cli.parse_instance(str(path))
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param('{"id":"b","r":true,"d":3,"w":"1"}', id="boolean-release"),
+            pytest.param("[" * 100_000, id="deep-nesting"),
+            pytest.param('{"id":"b","r":1,"d":3,"w":"1e999999"}', id="huge-exponent"),
+        ],
+    )
+    def test_malformed_line_exits_one_naming_it(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id":"a","r":1,"d":2,"w":"1"}\n' + line + "\n")
+        assert cli.main(["opt", "--instance", str(path)]) == 1
+        assert "line 2" in capsys.readouterr().err
+
     def test_duplicate_and_order_errors_name_lines(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         path.write_text(
@@ -250,6 +264,20 @@ class TestCommands:
         assert payload["complete"] is True
         replay = cli.parse_instance(str(witness))
         assert len(replay) >= 1
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["search", "--policy", "rg", "--depth", "1", "--menu", "1,1e999999"], "--menu"),
+            (["gen", "--family", "two-bounded", "--weights", "1,1e999999"], "--weights"),
+            (["gen", "--family", "golden-chain", "--growth", "1e999999"], "--growth"),
+        ],
+    )
+    def test_huge_option_weight_exits_one(self, tmp_path, capsys, argv, option):
+        out = tmp_path / "gen.jsonl"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert f"in {option}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_errors_exit_one(self, capsys):
         assert cli.main(["frobnicate"]) == 1

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_instance, random_agreeable
+from conftest import as_fractions, mk_instance, random_agreeable
 from oracles import (
     brute_force_opt,
+    oracle_advance,
     oracle_mg_prime_run,
     oracle_mg_run,
     oracle_rg_expectation,
@@ -15,14 +16,14 @@ from oracles import (
 
 from pktsched.analysis import golden_chain
 from pktsched.engine import (
-    START,
     ExactCapExceeded,
     advance,
     run_policy,
     run_rg_exact,
     run_rg_mc,
+    start,
 )
-from pktsched.model import Instance
+from pktsched.model import Instance, weight_scale
 from pktsched.policies import DETERMINISTIC_POLICIES, POLICIES
 
 
@@ -48,12 +49,14 @@ def small_agreeable(draw):
     return Instance.build(rows)
 
 
-def step_states(instance, policy, memo=None):
-    """The state map after ``advance`` has stepped through every step."""
-    states = START
+def step_states(instance, policy, memo=None, scale=None):
+    """The state map after ``advance`` has stepped through every step, in
+    ``Fraction``s; weights are scaled by ``scale``, by default their
+    common denominator."""
+    states = start(weight_scale(instance) if scale is None else scale)
     for step in range(instance.first_release, instance.horizon + 1):
         states = advance(policy, states, step, instance.arrivals_by_step.get(step, ()), memo)
-    return states
+    return as_fractions(states)
 
 
 def gadget_horizon(gadgets):
@@ -219,15 +222,42 @@ class TestAdvance:
     def test_shared_memo_changes_nothing(self, first, second):
         # One memo per policy serves two instances whose packets share
         # arrival indices, then a rebuilt copy of the first, whose packets
-        # are equal to, not identical with, the remembered ones.
+        # are equal to, not identical with, the remembered ones.  A memo
+        # serves one scale.
         copy = Instance.build((p.id, p.release, p.deadline, p.weight) for p in first)
+        scale = weight_scale([*first, *second])
         for policy in POLICIES:
             memo = {}
             for inst in (first, second):
-                assert step_states(inst, policy, memo) == step_states(inst, policy)
+                assert step_states(inst, policy, memo, scale) == step_states(inst, policy)
             remembered = len(memo)
-            assert step_states(copy, policy, memo) == step_states(first, policy)
+            assert step_states(copy, policy, memo, scale) == step_states(first, policy)
             assert len(memo) == remembered  # every decision was found again
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(small_agreeable(), small_agreeable())
+    def test_matches_fraction_reference(self, first, second):
+        # After every step, alone and with one memo shared by two
+        # instances, the integer map equals the Fraction reference entry
+        # for entry: carried sets, probabilities, gains and path counts.
+        scale = weight_scale([*first, *second])
+        for policy in POLICIES:
+            memo = {}
+            for inst in (first, second):
+                reference = {frozenset(): (Fraction(1), Fraction(0), 1)}
+                alone = start(weight_scale(inst))
+                shared = start(scale)
+                for step in range(inst.first_release, inst.horizon + 1):
+                    arrivals = inst.arrivals_by_step.get(step, ())
+                    reference = oracle_advance(policy, reference, step, arrivals)
+                    alone = advance(policy, alone, step, arrivals)
+                    shared = advance(policy, shared, step, arrivals, memo)
+                    assert as_fractions(alone) == reference
+                    assert as_fractions(shared) == reference
+
+    def test_refuses_a_weight_off_the_scale(self):
+        with pytest.raises(ValueError, match="whole multiple"):
+            advance("rg", start(2), 1, mk_instance(("x", 1, 2, Fraction(1, 3))))
 
 
 class TestRunRgMc:
