@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
@@ -39,7 +39,6 @@ from .model import (
     Packet,
     Schedule,
     as_weight,
-    edf_schedule,
     follows_priority_order,
     order_key,
     precedes,
@@ -48,7 +47,6 @@ from .offline import (
     ObliviousSchedule,
     conforming_clairvoyant,
     oblivious_schedule,
-    select_earliest_heaviest,
 )
 from .policies import decide
 
@@ -672,13 +670,9 @@ def drop_packet_corruption(target_step: int, drop_position: int) -> Corruption:
         sequence = oblivious.schedule.sequence()
         victim = sequence[drop_position % len(sequence)]
         kept = [p for p in sequence if p != victim]
-        if kept:
-            schedule = edf_schedule(kept, step)
-            earliest, heaviest = select_earliest_heaviest(schedule)
-        else:
-            schedule, earliest, heaviest = EMPTY_SCHEDULE, None, None
-        return ObliviousSchedule(
-            schedule, step, earliest, heaviest, oblivious.dominated | {victim}
-        )
+        dominated = oblivious.dominated | {victim}
+        if not kept:
+            return ObliviousSchedule(EMPTY_SCHEDULE, step, None, None, dominated)
+        return replace(oblivious_schedule(kept, step), dominated=dominated)
 
     return corrupt

@@ -215,10 +215,6 @@ class Schedule:
             previous_step = step
             seen.add(packet)
 
-    @classmethod
-    def from_map(cls, assignment: Mapping[int, Packet]) -> "Schedule":
-        return cls(tuple(sorted(assignment.items())))
-
     def __len__(self) -> int:
         return len(self.slots)
 

@@ -13,10 +13,10 @@ window); otherwise ``is_feasible_set`` simulates earliest-deadline-first
 with release times.  Either way the kept set is laid out in the
 deadline-first order.
 
-The *conforming clairvoyant schedule* is built here as well: optimal over
-pending plus future packets, repaired so that its already-pending part lies
-inside the oblivious schedule and its first packet outweighs every
-order-earlier oblivious member.
+The *conforming clairvoyant schedule* is built here as well: the greedy
+optimum over pending plus future packets, whose already-pending part lies
+inside the oblivious schedule because both greedies share one order, with
+its first packet chosen to outweigh every order-earlier oblivious member.
 """
 
 from __future__ import annotations
@@ -116,16 +116,6 @@ class ObliviousSchedule:
     dominated: frozenset[Packet]
 
 
-def select_earliest_heaviest(schedule: Schedule) -> tuple[Packet, Packet]:
-    """First packet and order-minimal maximum-weight packet of a schedule."""
-    if not schedule:
-        raise ValueError("empty schedule has no earliest/heaviest packet")
-    earliest = schedule.slots[0][1]
-    top = max(p.weight for p in schedule.packets)
-    heaviest = min((p for p in schedule.packets if p.weight == top), key=order_key)
-    return earliest, heaviest
-
-
 def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedule:
     """Optimal deadline-first-order schedule over the pending set.
 
@@ -151,73 +141,6 @@ def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedul
     return ObliviousSchedule(schedule, step, sequence[0], kept[0], dominated)
 
 
-def _repair_onto(
-    clairvoyant: Schedule, oblivious: Schedule, step: int
-) -> Schedule:
-    """Swap packets along alternating paths until the clairvoyant schedule's
-    already-pending part lies inside the oblivious schedule.
-
-    Each swap replaces one outside packet by an equal-weight oblivious
-    packet, so the schedule stays optimal.  Failure modes (odd path, weight
-    mismatch) mean one of the inputs was not optimal and raise
-    InvariantError.
-    """
-    c_by_step = dict(clairvoyant.slots)
-    o_by_step = dict(oblivious.slots)
-
-    def outside() -> list[Packet]:
-        return sorted(
-            (
-                p
-                for p in c_by_step.values()
-                if p.release <= step and p not in oblivious.packets
-            ),
-            key=order_key,
-        )
-
-    rounds = 0
-    limit = len(clairvoyant.slots) + 1
-    while True:
-        stray = outside()
-        if not stray:
-            break
-        rounds += 1
-        if rounds > limit:
-            raise InvariantError("alternating-path repair failed to terminate")
-        packet = stray[0]
-        c_step_of = {p: t for t, p in c_by_step.items()}
-        path: list[tuple[int, Packet]] = []
-        visited = set()
-        current = packet
-        while True:
-            if current in visited:
-                raise InvariantError("alternating path revisited a packet")
-            visited.add(current)
-            at = c_step_of.get(current)
-            if at is None:
-                raise InvariantError("alternating path left the clairvoyant schedule")
-            replacement = o_by_step.get(at)
-            if replacement is None:
-                # Path ends in a step: the oblivious schedule could have been
-                # extended, contradicting its optimality.
-                raise InvariantError(
-                    "odd alternating path; oblivious schedule is not optimal"
-                )
-            path.append((at, replacement))
-            if replacement not in c_step_of:
-                if replacement.weight != packet.weight:
-                    raise InvariantError(
-                        "alternating path endpoints differ in weight; "
-                        "a schedule is not optimal"
-                    )
-                break
-            current = replacement
-        del c_by_step[c_step_of[packet]]
-        for at, replacement in path:
-            c_by_step[at] = replacement
-    return Schedule.from_map(c_by_step)
-
-
 def conforming_clairvoyant(
     pending: Iterable[Packet],
     future: Iterable[Packet],
@@ -229,10 +152,16 @@ def conforming_clairvoyant(
 
     The result is a deadline-first-order schedule, its already-pending part
     is contained in the oblivious schedule, and every oblivious packet that
-    precedes its first packet in the order weighs strictly less.  Built by
-    taking any optimal schedule, repairing it along alternating paths,
-    reordering, and substituting the first packet by the order-minimal
-    non-dominated packet of equal weight.
+    precedes its first packet in the order weighs strictly less.  Built as
+    the greedy optimum of ``opt_schedule``, whose first packet is then
+    substituted by the order-minimal non-dominated packet of equal weight.
+
+    The greedy over pending plus future packets keeps a pending packet only
+    if the pending-only greedy of the oblivious schedule keeps it: both
+    visit packets in the same order, and a pending packet not spanned by
+    the earlier packets of the union is not spanned by the earlier pending
+    ones either.  So the pending part already lies inside a true oblivious
+    schedule; a pending packet outside ``oblivious`` raises InvariantError.
     """
     pending = list(pending)
     future = list(future)
@@ -248,14 +177,13 @@ def conforming_clairvoyant(
     if not has_agreeable_deadlines(universe):
         raise ValueError("conforming schedules require agreeable deadlines")
 
-    optimal, value = opt_schedule(universe, step)
-    repaired = _repair_onto(optimal, oblivious.schedule, step)
-    try:
-        ordered = edf_schedule(repaired.packets, step)
-    except ValueError as err:
-        raise InvariantError(f"reordering the repaired schedule failed: {err}") from err
-    if ordered.weight != value:
-        raise InvariantError("conforming construction changed the schedule value")
+    ordered, _ = opt_schedule(universe, step)
+    for p in ordered.sequence():
+        if p.release <= step and p not in oblivious.schedule.packets:
+            raise InvariantError(
+                f"pending packet {p.id} of the optimum lies outside the "
+                "oblivious schedule; the oblivious schedule is not optimal"
+            )
     first = ordered.at(step)
     if first is None:
         raise InvariantError("conforming schedule leaves the current step idle")

@@ -251,7 +251,7 @@ def schedules(draw):
     for p in packets:
         step = draw(st.integers(p.release, p.deadline - 1))
         slots.setdefault(step, p)
-    return Schedule.from_map(slots), start
+    return Schedule(tuple(sorted(slots.items()))), start
 
 
 class TestFollowsPriorityOrder:

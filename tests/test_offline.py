@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 from conftest import mk, mk_instance, random_agreeable
 from oracles import brute_force_opt, oracle_oblivious
 
-from pktsched.model import InvariantError, follows_priority_order, order_key, precedes
+from pktsched.model import (
+    InvariantError,
+    follows_priority_order,
+    has_agreeable_deadlines,
+    order_key,
+    precedes,
+)
 from pktsched.offline import (
     conforming_clairvoyant,
     oblivious_schedule,
     opt_schedule,
-    select_earliest_heaviest,
 )
 
 
@@ -212,27 +217,59 @@ class TestObliviousSchedule:
             assert follows_priority_order(ob.schedule, step)
 
 
-class TestSelectEarliestHeaviest:
-    def test_unique_heaviest(self):
-        a, b = mk("a", 1, 2, 1, 0), mk("b", 1, 3, 3, 1)
-        sched = oblivious_schedule({a, b}, 1).schedule
-        assert select_earliest_heaviest(sched) == (a, b)
+@st.composite
+def pending_and_future(draw):
+    """A pending set at a step in 1..4 and future arrivals after it, at most
+    8 packets, not necessarily agreeable.  Deadlines come from a short range
+    and weights from a small menu, so weight and deadline ties are common."""
+    step = draw(st.integers(1, 4))
+    weights = st.builds(Fraction, st.integers(1, 4), st.integers(1, 2))
+    pending_rows = draw(
+        st.lists(
+            st.tuples(st.integers(1, step), st.integers(1, 3), weights),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    future_rows = draw(
+        st.lists(
+            st.tuples(st.integers(step + 1, step + 3), st.integers(1, 3), weights),
+            max_size=8 - len(pending_rows),
+        )
+    )
+    pending = [
+        mk(f"p{i}", r, step + span, w, i)
+        for i, (r, span, w) in enumerate(sorted(pending_rows, key=lambda row: row[0]))
+    ]
+    future = [
+        mk(f"f{i}", r, r + span, w, len(pending) + i)
+        for i, (r, span, w) in enumerate(sorted(future_rows, key=lambda row: row[0]))
+    ]
+    return pending, future, step
 
-    def test_weight_tie_takes_order_minimal(self):
-        a, b = mk("a", 1, 2, 3, 0), mk("b", 1, 3, 3, 1)
-        sched = oblivious_schedule({a, b}, 1).schedule
-        assert select_earliest_heaviest(sched) == (a, a)
 
-    def test_singleton(self):
-        x = mk("x", 1, 4, 1)
-        sched = oblivious_schedule({x}, 2).schedule
-        assert select_earliest_heaviest(sched) == (x, x)
-
-    def test_empty_raises(self):
-        from pktsched.model import EMPTY_SCHEDULE
-
-        with pytest.raises(ValueError):
-            select_earliest_heaviest(EMPTY_SCHEDULE)
+def assert_conforms(pending, future, step, ob):
+    """The clauses of a conforming clairvoyant schedule against ``ob``."""
+    conf = conforming_clairvoyant(pending, future, step, ob)
+    # optimal over pending plus future
+    _, best = opt_schedule(list(pending) + future, step)
+    assert conf.weight == best
+    # deadline-first order
+    assert follows_priority_order(conf, step)
+    # pending part inside the oblivious schedule
+    assert all(
+        p in ob.schedule.packets
+        for p in conf.packets
+        if p.release <= step
+    )
+    # first-packet clause
+    first = conf.at(step)
+    assert first is not None
+    assert all(
+        p.weight < first.weight
+        for p in ob.schedule.packets
+        if p != first and precedes(p, first)
+    )
 
 
 class TestConformingClairvoyant:
@@ -281,30 +318,25 @@ class TestConformingClairvoyant:
                     continue
                 ob = oblivious_schedule(pending, step)
                 future = [p for p in inst.packets if p.release > step]
-                conf = conforming_clairvoyant(pending, future, step, ob)
+                assert_conforms(pending, future, step, ob)
                 checked += 1
-                # optimal over pending plus future
-                _, best = opt_schedule(list(pending) + future, step)
-                assert conf.weight == best
-                # deadline-first order
-                assert follows_priority_order(conf, step)
-                # pending part inside the oblivious schedule
-                assert all(
-                    p in ob.schedule.packets
-                    for p in conf.packets
-                    if p.release <= step
-                )
-                # first-packet clause
-                first = conf.at(step)
-                assert first is not None
-                assert all(
-                    p.weight < first.weight
-                    for p in ob.schedule.packets
-                    if p != first and precedes(p, first)
-                )
                 # consume the earliest packet to vary the pending sets
                 pending = pending - {min(pending, key=order_key)}
         assert checked > 150
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(pending_and_future())
+    def test_pending_part_of_union_optimum_lies_in_oblivious(self, case):
+        # the greedy over pending plus future packets keeps only pending
+        # packets that the canonical oblivious schedule keeps, so the
+        # conforming schedule can start from the greedy optimum itself
+        pending, future, step = case
+        sched, value = opt_schedule(pending + future, step)
+        sequence, _, _, _ = oracle_oblivious(pending, step)
+        assert {p for p in sched.packets if p.release <= step} <= set(sequence)
+        assert value == brute_force_opt(pending + future, step)
+        if has_agreeable_deadlines(pending + future):
+            assert_conforms(pending, future, step, oblivious_schedule(pending, step))
 
     def test_displaced_earliest_with_middle_first_packet(self):
         # future arrival pushes the earliest packet out of the optimum and
@@ -324,7 +356,8 @@ class TestConformingClairvoyant:
         assert h.deadline > 1 and j.deadline > 2 and x.deadline > 3
 
     def test_corrupted_oblivious_is_rejected(self):
-        # dropping a packet from the oblivious schedule breaks the repair
+        # dropping a packet from the oblivious schedule leaves a pending
+        # packet of the optimum outside it
         a, b = mk("a", 1, 3, 1, 0), mk("b", 1, 3, 1, 1)
         ob = oblivious_schedule({a, b}, 1)
         from pktsched.offline import ObliviousSchedule
