@@ -38,13 +38,16 @@ from .model import (
     InvariantError,
     Packet,
     Schedule,
+    _scaled_order_key,
     as_weight,
     follows_priority_order,
-    order_key,
     precedes,
+    weight_scale,
 )
 from .offline import (
     ObliviousSchedule,
+    _greedy_rank,
+    _oblivious,
     conforming_clairvoyant,
     oblivious_schedule,
 )
@@ -563,12 +566,13 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
         raise ValueError("fact checks require an agreeable instance")
     arrivals = instance.arrivals_by_step
     packets = instance.packets
+    rank = _greedy_rank(packets)
     report = FactsReport()
     carry: frozenset[Packet] = frozenset()
     released = 0  # packets[released:] are the future arrivals
     for step in busy_steps(instance, lambda: bool(carry)):
-        pending = carry | frozenset(arrivals.get(step, ()))
-        truth = oblivious_schedule(pending, step)
+        pending = carry.union(arrivals.get(step, ()))
+        truth = _oblivious(pending, sorted(pending, key=rank.__getitem__), step)
         checked = truth
         if corrupt is not None:
             replacement = corrupt(step, truth)
@@ -623,12 +627,14 @@ def heavier_scheduled_monotone(scheduled, chosen) -> bool:
     One pass in the deadline-first order: a packet left out of ``chosen``
     must weigh no more than every chosen packet before it.
     """
-    lightest = None  # of the chosen packets seen so far
-    for p in sorted(scheduled, key=order_key):
+    scale = weight_scale(scheduled)
+    lightest = None  # of the chosen packets seen so far, times the scale
+    for p in sorted(scheduled, key=_scaled_order_key(scale)):
+        weight = p.weight.numerator * (scale // p.weight.denominator)
         if p in chosen:
-            if lightest is None or p.weight < lightest:
-                lightest = p.weight
-        elif lightest is not None and lightest < p.weight:
+            if lightest is None or weight < lightest:
+                lightest = weight
+        elif lightest is not None and lightest < weight:
             return False
     return True
 

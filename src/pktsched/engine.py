@@ -38,7 +38,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .model import Instance, InvariantError, Packet, weight_scale
-from .offline import oblivious_schedule, opt_schedule
+from .offline import _greedy_rank, _oblivious, oblivious_schedule, opt_schedule
 from .policies import DETERMINISTIC_POLICIES, PolicyDecision, decide
 
 DEFAULT_EXACT_CAP = 1 << 20
@@ -110,8 +110,9 @@ class RunReport:
 
 def carry_after(pending: frozenset[Packet], sent: Packet, step: int) -> frozenset[Packet]:
     """The packets of ``pending`` other than ``sent`` that are still pending
-    at ``step + 1``, i.e. whose deadline lies beyond it."""
-    return frozenset(p for p in pending if p.deadline > step + 1) - {sent}
+    at ``step + 1``, i.e. whose deadline lies beyond it.  The difference
+    reuses the hashes ``pending`` stores."""
+    return pending.difference([p for p in pending if p.deadline <= step + 1], (sent,))
 
 
 def busy_steps(instance: Instance, carrying: Callable[[], bool]) -> Iterator[int]:
@@ -130,17 +131,23 @@ def busy_steps(instance: Instance, carrying: Callable[[], bool]) -> Iterator[int
 
 
 def _decision(
-    policy: str, pending: frozenset[Packet], step: int, memo: Decisions
+    policy: str,
+    pending: frozenset[Packet],
+    step: int,
+    memo: Decisions,
+    rank: Mapping[Packet, int],
 ) -> PolicyDecision:
     """The policy's decision on the oblivious schedule of ``pending``, taken
     from ``memo`` when it holds this step and pending set, and stored there
-    otherwise.  A memo serves one policy.  Unlike a transition it holds no
-    carried sets, so a Monte Carlo trial, which follows one outcome, does
-    not pay for the other."""
+    otherwise.  ``rank`` orders the run's packets greedily
+    (``offline._greedy_rank``).  A memo serves one policy.  Unlike a
+    transition it holds no carried sets, so a Monte Carlo trial, which
+    follows one outcome, does not pay for the other."""
     key = (step, pending)
     decision = memo.get(key)
     if decision is None:
-        decision = memo[key] = decide(policy, oblivious_schedule(pending, step))
+        oblivious = _oblivious(pending, sorted(pending, key=rank.__getitem__), step)
+        decision = memo[key] = decide(policy, oblivious)
     return decision
 
 
@@ -252,12 +259,13 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
             "use run_rg_exact or run_rg_mc for rg"
         )
     arrivals = instance.arrivals_by_step
+    rank = _greedy_rank(instance.packets)
     carry: frozenset[Packet] = frozenset()
     records: list[StepRecord] = []
     total = Fraction(0)
     for step in busy_steps(instance, lambda: bool(carry)):
-        pending = carry | frozenset(arrivals.get(step, ()))
-        oblivious = oblivious_schedule(pending, step)
+        pending = carry.union(arrivals.get(step, ()))
+        oblivious = _oblivious(pending, sorted(pending, key=rank.__getitem__), step)
         choice = decide(policy, oblivious).deterministic
         if choice is None or choice not in oblivious.schedule.packets:
             raise InvariantError(f"policy {policy} chose outside the oblivious schedule")
@@ -335,25 +343,28 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
     if trials < 1:
         raise ValueError("trials must be >= 1")
     arrivals = instance.arrivals_by_step
+    rank = _greedy_rank(instance.packets)
+    scale = weight_scale(instance)
     memo: Decisions = {}
     totals: list[float] = []
     shift = 1 << 64
     for trial in range(trials):
         rng = random.Random(_trial_seed(seed, trial))
         carry: frozenset[Packet] = frozenset()
-        gain = Fraction(0)
+        gain = 0  # times the scale
         for step in busy_steps(instance, lambda: bool(carry)):
-            pending = carry | frozenset(arrivals.get(step, ()))
-            decision = _decision("rg", pending, step, memo)
+            pending = carry.union(arrivals.get(step, ()))
+            decision = _decision("rg", pending, step, memo, rank)
             chosen = decision.deterministic
             if chosen is None:
                 (e, p_e), (h, _) = decision.lottery
                 draw = rng.getrandbits(64)
                 # draw / 2^64 < p_e, compared exactly in integers.
                 chosen = e if draw * p_e.denominator < p_e.numerator * shift else h
-            gain += chosen.weight
+            gain += chosen.weight.numerator * (scale // chosen.weight.denominator)
             carry = carry_after(pending, chosen, step)
-        totals.append(float(gain))
+        # int / int rounds correctly, so this is float(Fraction(gain, scale)).
+        totals.append(gain / scale)
     mean = math.fsum(totals) / trials
     if trials == 1:
         return mean, 0.0

@@ -103,9 +103,27 @@ def order_key(packet: Packet):
     return (packet.deadline, -packet.weight, packet.arrival_index)
 
 
+def _scaled_order_key(scale: int):
+    """``order_key`` for packets whose weights are whole multiples of
+    ``1/scale``, with the weight as a negated integer over ``scale``; it
+    orders those packets exactly as ``order_key`` does, without building a
+    negated Fraction per call."""
+    return lambda p: (
+        p.deadline,
+        -(p.weight.numerator * (scale // p.weight.denominator)),
+        p.arrival_index,
+    )
+
+
 def precedes(first: Packet, second: Packet) -> bool:
-    """True if ``first`` comes strictly before ``second`` in the order."""
-    return order_key(first) < order_key(second)
+    """True if ``first`` comes strictly before ``second`` in the order.
+
+    ``order_key`` compared without negating: the weights sit swapped."""
+    return (first.deadline, second.weight, first.arrival_index) < (
+        second.deadline,
+        first.weight,
+        second.arrival_index,
+    )
 
 
 def has_agreeable_deadlines(packets: Iterable[Packet]) -> bool:
@@ -200,20 +218,28 @@ class Schedule:
     slots: tuple[tuple[int, Packet], ...]
 
     def __post_init__(self):
+        # One pass over the slots for step order and windows; the packet set
+        # is built once, for ``packets`` too, and is short of a slot iff
+        # some packet is assigned twice.
         previous_step = None
-        seen = set()
         for step, packet in self.slots:
             if previous_step is not None and step <= previous_step:
                 raise ValueError("schedule slots must be sorted by strictly increasing step")
-            if not packet.pending_window(step):
+            if not packet.release <= step < packet.deadline:
                 raise ValueError(
                     f"packet {packet.id} assigned to step {step} outside its window "
                     f"[{packet.release}, {packet.deadline})"
                 )
-            if packet in seen:
-                raise ValueError(f"packet {packet.id} assigned twice")
             previous_step = step
-            seen.add(packet)
+        packets = frozenset(packet for _, packet in self.slots)
+        if len(packets) != len(self.slots):
+            seen = set()
+            for _, packet in self.slots:
+                if packet in seen:
+                    raise ValueError(f"packet {packet.id} assigned twice")
+                seen.add(packet)
+        # Where the cached property looks first.
+        self.__dict__["packets"] = packets
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -286,6 +312,8 @@ def edf_schedule(packets: Iterable[Packet], start: int) -> Schedule:
     their input order.  Raises ValueError if a packet misses its deadline,
     that is, if the set is not feasible from ``start``.
     """
+    packets = list(packets)
+    key = _scaled_order_key(weight_scale(packets))
     waiting = sorted(
         ((p.release, i, p) for i, p in enumerate(packets)), reverse=True
     )
@@ -297,7 +325,7 @@ def edf_schedule(packets: Iterable[Packet], start: int) -> Schedule:
             step = waiting[-1][0]
         while waiting and waiting[-1][0] <= step:
             _, i, p = waiting.pop()
-            heappush(available, (order_key(p), i, p))
+            heappush(available, (key(p), i, p))
         packet = heappop(available)[2]
         if packet.deadline <= step:
             raise ValueError(f"packet set is not feasible from step {start}")
@@ -319,6 +347,7 @@ def follows_priority_order(schedule: Schedule, start: int) -> bool:
         return True
     if slots[0][0] < start:
         return False
+    key = _scaled_order_key(weight_scale(p for _, p in slots))
     waiting = sorted(
         ((p.release, i, p) for i, (_, p) in enumerate(slots)), reverse=True
     )
@@ -329,7 +358,7 @@ def follows_priority_order(schedule: Schedule, start: int) -> bool:
             return False  # an idle step with a packet available
         while waiting and waiting[-1][0] <= slot_step:
             _, i, p = waiting.pop()
-            heappush(available, (order_key(p), i, p))
+            heappush(available, (key(p), i, p))
         if heappop(available)[2] != assigned:
             return False
         step = slot_step + 1

@@ -11,7 +11,9 @@ greedy, chosen by the input: when every packet is released by the start,
 the kept packets hold distinct steps (each the latest free one inside its
 window); otherwise ``is_feasible_set`` simulates earliest-deadline-first
 with release times.  Either way the kept set is laid out in the
-deadline-first order.
+deadline-first order.  A run over one instance ranks its packets in the
+greedy order once (``_greedy_rank``) and sorts each pending set by that
+rank, instead of by weight, before the oblivious schedule's slot greedy.
 
 The *conforming clairvoyant schedule* is built here as well: the greedy
 optimum over pending plus future packets, whose already-pending part lies
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 from .model import (
@@ -32,29 +35,23 @@ from .model import (
     edf_schedule,
     has_agreeable_deadlines,
     is_feasible_set,
-    order_key,
     weight_scale,
 )
 
+_deadline = attrgetter("deadline")
 
-def _greedy_optimal_set(packets: Iterable[Packet], start: int) -> list[Packet]:
-    """Maximum-weight subset feasible from ``start``, by the weight greedy.
 
-    Returns the kept packets in greedy order, so over a pending set the
-    first one is the order-minimal packet of maximum weight.  When every
-    packet is released by ``start``, a candidate is kept iff some step in
-    ``[start, deadline)`` is still free, and it takes the latest such step
-    (unit jobs with deadlines: the kept set stays feasible exactly then);
-    otherwise each candidate is probed with the release-aware
-    ``is_feasible_set``.
+def _greedy_order(packets: Iterable[Packet]) -> list[Packet]:
+    """The packets by weight descending, ties in the deadline-first order.
+
+    That is the reverse of ascending (weight, -deadline, -arrival_index);
+    the sort is stable, so full ties keep their input order.  The weights
+    compare as integers over their common denominator, which orders them
+    exactly as the Fractions do, without Fraction arithmetic.
     """
     packets = list(packets)
-    # Weight descending, ties in the deadline-first order: the reverse of
-    # ascending (weight, -deadline, -arrival_index).  The weights compare as
-    # integers over their common denominator, which orders them exactly as
-    # the Fractions do, without Fraction arithmetic.
     scale = weight_scale(packets)
-    candidates = sorted(
+    return sorted(
         packets,
         key=lambda p: (
             p.weight.numerator * (scale // p.weight.denominator),
@@ -63,16 +60,29 @@ def _greedy_optimal_set(packets: Iterable[Packet], start: int) -> list[Packet]:
         ),
         reverse=True,
     )
-    kept: list[Packet] = []
-    if any(p.release > start for p in candidates):
-        for p in candidates:
-            if is_feasible_set(kept + [p], start):
-                kept.append(p)
-        return kept
+
+
+def _greedy_rank(packets: Iterable[Packet]) -> dict[Packet, int]:
+    """Each packet's position in the greedy order of ``packets``.
+
+    Over the packets of one instance the order is strict, so sorting any
+    subset by ``rank.__getitem__`` gives that subset's greedy order; a run
+    builds its rank once instead of sorting every pending set by weight.
+    """
+    return {p: i for i, p in enumerate(_greedy_order(packets))}
+
+
+def _latest_free_steps(candidates: Iterable[Packet], start: int) -> list[Packet]:
+    """The weight greedy over packets all released by ``start``, visited in
+    ``candidates``' order: a candidate is kept iff some step in
+    ``[start, deadline)`` is still free, and it takes the latest such step
+    (unit jobs with deadlines: the kept set stays feasible exactly then).
+    Returns the kept packets in visiting order."""
     # A taken step maps to a lower step to try next (t - 1 when t is taken,
     # shortened by path compression); the first step reached that is not in
     # ``below`` is the latest free one.
     below: dict[int, int] = {}
+    kept: list[Packet] = []
     for p in candidates:
         step = p.deadline - 1
         path = []
@@ -83,6 +93,25 @@ def _greedy_optimal_set(packets: Iterable[Packet], start: int) -> list[Packet]:
             below[taken] = step
         if step >= start:
             below[step] = step - 1
+            kept.append(p)
+    return kept
+
+
+def _greedy_optimal_set(packets: Iterable[Packet], start: int) -> list[Packet]:
+    """Maximum-weight subset feasible from ``start``, by the weight greedy.
+
+    Returns the kept packets in greedy order, so over a pending set the
+    first one is the order-minimal packet of maximum weight.  When every
+    packet is released by ``start`` the kept set takes distinct latest free
+    steps (``_latest_free_steps``); otherwise each candidate is probed with
+    the release-aware ``is_feasible_set``.
+    """
+    candidates = _greedy_order(packets)
+    if all(p.release <= start for p in candidates):
+        return _latest_free_steps(candidates, start)
+    kept: list[Packet] = []
+    for p in candidates:
+        if is_feasible_set(kept + [p], start):
             kept.append(p)
     return kept
 
@@ -132,12 +161,22 @@ def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedul
     for p in pending:
         if not p.pending_window(step):
             raise ValueError(f"packet {p.id} is not pending at step {step}")
-    kept = _greedy_optimal_set(pending, step)
+    return _oblivious(frozenset(pending), _greedy_order(pending), step)
+
+
+def _oblivious(
+    pending: frozenset[Packet], candidates: list[Packet], step: int
+) -> ObliviousSchedule:
+    """The oblivious schedule of ``pending``, given ``candidates``: its
+    packets in greedy order, all pending at ``step``.  Single-path runs
+    sort their pending sets by a rank built once (``_greedy_rank``);
+    ``oblivious_schedule`` sorts its input itself."""
+    kept = _latest_free_steps(candidates, step)
     # Sorting is stable, so equal deadlines keep the greedy's heavier-first,
     # earlier-arrival-first order: the result is the deadline-first order.
-    sequence = sorted(kept, key=lambda p: p.deadline)
+    sequence = sorted(kept, key=_deadline)
     schedule = Schedule(tuple(enumerate(sequence, start=step)))
-    dominated = frozenset(pending) - schedule.packets
+    dominated = pending.difference(schedule.packets)
     return ObliviousSchedule(schedule, step, sequence[0], kept[0], dominated)
 
 
@@ -187,9 +226,11 @@ def conforming_clairvoyant(
     first = ordered.at(step)
     if first is None:
         raise InvariantError("conforming schedule leaves the current step idle")
+    # Among packets of one weight, the deadline-first order is by deadline,
+    # then arrival.
     substitute = min(
         (p for p in oblivious.schedule.packets if p.weight == first.weight),
-        key=order_key,
+        key=lambda p: (p.deadline, p.arrival_index),
         default=None,
     )
     if substitute is None:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,12 @@ from oracles import (
     oracle_advance,
     oracle_mg_prime_run,
     oracle_mg_run,
+    oracle_oblivious,
     oracle_rg_expectation,
 )
 
-from pktsched.analysis import golden_chain
+from pktsched import analysis, engine
+from pktsched.analysis import GeneratorSpec, check_facts, generate, golden_chain
 from pktsched.engine import (
     ExactCapExceeded,
     advance,
@@ -24,6 +27,7 @@ from pktsched.engine import (
     start,
 )
 from pktsched.model import Instance, weight_scale
+from pktsched.offline import oblivious_schedule
 from pktsched.policies import DETERMINISTIC_POLICIES, POLICIES
 
 
@@ -292,3 +296,63 @@ class TestRunRgMc:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_rg_mc(three_packet_instance(), trials=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "seed, mc, mg_prime_gain",
+        [
+            (1, (282.6666666666667, 0.34069257193462343), Fraction(833, 3)),
+            (2, (273.1041666666667, 0.14752421108802058), Fraction(1609, 6)),
+            (3, (318.1875, 0.0625), Fraction(1251, 4)),
+        ],
+    )
+    def test_pinned_streams(self, seed, mc, mg_prime_gain):
+        # Pinned bit for bit on 60-step instances whose weights have
+        # denominators 2, 3 and 4; Monte Carlo sums its gains as integers
+        # over their common denominator.
+        spec = GeneratorSpec(
+            "agreeable-random",
+            steps=60,
+            max_per_step=4,
+            deadline_spread=12,
+            weights=(Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(11, 4), Fraction(5)),
+            seed=seed,
+        )
+        inst = generate(spec)
+        assert run_rg_mc(inst, 8, 1234) == mc
+        assert run_policy(inst, "mg-prime").total_gain == mg_prime_gain
+
+
+class TestRankedSchedules:
+    """The single-path runs sort each pending set by a greedy rank built
+    once per instance and hand it to the private core of
+    ``oblivious_schedule``."""
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(small_agreeable(), st.integers(0, 99))
+    def test_every_step_matches_the_public_schedule_and_the_oracle(self, inst, seed):
+        seen = []
+        core = engine._oblivious
+
+        def recording(pending, candidates, step):
+            result = core(pending, candidates, step)
+            seen.append((pending, step, result))
+            return result
+
+        with mock.patch.object(engine, "_oblivious", recording), mock.patch.object(
+            analysis, "_oblivious", recording
+        ):
+            for policy in DETERMINISTIC_POLICIES:
+                run_policy(inst, policy)
+            run_rg_mc(inst, 3, seed)
+            check_facts(inst)
+        assert bool(seen) == bool(inst.packets)
+        for pending, step, ranked in seen:
+            # All five fields: schedule, start, earliest, heaviest, dominated.
+            assert ranked == oblivious_schedule(pending, step)
+            sequence, earliest, heaviest, dominated = oracle_oblivious(pending, step)
+            assert ranked.schedule.sequence() == sequence
+            assert (ranked.earliest, ranked.heaviest, ranked.dominated) == (
+                earliest,
+                heaviest,
+                dominated,
+            )

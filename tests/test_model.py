@@ -52,6 +52,26 @@ class TestPacketOrder:
         a, b = mk("a", 1, 4, 3, 0), mk("b", 2, 4, 3, 1)
         assert (order_key(a) < order_key(b)) == precedes(a, b)
 
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(2, 4),  # deadline
+                st.integers(1, 4),  # weight numerator
+                st.integers(1, 2),  # weight denominator
+                st.integers(0, 2),  # arrival index
+            ),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    def test_precedes_is_the_order_key_comparison(self, rows):
+        # Short ranges, so equal deadlines, weights and arrival indices are
+        # common, also all three at once.
+        a, b = (mk(f"p{i}", 1, d, Fraction(n, q), k) for i, (d, n, q, k) in enumerate(rows))
+        assert precedes(a, b) == (order_key(a) < order_key(b))
+        assert precedes(b, a) == (order_key(b) < order_key(a))
+
 
 class TestPacketHash:
     def test_equal_packets_hash_equal(self):
@@ -285,6 +305,16 @@ class TestSchedule:
         a, b = mk("a", 1, 5, 1, 0), mk("b", 1, 5, 1, 1)
         with pytest.raises(ValueError, match="sorted"):
             Schedule(((2, a), (1, b)))
+
+    def test_duplicate_message_names_the_packet(self):
+        a, b = mk("a", 1, 5, 1, 0), mk("b", 1, 5, 1, 1)
+        with pytest.raises(ValueError, match="packet b assigned twice"):
+            Schedule(((1, a), (2, b), (4, b)))
+
+    def test_rejects_a_repeated_step(self):
+        a, b = mk("a", 1, 5, 1, 0), mk("b", 1, 5, 1, 1)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Schedule(((1, a), (2, b), (2, a)))
 
     def test_weight_and_lookup(self):
         a, b = mk("a", 1, 5, Fraction(1, 2), 0), mk("b", 1, 5, 2, 1)
