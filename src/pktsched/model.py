@@ -253,7 +253,12 @@ class Schedule:
 
     @cached_property
     def weight(self) -> Fraction:
-        return sum((packet.weight for _, packet in self.slots), Fraction(0))
+        # Integer numerators over the common denominator, one Fraction.
+        scale = weight_scale(p for _, p in self.slots)
+        return Fraction(
+            sum(p.weight.numerator * (scale // p.weight.denominator) for _, p in self.slots),
+            scale,
+        )
 
     def at(self, step: int) -> Packet | None:
         for slot_step, packet in self.slots:

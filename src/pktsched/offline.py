@@ -6,14 +6,17 @@ descending (ties in the deadline-first order) and keep each one while the
 kept set stays feasible.  The same greedy gives the offline optimum over
 pending plus future packets and, over a pending set, the *oblivious
 schedule* (optimal deadline-first-order schedule of the pending set, made
-canonical by the tie order).  Two exact feasibility tests back the
+canonical by the tie order).  Three exact feasibility tests back the
 greedy, chosen by the input: when every packet is released by the start,
 the kept packets hold distinct steps (each the latest free one inside its
-window); otherwise ``is_feasible_set`` simulates earliest-deadline-first
-with release times.  Either way the kept set is laid out in the
-deadline-first order.  A run over one instance ranks its packets in the
-greedy order once (``_greedy_rank``) and sorts each pending set by that
-rank, instead of by weight, before the oblivious schedule's slot greedy.
+window); else, when the deadlines are agreeable, the kept packets go out
+in release order, each at the earliest step it can, and a candidate is
+probed by pushing back the run of slots that follow its own without a gap;
+otherwise ``is_feasible_set`` simulates earliest-deadline-first with
+release times.  Either way the kept set is laid out in the deadline-first
+order.  A run over one instance ranks its packets in the greedy order once
+(``_greedy_rank``) and sorts each pending set by that rank, instead of by
+weight, before the oblivious schedule's slot greedy.
 
 The *conforming clairvoyant schedule* is built here as well: the greedy
 optimum over pending plus future packets, whose already-pending part lies
@@ -23,9 +26,10 @@ its first packet chosen to outweigh every order-earlier oblivious member.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import Iterable
 
 from .model import (
@@ -97,18 +101,64 @@ def _latest_free_steps(candidates: Iterable[Packet], start: int) -> list[Packet]
     return kept
 
 
+def _fifo_slots(candidates: Iterable[Packet], start: int) -> list[Packet]:
+    """The weight greedy over an agreeable set, visited in ``candidates``'
+    order; returns the kept packets in visiting order.
+
+    With ``r' = max(release, start)``, the deadlines of an agreeable set
+    never decrease in ``(r', deadline)`` order, so earliest-deadline-first
+    sends the kept packets in that order: each takes ``max(previous slot +
+    1, r')``, and the set is feasible iff every slot lies before its
+    deadline.  A candidate takes its slot in that order and pushes back by
+    one only the run of kept packets whose slots follow on without a gap;
+    a failed probe changes nothing.
+    """
+    keys: list[tuple[int, int, int]] = []
+    slots: list[int] = []
+    deadlines: list[int] = []
+    kept: list[Packet] = []
+    for p in candidates:
+        release = max(p.release, start)
+        key = (release, p.deadline, p.arrival_index)
+        i = bisect_left(keys, key)
+        slot = release if i == 0 else max(slots[i - 1] + 1, release)
+        if slot >= p.deadline:
+            continue
+        # The run is [i, end): slots[j] == slot + j - i there, and since the
+        # slots rise by at least one per position, nowhere after it.
+        low, end = i, len(slots)
+        while low < end:
+            mid = (low + end) // 2
+            if slots[mid] - mid <= slot - i:
+                low = mid + 1
+            else:
+                end = mid
+        if end > i and min(map(sub, deadlines[i:end], slots[i:end])) < 2:
+            continue
+        keys.insert(i, key)
+        slots[i:end] = range(slot, slot + end - i + 1)
+        deadlines.insert(i, p.deadline)
+        kept.append(p)
+    return kept
+
+
 def _greedy_optimal_set(packets: Iterable[Packet], start: int) -> list[Packet]:
     """Maximum-weight subset feasible from ``start``, by the weight greedy.
 
     Returns the kept packets in greedy order, so over a pending set the
-    first one is the order-minimal packet of maximum weight.  When every
-    packet is released by ``start`` the kept set takes distinct latest free
-    steps (``_latest_free_steps``); otherwise each candidate is probed with
-    the release-aware ``is_feasible_set``.
+    first one is the order-minimal packet of maximum weight.  The input
+    picks one of three exact feasibility tests: when every packet is
+    released by ``start`` the kept set takes distinct latest free steps
+    (``_latest_free_steps``); else, when the deadlines are agreeable, the
+    kept set's slots in release order are probed and shifted
+    (``_fifo_slots``); otherwise each candidate is probed with the
+    release-aware ``is_feasible_set``.
     """
     candidates = _greedy_order(packets)
     if all(p.release <= start for p in candidates):
         return _latest_free_steps(candidates, start)
+    if has_agreeable_deadlines(candidates):
+        return _fifo_slots(candidates, start)
     kept: list[Packet] = []
     for p in candidates:
         if is_feasible_set(kept + [p], start):
@@ -216,7 +266,7 @@ def conforming_clairvoyant(
     if not has_agreeable_deadlines(universe):
         raise ValueError("conforming schedules require agreeable deadlines")
 
-    ordered, _ = opt_schedule(universe, step)
+    ordered = edf_schedule(_greedy_optimal_set(universe, step), step)
     for p in ordered.sequence():
         if p.release <= step and p not in oblivious.schedule.packets:
             raise InvariantError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .model import Packet, order_key
 from .offline import ObliviousSchedule
@@ -33,13 +34,19 @@ class PolicyDecision:
         if self.lottery is not None:
             if not 1 <= len(self.lottery) <= 2:
                 raise ValueError("lottery must have one or two outcomes")
-            total = Fraction(0)
+            # In integers over the common denominator: each numerator lies
+            # in [0, scale] and together they sum to scale.
+            scale = lcm(*(q.denominator for _, q in self.lottery))
+            total = 0
             for _, probability in self.lottery:
-                if not 0 <= probability <= 1:
+                share = probability.numerator * (scale // probability.denominator)
+                if not 0 <= share <= scale:
                     raise ValueError(f"probability {probability} outside [0, 1]")
-                total += probability
-            if total != 1:
-                raise ValueError(f"lottery probabilities sum to {total}, not 1")
+                total += share
+            if total != scale:
+                raise ValueError(
+                    f"lottery probabilities sum to {Fraction(total, scale)}, not 1"
+                )
 
     @classmethod
     def sure(cls, packet: Packet) -> "PolicyDecision":

@@ -3,12 +3,14 @@
 Everything here is deliberately written by a different route than the
 library: the offline optimum by exhaustive assignment enumeration instead
 of the weight greedy, feasibility by that enumeration instead of the
-deadline-first simulation, the canonical pending-set schedule by subset
-enumeration instead of incremental greedy, golden-ratio comparisons by
-60-digit decimal arithmetic instead of the integer quadratic, and the
-order checks of the fact checker by comparing every step or every pair
-instead of a heap walk or a single pass, and the step kernel's state map
-in ``Fraction``s instead of integers over a common denominator.
+deadline-first simulation, the greedy set by a full simulation per
+candidate instead of an incremental slot probe, the canonical pending-set
+schedule by subset enumeration instead of incremental greedy, golden-ratio
+comparisons by 60-digit decimal arithmetic instead of the integer
+quadratic, and the order checks of the fact checker by comparing every
+step or every pair instead of a heap walk or a single pass, and the step
+kernel's state map in ``Fraction``s instead of integers over a common
+denominator.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from pktsched.engine import carry_after
-from pktsched.model import Instance, Packet, order_key, precedes
+from pktsched.model import Instance, Packet, is_feasible_set, order_key, precedes
 from pktsched.offline import oblivious_schedule
 from pktsched.policies import decide
 
@@ -86,6 +88,22 @@ def feasible_by_enumeration(packets, start) -> bool:
     packets = list(packets)
     total = sum((p.weight for p in packets), ZERO)
     return brute_force_opt(packets, start) == total
+
+
+def oracle_greedy_set(packets, start) -> list:
+    """The weight greedy with a full feasibility probe per candidate.
+
+    Packets are visited by weight descending, ties in the deadline-first
+    order, and each is kept iff the kept set plus it passes the
+    earliest-deadline-first simulation ``is_feasible_set``.  Returns the
+    kept packets in visiting order: the list the library's greedy is
+    specified to keep, whichever feasibility test it uses.
+    """
+    kept = []
+    for p in sorted(packets, key=lambda p: (-p.weight, order_key(p))):
+        if is_feasible_set(kept + [p], start):
+            kept.append(p)
+    return kept
 
 
 def oracle_oblivious(pending, step):

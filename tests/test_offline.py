@@ -7,16 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mk, mk_instance, random_agreeable
-from oracles import brute_force_opt, oracle_oblivious
+from oracles import brute_force_opt, oracle_greedy_set, oracle_oblivious
 
+from pktsched import offline
 from pktsched.model import (
     InvariantError,
     follows_priority_order,
     has_agreeable_deadlines,
+    is_feasible_set,
     order_key,
     precedes,
 )
 from pktsched.offline import (
+    _greedy_optimal_set,
     conforming_clairvoyant,
     oblivious_schedule,
     opt_schedule,
@@ -48,6 +51,37 @@ def packets_around_start(draw):
         mk(f"p{i}", r, r + span, Fraction(num, den), i)
         for i, (r, span, num, den) in enumerate(rows)
     ]
+    return packets, start
+
+
+@st.composite
+def agreeable_around_start(draw):
+    """Up to 9 packets with agreeable deadlines, released before or after a
+    start step in 1..5 (some already expired by it).  Each deadline is
+    raised to the largest one released at an earlier step, so deadlines
+    never fall in release order, while packets of one release arrive in
+    any deadline order; weights come from a small menu, so ties are
+    common."""
+    start = draw(st.integers(1, 5))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, start + 4),  # release
+                st.integers(1, 4),  # lifespan
+                st.integers(1, 4),  # weight numerator
+                st.integers(1, 2),  # weight denominator
+            ),
+            max_size=9,
+        )
+    )
+    packets = []
+    floor = top = 0
+    for i, (r, span, num, den) in enumerate(sorted(rows, key=lambda row: row[0])):
+        if packets and r > packets[-1].release:
+            floor = top
+        deadline = max(r + span, floor)
+        top = max(top, deadline)
+        packets.append(mk(f"p{i}", r, deadline, Fraction(num, den), i))
     return packets, start
 
 
@@ -137,6 +171,36 @@ class TestOptSchedule:
         sched, value = opt_schedule(packets, start)
         assert value == brute_force_opt(packets, start)
         assert follows_priority_order(sched, start)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(agreeable_around_start())
+    def test_agreeable_greedy_keeps_the_simulated_greedy_set(self, case):
+        packets, start = case
+        assert has_agreeable_deadlines(packets)
+        assert _greedy_optimal_set(packets, start) == oracle_greedy_set(packets, start)
+        sched, value = opt_schedule(packets, start)
+        assert value == brute_force_opt(packets, start)
+        assert follows_priority_order(sched, start)
+
+    def test_agreeable_input_skips_the_simulation(self, monkeypatch):
+        calls = []
+
+        def counting(packets, start):
+            calls.append(start)
+            return is_feasible_set(packets, start)
+
+        monkeypatch.setattr(offline, "is_feasible_set", counting)
+        inst = random_agreeable(random.Random(5), max_steps=6, max_per_step=4)
+        assert any(p.release > 1 for p in inst.packets)
+        _, value = opt_schedule(inst.packets, 1)
+        assert calls == []
+        assert value == brute_force_opt(inst.packets, 1)
+        # A later packet with an earlier deadline: the simulation decides.
+        packets = [mk("a", 1, 5, 1, 0), mk("b", 2, 3, 2, 1), mk("c", 2, 3, 3, 2)]
+        assert not has_agreeable_deadlines(packets)
+        _, value = opt_schedule(packets, 1)
+        assert calls
+        assert value == brute_force_opt(packets, 1) == 4
 
     def test_large_deadline_does_not_blow_up(self):
         a = mk("a", 1, 10**6, 1, 0)

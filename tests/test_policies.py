@@ -204,14 +204,26 @@ class TestBaselinesAndRegistry:
 class TestPolicyDecision:
     def test_exactly_one_side(self):
         x = mk("x", 1, 2, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly one of deterministic/lottery"):
             PolicyDecision(deterministic=x, lottery=((x, Fraction(1)),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly one of deterministic/lottery"):
             PolicyDecision()
 
     def test_probabilities_validated(self):
         a, b = mk("a", 1, 2, 1, 0), mk("b", 1, 3, 1, 1)
-        with pytest.raises(ValueError, match="sum"):
+        with pytest.raises(ValueError, match="lottery probabilities sum to 2/3, not 1"):
             PolicyDecision(lottery=((a, Fraction(1, 3)), (b, Fraction(1, 3))))
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="lottery probabilities sum to 5/6, not 1"):
+            PolicyDecision(lottery=((a, Fraction(1, 2)), (b, Fraction(1, 3))))
+        with pytest.raises(ValueError, match=r"probability 3/2 outside \[0, 1\]"):
             PolicyDecision(lottery=((a, Fraction(3, 2)), (b, Fraction(-1, 2))))
+        with pytest.raises(ValueError, match=r"probability -1/6 outside \[0, 1\]"):
+            PolicyDecision(lottery=((a, Fraction(1, 2)), (b, Fraction(-1, 6))))
+
+    def test_one_or_two_outcomes(self):
+        a, b, c = mk("a", 1, 2, 1, 0), mk("b", 1, 3, 1, 1), mk("c", 1, 4, 1, 2)
+        third = Fraction(1, 3)
+        with pytest.raises(ValueError, match="lottery must have one or two outcomes"):
+            PolicyDecision(lottery=((a, third), (b, third), (c, third)))
+        with pytest.raises(ValueError, match="lottery must have one or two outcomes"):
+            PolicyDecision(lottery=())
