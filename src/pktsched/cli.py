@@ -219,13 +219,17 @@ def _load(args, require_agreeable: bool) -> Instance:
 
 def _write_report(args, payload: dict) -> None:
     if getattr(args, "out", None):
+        # One write: json.dump with an indent writes every token apart.
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+            handle.write(json.dumps(payload, indent=2) + "\n")
+
+
+def _ratio_line(label: str, value: Fraction) -> str:
+    return f"{label} = {format_rational(value)} (≈ {float(value):.3f})"
 
 
 def _print_ratio(label: str, value: Fraction) -> None:
-    print(f"{label} = {format_rational(value)} (≈ {float(value):.3f})")
+    print(_ratio_line(label, value))
 
 
 def _cmd_run(args) -> int:
@@ -251,16 +255,17 @@ def _cmd_run(args) -> int:
         )
         return 0
     report = run_policy(instance, args.policy)
-    for record in report.per_step:
-        print(
-            f"step {record.step}: transmit {record.transmitted.id} "
-            f"(w={format_rational(record.gain)}) "
-            f"[oblivious: {','.join(record.scheduled_ids)} | "
-            f"earliest {record.earliest.id}, heaviest {record.heaviest.id}]"
-        )
-    _print_ratio("total gain", report.total_gain)
-    _print_ratio("optimum", report.opt_value)
-    _print_ratio("ratio", report.ratio)
+    lines = [
+        f"step {record.step}: transmit {record.transmitted.id} "
+        f"(w={format_rational(record.gain)}) "
+        f"[oblivious: {','.join(record.scheduled_ids)} | "
+        f"earliest {record.earliest.id}, heaviest {record.heaviest.id}]"
+        for record in report.per_step
+    ]
+    lines.append(_ratio_line("total gain", report.total_gain))
+    lines.append(_ratio_line("optimum", report.opt_value))
+    lines.append(_ratio_line("ratio", report.ratio))
+    print("\n".join(lines))
     _write_report(args, run_report_json(report))
     return 0
 

@@ -7,13 +7,20 @@ come.  ``advance`` takes that step for a distribution over carried sets,
 merging outcomes that carry the same set.  ``busy_steps`` lists the steps
 a run visits, skipping the idle ones where nothing is pending.  A
 transition memo (``Transitions``) lets search paths that meet a pending
-set again at the same step decide it once, and a decision memo
-(``Decisions``) does the same for Monte Carlo trials.
+set again at the same step decide it once.
 
 Inside the kernel everything is an integer: weights over their common
 denominator (``model.weight_scale``), and a state map's probabilities and gains
 over one denominator per map (``States``).  A ``Fraction`` is built once,
 for the result.
+
+The single-path runs compile the instance once (``_Compiled``): packets
+become their ranks in the greedy order, with deadlines and integer weights
+in lists indexed by rank, so a pending set is a set of ints.  Each step
+sorts the pending ranks, runs the slot greedy of ``offline._oblivious``
+over them (``_ranked_step``) and applies the policy rule to the earliest
+and heaviest ranks' integer weights; packets are looked up only for the
+report.
 
 Three execution modes:
 
@@ -24,7 +31,9 @@ Three execution modes:
   probability-weighted gain and the number of tree paths reaching it;
 * ``run_rg_mc``    - seeded Monte Carlo estimate for instances too large
   for exact mode; every draw compares a 64-bit uniform integer with the
-  exact rational threshold, so the lottery itself is bias-free.
+  exact rational threshold, so the lottery itself is bias-free.  Trials
+  that meet a pending set again at the same step take its earliest and
+  heaviest ranks from a memo.
 """
 
 from __future__ import annotations
@@ -34,12 +43,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
+from operator import gt
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .model import Instance, InvariantError, Packet, weight_scale
-from .offline import _greedy_rank, _oblivious, oblivious_schedule, opt_schedule
-from .policies import DETERMINISTIC_POLICIES, PolicyDecision, decide
+from .offline import _greedy_order, _latest_free_steps, oblivious_schedule, opt_schedule
+from .policies import DETERMINISTIC_POLICIES, _choose, _rg_lottery
 
 DEFAULT_EXACT_CAP = 1 << 20
 
@@ -73,9 +84,6 @@ Transition = tuple[int, tuple[tuple[frozenset[Packet], int, int], ...]]
 
 # (step, pending set) -> the transition of one policy there.
 Transitions = dict[tuple[int, frozenset[Packet]], Transition]
-
-# (step, pending set) -> the decision of one policy there.
-Decisions = dict[tuple[int, frozenset[Packet]], PolicyDecision]
 
 # An empty pending set sends nothing and carries nothing.
 _IDLE: Transition = (1, ((frozenset(), 1, 0),))
@@ -130,27 +138,6 @@ def busy_steps(instance: Instance, carrying: Callable[[], bool]) -> Iterator[int
             step = next((s for s in arrival_steps if s > step), None)
 
 
-def _decision(
-    policy: str,
-    pending: frozenset[Packet],
-    step: int,
-    memo: Decisions,
-    rank: Mapping[Packet, int],
-) -> PolicyDecision:
-    """The policy's decision on the oblivious schedule of ``pending``, taken
-    from ``memo`` when it holds this step and pending set, and stored there
-    otherwise.  ``rank`` orders the run's packets greedily
-    (``offline._greedy_rank``).  A memo serves one policy.  Unlike a
-    transition it holds no carried sets, so a Monte Carlo trial, which
-    follows one outcome, does not pay for the other."""
-    key = (step, pending)
-    decision = memo.get(key)
-    if decision is None:
-        oblivious = _oblivious(pending, sorted(pending, key=rank.__getitem__), step)
-        decision = memo[key] = decide(policy, oblivious)
-    return decision
-
-
 def _scaled(weight: Fraction, scale: int) -> int:
     if scale % weight.denominator:
         raise ValueError(f"weight {weight} is not a whole multiple of 1/{scale}")
@@ -166,31 +153,33 @@ def _transition(
 ) -> Transition:
     """The outcomes of the policy's decision on the oblivious schedule of
     ``pending``, taken from ``memo`` when it holds this step and pending
-    set, and stored there otherwise.  A memo serves one policy and one
-    scale.  A remembered outcome carries packets equal to, not identical
-    with, the caller's, so callers compare packets by equality."""
+    set, and stored there otherwise.  The policy rule reads the packets'
+    weights as integers over ``scale``; rg's lottery is w_e / w_h in lowest
+    terms.  A memo serves one policy and one scale.  A remembered outcome
+    carries packets equal to, not identical with, the caller's, so callers
+    compare packets by equality."""
     key = (step, pending)
     if memo is not None:
         transition = memo.get(key)
         if transition is not None:
             return transition
-    decision = decide(policy, oblivious_schedule(pending, step))
-    if decision.deterministic is not None:
-        sent = decision.deterministic
-        transition = (1, ((carry_after(pending, sent, step), 1, _scaled(sent.weight, scale)),))
-    else:
-        denominator = lcm(*(q.denominator for _, q in decision.lottery))
+    oblivious = oblivious_schedule(pending, step)
+    e, h = oblivious.earliest, oblivious.heaviest
+    if policy == "rg" and e != h:
+        w_e, w_h = _scaled(e.weight, scale), _scaled(h.weight, scale)
+        denominator, p_e, p_h = _rg_lottery(w_e, w_h)
         transition = (
             denominator,
-            tuple(
-                (
-                    carry_after(pending, sent, step),
-                    q.numerator * (denominator // q.denominator),
-                    _scaled(sent.weight, scale),
-                )
-                for sent, q in decision.lottery
-            ),
+            ((carry_after(pending, e, step), p_e, w_e), (carry_after(pending, h, step), p_h, w_h)),
         )
+    else:
+        if policy == "rg":  # one candidate: sent surely
+            sent = e
+        else:
+            sent = _choose(
+                policy, e, h, oblivious.schedule.sequence(), lambda p: _scaled(p.weight, scale)
+            )
+        transition = (1, ((carry_after(pending, sent, step), 1, _scaled(sent.weight, scale)),))
     if memo is not None:
         memo[key] = transition
     return transition
@@ -251,6 +240,62 @@ def advance(
     return States(scale, denominator, out)
 
 
+class _Compiled(NamedTuple):
+    """An instance compiled for the single-path runs.
+
+    A packet's rank is its position in the greedy order
+    (``offline._greedy_order``), so sorting ranks gives their greedy order.
+    ``deadlines`` and ``weights`` (integers over ``scale``) are indexed by
+    rank; ``arrivals`` and ``expiring`` map a step to the ranks released
+    at it and to the ranks whose deadline it is.
+    """
+
+    packets: list[Packet]
+    deadlines: list[int]
+    weights: list[int]
+    scale: int
+    arrivals: dict[int, tuple[int, ...]]
+    expiring: dict[int, tuple[int, ...]]
+
+
+def _compile(instance: Instance) -> _Compiled:
+    packets = _greedy_order(instance.packets)
+    scale = weight_scale(packets)
+    arrivals: dict[int, list[int]] = {}
+    expiring: dict[int, list[int]] = {}
+    for rank, p in enumerate(packets):
+        arrivals.setdefault(p.release, []).append(rank)
+        expiring.setdefault(p.deadline, []).append(rank)
+    return _Compiled(
+        packets,
+        [p.deadline for p in packets],
+        [p.weight.numerator * (scale // p.weight.denominator) for p in packets],
+        scale,
+        {step: tuple(ranks) for step, ranks in arrivals.items()},
+        {step: tuple(ranks) for step, ranks in expiring.items()},
+    )
+
+
+def _ranked_step(
+    compiled: _Compiled, pending: frozenset[int], step: int
+) -> tuple[list[int], int, int]:
+    """The oblivious schedule of ``pending``, ranks of ``compiled`` all
+    pending at ``step``: its ranks in the deadline-first order, its earliest
+    rank and its heaviest.  Raises InvariantError if a rank's slot misses
+    its deadline or the earliest outweighs the heaviest."""
+    deadline = compiled.deadlines.__getitem__
+    kept = _latest_free_steps(sorted(pending), step, deadline)
+    # Stable on the greedy order: the deadline-first order.
+    sequence = sorted(kept, key=deadline)
+    if not all(map(gt, map(deadline, sequence), count(step))):
+        raise InvariantError(f"oblivious schedule at step {step} misses a deadline")
+    e, h = sequence[0], kept[0]
+    weights = compiled.weights
+    if not 0 < weights[e] <= weights[h]:
+        raise InvariantError(f"earliest packet outweighs the heaviest at step {step}")
+    return sequence, e, h
+
+
 def run_policy(instance: Instance, policy: str) -> RunReport:
     """Simulate a deterministic policy over all steps and report exact totals."""
     if policy not in DETERMINISTIC_POLICIES:
@@ -258,34 +303,38 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
             f"run_policy needs a deterministic policy, not {policy!r}; "
             "use run_rg_exact or run_rg_mc for rg"
         )
-    arrivals = instance.arrivals_by_step
-    rank = _greedy_rank(instance.packets)
-    carry: frozenset[Packet] = frozenset()
+    compiled = _compile(instance)
+    packets, weights, expiring = compiled.packets, compiled.weights, compiled.expiring
+    arrivals = compiled.arrivals
+    ids = [p.id for p in packets]
+    carry: frozenset[int] = frozenset()
     records: list[StepRecord] = []
-    total = Fraction(0)
+    total = 0  # times the scale
     for step in busy_steps(instance, lambda: bool(carry)):
         pending = carry.union(arrivals.get(step, ()))
-        oblivious = _oblivious(pending, sorted(pending, key=rank.__getitem__), step)
-        choice = decide(policy, oblivious).deterministic
-        if choice is None or choice not in oblivious.schedule.packets:
+        sequence, e, h = _ranked_step(compiled, pending, step)
+        choice = _choose(policy, e, h, sequence, weights.__getitem__)
+        if choice not in sequence:
             raise InvariantError(f"policy {policy} chose outside the oblivious schedule")
-        total += choice.weight
+        total += weights[choice]
+        sent = packets[choice]
         records.append(
             StepRecord(
                 step,
-                tuple(p.id for p in oblivious.schedule.sequence()),
-                oblivious.earliest,
-                oblivious.heaviest,
-                choice,
-                choice.weight,
+                tuple(map(ids.__getitem__, sequence)),
+                packets[e],
+                packets[h],
+                sent,
+                sent.weight,
             )
         )
-        carry = carry_after(pending, choice, step)
+        carry = pending.difference(expiring.get(step + 1, ()), (choice,))
+    total_gain = Fraction(total, compiled.scale)
     _, opt_value = opt_schedule(instance.packets, instance.first_release)
-    if total > opt_value:
+    if total_gain > opt_value:
         raise InvariantError("online gain exceeded the offline optimum")
-    ratio = Fraction(1) if opt_value == 0 else opt_value / total
-    return RunReport(policy, tuple(records), total, opt_value, ratio)
+    ratio = Fraction(1) if opt_value == 0 else opt_value / total_gain
+    return RunReport(policy, tuple(records), total_gain, opt_value, ratio)
 
 
 def run_rg_exact(
@@ -342,29 +391,31 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    arrivals = instance.arrivals_by_step
-    rank = _greedy_rank(instance.packets)
-    scale = weight_scale(instance)
-    memo: Decisions = {}
+    compiled = _compile(instance)
+    arrivals, expiring, weights = compiled.arrivals, compiled.expiring, compiled.weights
+    # (step, pending ranks) -> the earliest and the heaviest rank there.
+    memo: dict[tuple[int, frozenset[int]], tuple[int, int]] = {}
     totals: list[float] = []
     shift = 1 << 64
     for trial in range(trials):
         rng = random.Random(_trial_seed(seed, trial))
-        carry: frozenset[Packet] = frozenset()
+        carry: frozenset[int] = frozenset()
         gain = 0  # times the scale
         for step in busy_steps(instance, lambda: bool(carry)):
             pending = carry.union(arrivals.get(step, ()))
-            decision = _decision("rg", pending, step, memo, rank)
-            chosen = decision.deterministic
-            if chosen is None:
-                (e, p_e), (h, _) = decision.lottery
-                draw = rng.getrandbits(64)
-                # draw / 2^64 < p_e, compared exactly in integers.
-                chosen = e if draw * p_e.denominator < p_e.numerator * shift else h
-            gain += chosen.weight.numerator * (scale // chosen.weight.denominator)
-            carry = carry_after(pending, chosen, step)
+            key = (step, pending)
+            pair = memo.get(key)
+            if pair is None:
+                _, e, h = _ranked_step(compiled, pending, step)
+                pair = memo[key] = (e, h)
+            e, h = pair
+            # The earliest with probability w_e / w_h: draw / 2^64 < w_e / w_h,
+            # compared exactly in integers.  A sure choice draws nothing.
+            chosen = e if e == h or rng.getrandbits(64) * weights[h] < weights[e] * shift else h
+            gain += weights[chosen]
+            carry = pending.difference(expiring.get(step + 1, ()), (chosen,))
         # int / int rounds correctly, so this is float(Fraction(gain, scale)).
-        totals.append(gain / scale)
+        totals.append(gain / compiled.scale)
     mean = math.fsum(totals) / trials
     if trials == 1:
         return mean, 0.0

@@ -14,9 +14,11 @@ in release order, each at the earliest step it can, and a candidate is
 probed by pushing back the run of slots that follow its own without a gap;
 otherwise ``is_feasible_set`` simulates earliest-deadline-first with
 release times.  Either way the kept set is laid out in the deadline-first
-order.  A run over one instance ranks its packets in the greedy order once
-(``_greedy_rank``) and sorts each pending set by that rank, instead of by
-weight, before the oblivious schedule's slot greedy.
+order.  A walk over one instance ranks its packets in the greedy order once
+and sorts each pending set by that rank, instead of by weight, before the
+oblivious schedule's slot greedy: ``check_facts`` ranks packets
+(``_greedy_rank``), and the single-path runs of ``engine`` step over the
+ranks themselves.
 
 The *conforming clairvoyant schedule* is built here as well: the greedy
 optimum over pending plus future packets, whose already-pending part lies
@@ -30,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, sub
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .model import (
     InvariantError,
@@ -43,6 +45,7 @@ from .model import (
 )
 
 _deadline = attrgetter("deadline")
+_T = TypeVar("_T")
 
 
 def _greedy_order(packets: Iterable[Packet]) -> list[Packet]:
@@ -76,25 +79,29 @@ def _greedy_rank(packets: Iterable[Packet]) -> dict[Packet, int]:
     return {p: i for i, p in enumerate(_greedy_order(packets))}
 
 
-def _latest_free_steps(candidates: Iterable[Packet], start: int) -> list[Packet]:
+def _latest_free_steps(
+    candidates: Iterable[_T], start: int, deadline: Callable[[_T], int] = _deadline
+) -> list[_T]:
     """The weight greedy over packets all released by ``start``, visited in
     ``candidates``' order: a candidate is kept iff some step in
     ``[start, deadline)`` is still free, and it takes the latest such step
     (unit jobs with deadlines: the kept set stays feasible exactly then).
-    Returns the kept packets in visiting order."""
-    # A taken step maps to a lower step to try next (t - 1 when t is taken,
-    # shortened by path compression); the first step reached that is not in
-    # ``below`` is the latest free one.
+    Returns the kept candidates in visiting order.  A candidate is a packet
+    or, with ``deadline`` mapping it to its packet's deadline, the rank of
+    one in a compiled run (``engine._Compiled``)."""
+    # A taken step t maps to a lower step below[t] such that every step in
+    # (below[t], t] is taken; the first step reached that is not in
+    # ``below`` is the latest free one.  Each step of a walk is pointed two
+    # links down (path halving), which keeps the walks short.
     below: dict[int, int] = {}
-    kept: list[Packet] = []
+    kept: list[_T] = []
     for p in candidates:
-        step = p.deadline - 1
-        path = []
+        step = deadline(p) - 1
         while step in below:
-            path.append(step)
-            step = below[step]
-        for taken in path:
-            below[taken] = step
+            lower = below[step]
+            if lower in below:
+                lower = below[step] = below[lower]
+            step = lower
         if step >= start:
             below[step] = step - 1
             kept.append(p)
@@ -218,8 +225,8 @@ def _oblivious(
     pending: frozenset[Packet], candidates: list[Packet], step: int
 ) -> ObliviousSchedule:
     """The oblivious schedule of ``pending``, given ``candidates``: its
-    packets in greedy order, all pending at ``step``.  Single-path runs
-    sort their pending sets by a rank built once (``_greedy_rank``);
+    packets in greedy order, all pending at ``step``.  ``check_facts``
+    sorts its pending sets by a rank built once (``_greedy_rank``);
     ``oblivious_schedule`` sorts its input itself."""
     kept = _latest_free_steps(candidates, step)
     # Sorting is stable, so equal deadlines keep the greedy's heavier-first,

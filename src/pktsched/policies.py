@@ -5,16 +5,22 @@ single packet or a two-point lottery.  All golden-ratio comparisons are
 decided exactly over rationals through the identity x <= phi  iff
 x*x <= x + 1 (valid for x >= 0, since phi is the positive root of
 x*x = x + 1); the golden ratio itself is never represented numerically.
+The rules themselves (``_choose``, ``_rg_lottery``) read weights as
+integers over a common denominator, so the engine applies the same rules
+to the packet ranks of its compiled runs as to packets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from typing import Callable, Sequence, TypeVar
 
-from .model import Packet, order_key
+from .model import InvariantError, Packet, weight_scale
 from .offline import ObliviousSchedule
+
+_T = TypeVar("_T")
 
 DETERMINISTIC_POLICIES = ("mg", "mg-prime", "greedy-weight", "edf-nondominated")
 RANDOMIZED_POLICIES = ("rg",)
@@ -74,6 +80,11 @@ def at_least_golden(x: Fraction) -> bool:
     return n * n >= n * d + d * d
 
 
+def _within_golden(e: int, h: int) -> bool:
+    """h <= phi * e for positive integers: h/e <= phi iff h*h <= h*e + e*e."""
+    return h * h <= h * e + e * e
+
+
 def golden_test(w_e: Fraction, w_h: Fraction) -> bool:
     """True iff phi * w_e >= w_h, i.e. the weight gap is within the golden ratio.
 
@@ -81,33 +92,75 @@ def golden_test(w_e: Fraction, w_h: Fraction) -> bool:
     h/e <= phi iff h*h <= h*e + e*e."""
     if w_e <= 0 or w_h <= 0:
         raise ValueError("weights must be positive")
-    e = w_e.numerator * w_h.denominator
-    h = w_h.numerator * w_e.denominator
-    return h * h <= h * e + e * e
+    return _within_golden(w_e.numerator * w_h.denominator, w_h.numerator * w_e.denominator)
+
+
+def _choose(
+    policy: str, e: _T, h: _T, sequence: Sequence[_T], weight: Callable[[_T], int]
+) -> _T:
+    """A deterministic policy's choice on an oblivious schedule, in integers.
+
+    ``e`` and ``h`` are the schedule's earliest and heaviest members,
+    ``sequence`` lists its members in the deadline-first order, so the
+    first mg candidate in it is the order-minimal one (only mg reads it),
+    and ``weight`` maps a member to its weight as an integer
+    over a common denominator.  A member is a packet, or the rank of one
+    in a compiled run (``engine._Compiled``).
+    """
+    if policy == "edf-nondominated":
+        return e
+    if policy == "greedy-weight":
+        return h
+    if policy not in ("mg", "mg-prime"):
+        raise ValueError(f"unknown policy {policy!r}; choose one of {', '.join(POLICIES)}")
+    w_e, w_h = weight(e), weight(h)
+    if _within_golden(w_e, w_h):
+        return e
+    if policy == "mg-prime":
+        return h
+    # mg: the first member, in the deadline-first order, of weight at least
+    # phi * w_e and at least w_h / phi.
+    for p in sequence:
+        w_p = weight(p)
+        if not _within_golden(w_e, w_p) and _within_golden(w_p, w_h):
+            return p
+    raise RuntimeError("no candidate despite the heaviest packet qualifying")
+
+
+def _choose_packet(policy: str, oblivious: ObliviousSchedule) -> Packet:
+    """``_choose`` on an oblivious schedule's packets, their weights over
+    the schedule's common denominator."""
+    e, h = _require_pair(oblivious)
+    sequence = oblivious.schedule.sequence()
+    scale = weight_scale(sequence)
+    return _choose(
+        policy, e, h, sequence, lambda p: p.weight.numerator * (scale // p.weight.denominator)
+    )
 
 
 def mg_choose(oblivious: ObliviousSchedule) -> Packet:
     """Original greedy: the earliest packet when the gap is within the golden
     ratio, otherwise the order-minimal packet within a golden-ratio factor of
     both the earliest and the heaviest."""
-    e, h = _require_pair(oblivious)
-    if golden_test(e.weight, h.weight):
-        return e
-    candidates = [
-        p
-        for p in oblivious.schedule.packets
-        if at_least_golden(p.weight / e.weight) and at_most_golden(h.weight / p.weight)
-    ]
-    if not candidates:
-        raise RuntimeError("no candidate despite the heaviest packet qualifying")
-    return min(candidates, key=order_key)
+    return _choose_packet("mg", oblivious)
 
 
 def mg_prime_choose(oblivious: ObliviousSchedule) -> Packet:
     """Simplified greedy: the earliest packet when the gap is within the
     golden ratio, otherwise the heaviest."""
-    e, h = _require_pair(oblivious)
-    return e if golden_test(e.weight, h.weight) else h
+    return _choose_packet("mg-prime", oblivious)
+
+
+def _rg_lottery(w_e: int, w_h: int) -> tuple[int, int, int]:
+    """The randomized policy's lottery between the earliest packet, of
+    weight ``w_e``, and the heaviest, of weight ``w_h`` (integers over one
+    denominator): the denominator of w_e / w_h in lowest terms and, over
+    it, the numerators of the earliest's probability w_e / w_h and the
+    heaviest's 1 - w_e / w_h."""
+    if not 0 < w_e <= w_h:
+        raise InvariantError(f"earliest weight {w_e} outside (0, {w_h}]")
+    g = gcd(w_e, w_h)
+    return w_h // g, w_e // g, (w_h - w_e) // g
 
 
 def rg_distribution(oblivious: ObliviousSchedule) -> PolicyDecision:
@@ -116,30 +169,23 @@ def rg_distribution(oblivious: ObliviousSchedule) -> PolicyDecision:
     e, h = _require_pair(oblivious)
     if e == h:
         return PolicyDecision.sure(e)
-    p_earliest = e.weight / h.weight
-    return PolicyDecision.mixed(((e, p_earliest), (h, 1 - p_earliest)))
+    denominator, p_e, p_h = _rg_lottery(
+        e.weight.numerator * h.weight.denominator, h.weight.numerator * e.weight.denominator
+    )
+    return PolicyDecision.mixed(((e, Fraction(p_e, denominator)), (h, Fraction(p_h, denominator))))
 
 
 def baseline_choose(name: str, oblivious: ObliviousSchedule) -> Packet:
-    e, h = _require_pair(oblivious)
-    if name == "greedy-weight":
-        return h
-    if name == "edf-nondominated":
-        return e
-    raise ValueError(f"unknown baseline {name!r}")
+    if name not in ("greedy-weight", "edf-nondominated"):
+        raise ValueError(f"unknown baseline {name!r}")
+    return _choose_packet(name, oblivious)
 
 
 def decide(policy: str, oblivious: ObliviousSchedule) -> PolicyDecision:
     """Uniform entry point mapping a policy name to its decision."""
-    if policy == "mg":
-        return PolicyDecision.sure(mg_choose(oblivious))
-    if policy == "mg-prime":
-        return PolicyDecision.sure(mg_prime_choose(oblivious))
     if policy == "rg":
         return rg_distribution(oblivious)
-    if policy in ("greedy-weight", "edf-nondominated"):
-        return PolicyDecision.sure(baseline_choose(policy, oblivious))
-    raise ValueError(f"unknown policy {policy!r}; choose one of {', '.join(POLICIES)}")
+    return PolicyDecision.sure(_choose_packet(policy, oblivious))
 
 
 def _require_pair(oblivious: ObliviousSchedule) -> tuple[Packet, Packet]:

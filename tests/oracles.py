@@ -8,14 +8,18 @@ candidate instead of an incremental slot probe, the canonical pending-set
 schedule by subset enumeration instead of incremental greedy, golden-ratio
 comparisons by 60-digit decimal arithmetic instead of the integer
 quadratic, and the order checks of the fact checker by comparing every
-step or every pair instead of a heap walk or a single pass, and the step
+step or every pair instead of a heap walk or a single pass, the step
 kernel's state map in ``Fraction``s instead of integers over a common
-denominator.
+denominator, and single runs over packets instead of compiled ranks, with
+the Monte Carlo threshold as a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import decimal
+import hashlib
+import math
+import random
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -228,6 +232,45 @@ def oracle_mg_run(instance: Instance):
         return min(candidates, key=order_key)
 
     return _oracle_run(instance, choose)
+
+
+def oracle_greedy_weight_run(instance: Instance):
+    """Independent simulation of the baseline that sends the heaviest packet."""
+    return _oracle_run(instance, lambda sequence, earliest, heaviest: heaviest)
+
+
+def oracle_edf_nondominated_run(instance: Instance):
+    """Independent simulation of the baseline that sends the earliest packet."""
+    return _oracle_run(instance, lambda sequence, earliest, heaviest: earliest)
+
+
+def oracle_rg_mc(instance: Instance, trials: int, seed: int):
+    """Monte Carlo of the randomized policy, from the stream's specification.
+
+    Trial i seeds ``random.Random`` with the first 16 bytes, big-endian, of
+    sha256("seed:i").  At each step whose earliest and heaviest packets
+    (by oracle_oblivious) differ it draws 64 bits and sends the earliest
+    iff draw / 2^64 < w_e / w_h, compared in Fractions.  Returns the mean
+    of the trials' gains as floats and its standard error.
+    """
+    totals = []
+    for trial in range(trials):
+        digest = hashlib.sha256(f"{seed}:{trial}".encode("ascii")).digest()
+        rng = random.Random(int.from_bytes(digest[:16], "big"))
+
+        def choose(sequence, earliest, heaviest):
+            if earliest == heaviest:
+                return earliest
+            draw = Fraction(rng.getrandbits(64), 2**64)
+            return earliest if draw < earliest.weight / heaviest.weight else heaviest
+
+        total, _ = _oracle_run(instance, choose)
+        totals.append(float(total))
+    mean = math.fsum(totals) / trials
+    if trials == 1:
+        return mean, 0.0
+    variance = math.fsum((x - mean) ** 2 for x in totals) / (trials - 1)
+    return mean, math.sqrt(variance / trials)
 
 
 def _oracle_run(instance: Instance, choose):

@@ -10,10 +10,13 @@ from conftest import as_fractions, mk_instance, random_agreeable
 from oracles import (
     brute_force_opt,
     oracle_advance,
+    oracle_edf_nondominated_run,
+    oracle_greedy_weight_run,
     oracle_mg_prime_run,
     oracle_mg_run,
     oracle_oblivious,
     oracle_rg_expectation,
+    oracle_rg_mc,
 )
 
 from pktsched import analysis, engine
@@ -323,36 +326,107 @@ class TestRunRgMc:
 
 
 class TestRankedSchedules:
-    """The single-path runs sort each pending set by a greedy rank built
-    once per instance and hand it to the private core of
-    ``oblivious_schedule``."""
+    """The single-path runs step over packet ranks through one core,
+    ``engine._ranked_step``; ``check_facts`` sorts each pending set by a
+    greedy rank and hands it to the private core of
+    ``oblivious_schedule``.  Every step of each agrees with the public
+    schedule and the oracle."""
 
     @settings(max_examples=120, derandomize=True, database=None, deadline=None)
     @given(small_agreeable(), st.integers(0, 99))
     def test_every_step_matches_the_public_schedule_and_the_oracle(self, inst, seed):
-        seen = []
-        core = engine._oblivious
+        ranked_core, packet_core = engine._ranked_step, analysis._oblivious
+        ranked, facts = [], []
 
-        def recording(pending, candidates, step):
-            result = core(pending, candidates, step)
-            seen.append((pending, step, result))
+        def record_ranked(compiled, pending, step):
+            result = ranked_core(compiled, pending, step)
+            ranked.append((compiled.packets, pending, step, result))
             return result
 
-        with mock.patch.object(engine, "_oblivious", recording), mock.patch.object(
-            analysis, "_oblivious", recording
+        def record_facts(pending, candidates, step):
+            result = packet_core(pending, candidates, step)
+            facts.append((pending, step, result))
+            return result
+
+        calls = {}
+        with mock.patch.object(engine, "_ranked_step", record_ranked), mock.patch.object(
+            analysis, "_oblivious", record_facts
         ):
             for policy in DETERMINISTIC_POLICIES:
-                run_policy(inst, policy)
+                before = len(ranked)
+                steps = len(run_policy(inst, policy).per_step)
+                calls[policy] = len(ranked) - before
+                assert calls[policy] == steps
+            before = len(ranked)
             run_rg_mc(inst, 3, seed)
+            calls["rg"] = len(ranked) - before
             check_facts(inst)
-        assert bool(seen) == bool(inst.packets)
-        for pending, step, ranked in seen:
+            calls["check_facts"] = len(facts)
+        # Every caller went through its core, unless there is no step.
+        assert all(n > 0 for n in calls.values()) == bool(inst.packets)
+        for packets, pending, step, (sequence, earliest, heaviest) in ranked:
+            pending = frozenset(packets[r] for r in pending)
+            public = oblivious_schedule(pending, step)
+            expected = oracle_oblivious(pending, step)
+            assert tuple(packets[r] for r in sequence) == public.schedule.sequence() == expected[0]
+            assert (packets[earliest], packets[heaviest]) == (public.earliest, public.heaviest)
+            assert (public.earliest, public.heaviest) == expected[1:3]
+        for pending, step, truth in facts:
             # All five fields: schedule, start, earliest, heaviest, dominated.
-            assert ranked == oblivious_schedule(pending, step)
+            assert truth == oblivious_schedule(pending, step)
             sequence, earliest, heaviest, dominated = oracle_oblivious(pending, step)
-            assert ranked.schedule.sequence() == sequence
-            assert (ranked.earliest, ranked.heaviest, ranked.dominated) == (
+            assert truth.schedule.sequence() == sequence
+            assert (truth.earliest, truth.heaviest, truth.dominated) == (
                 earliest,
                 heaviest,
                 dominated,
             )
+
+
+ORACLE_RUNS = {
+    "mg": oracle_mg_run,
+    "mg-prime": oracle_mg_prime_run,
+    "greedy-weight": oracle_greedy_weight_run,
+    "edf-nondominated": oracle_edf_nondominated_run,
+}
+
+
+class TestPacketOracles:
+    """The compiled single-path runs against the Packet-level simulators
+    of ``tests/oracles.py``, on fractional weights."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(small_agreeable(), st.integers(0, 99))
+    def test_runs_match_the_oracles(self, inst, seed):
+        for policy, oracle in ORACLE_RUNS.items():
+            report = run_policy(inst, policy)
+            total, ids = oracle(inst)
+            assert report.total_gain == total
+            assert [r.transmitted.id for r in report.per_step] == ids
+        assert run_rg_mc(inst, 5, seed) == oracle_rg_mc(inst, 5, seed)
+
+    def test_mg_skips_a_member_within_phi_of_the_earliest(self):
+        # h/e = 2 is beyond phi.  The middle packet is within phi of the
+        # heaviest but also of the earliest (3/2 < phi), so it is no
+        # candidate and mg sends the heaviest.
+        inst = mk_instance(("e", 1, 2, 1), ("p", 1, 3, Fraction(3, 2)), ("h", 1, 4, 2))
+        report = run_policy(inst, "mg")
+        assert [r.transmitted.id for r in report.per_step] == ["h", "p"]
+        assert (report.total_gain, ["h", "p"]) == oracle_mg_run(inst)
+
+    @pytest.mark.parametrize("draw, gain", [(1 << 63, 2.0), ((1 << 63) - 1, 3.0)])
+    def test_draw_at_the_threshold_sends_the_heaviest(self, draw, gain):
+        # w_e / w_h = 1/2: a draw of exactly 2^63 is not below the
+        # threshold, so the heaviest goes out and the earliest expires; one
+        # less sends the earliest first.
+        inst = mk_instance(("e", 1, 2, 1), ("h", 1, 3, 2))
+
+        class Fixed:
+            def __init__(self, seed):
+                pass
+
+            def getrandbits(self, bits):
+                return draw
+
+        with mock.patch("random.Random", Fixed):
+            assert run_rg_mc(inst, 2, 0) == oracle_rg_mc(inst, 2, 0) == (gain, 0.0)
