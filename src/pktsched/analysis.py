@@ -7,8 +7,9 @@ tractable and loses little: the known worst-case families for this problem
 are two-bounded.  Because a two-bounded packet never survives two steps,
 both the policy's pending set and the offline optimum carry at most the
 current step's long-lived arrivals, which lets the search step the
-engine's state map (``engine.advance``) and an offline-optimum table
-incrementally instead of re-simulating every prefix.
+engine's state map (``engine.advance``, over integer packet keys of the
+search's own key space) and an offline-optimum table incrementally
+instead of re-simulating every prefix; no ``Packet`` is built per node.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def adversary_search(
         if beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         best_ratio, best_path, nodes, complete = _beam_search(
-            policy, depth, options, beam_width, max_nodes
+            policy, depth, branching, options, beam_width, max_nodes
         )
     elif jobs > 1:
         chunks = [tuple(range(len(options))[i::jobs]) for i in range(jobs)]
@@ -303,7 +304,7 @@ def adversary_search(
                 best_ratio, best_path = ratio, path
     else:
         best_ratio, best_path, nodes, complete = _explore_roots(
-            policy, depth, options, tuple(range(len(options))), max_nodes
+            policy, depth, branching, options, tuple(range(len(options))), max_nodes
         )
     if best_path is None:
         raise RuntimeError("search explored no nodes; raise max_nodes")
@@ -314,15 +315,15 @@ def adversary_search(
 def _search_subtree(args) -> tuple[Fraction | None, tuple | None, int, bool]:
     policy, depth, menu, branching, roots, max_nodes = args
     options = two_bounded_step_options(menu, branching)
-    return _explore_roots(policy, depth, options, roots, max_nodes)
+    return _explore_roots(policy, depth, branching, options, roots, max_nodes)
 
 
-def _explore_roots(policy, depth, options, roots, max_nodes):
+def _explore_roots(policy, depth, branching, options, roots, max_nodes):
     best: tuple[int, int] | None = None  # the best ratio, as (numerator, denominator)
     best_path: tuple | None = None
     nodes = 0
     complete = True
-    kernel = _SearchKernel(policy, options)
+    kernel = _SearchKernel(policy, options, depth, branching)
 
     def explore(step, state, dp, base, path, allowed):
         nonlocal best, best_path, nodes, complete
@@ -348,12 +349,12 @@ def _explore_roots(policy, depth, options, roots, max_nodes):
     return (None if best is None else Fraction(*best)), best_path, nodes, complete
 
 
-def _beam_search(policy, depth, options, beam_width, max_nodes):
+def _beam_search(policy, depth, branching, options, beam_width, max_nodes):
     best: tuple[int, int] | None = None
     best_path: tuple | None = None
     nodes = 0
     complete = True
-    kernel = _SearchKernel(policy, options)
+    kernel = _SearchKernel(policy, options, depth, branching)
     frontier = [(kernel.start, OPT_START, 0, ())]
     for step in range(1, depth + 1):
         scored = []
@@ -384,65 +385,63 @@ def _beam_search(policy, depth, options, beam_width, max_nodes):
 class _SearchKernel:
     """One search node's work, in integers: the policy's state map stepped
     by ``engine.advance`` with one transition memo, the offline table, and
-    the ratio of their drained gains.  Weights are scaled by the options'
-    common denominator.  Each option's packets are built once per step and
-    arrival base, so equal packets are identical and set and memo lookups
-    stop at the identity test."""
+    the ratio of their drained gains.  A packet is the key ((n_w - 1 -
+    weight index) * D + deadline) * A + arrival index, over the menu's n_w
+    weights ascending, with D = depth + 3 above every deadline and A =
+    depth * branching + 1 above every arrival index, so sorting keys gives
+    the greedy order.  ``deadlines`` and ``weights`` (times the options'
+    common denominator) list every key's; each option's keys are built
+    once per step and arrival base."""
 
-    def __init__(self, policy, options):
+    def __init__(self, policy, options, depth, branching):
         self.policy = policy
         self.options = options
         self.scale, self.moves = _offline_moves(options)
+        menu = sorted({w for option in options for _, w in option})
+        self.weight_rank = {w: len(menu) - 1 - i for i, w in enumerate(menu)}
+        self.span, self.stride = depth + 3, depth * branching + 1  # D and A
+        block = self.span * self.stride
+        self.deadlines = [key // self.stride % self.span for key in range(len(menu) * block)]
+        scaled = [w.numerator * (self.scale // w.denominator) for w in reversed(menu)]
+        self.weights = [w for w in scaled for _ in range(block)]
         self.start = start(self.scale)
         self.memo: Transitions = {}
-        self.arrivals: dict[tuple[int, int, int], frozenset[Packet]] = {}
-        self.packets: dict[tuple, Packet] = {}
-        self.drains: dict[frozenset[Packet], int] = {}
+        self.arrivals: dict[tuple[int, int, int], frozenset[int]] = {}
 
     def clear(self):
         self.memo.clear()
         self.arrivals.clear()
-        self.packets.clear()
-        self.drains.clear()
+
+    def keys(self, step, base, oi):
+        """The keys of option ``oi`` arriving at ``step``, its packets
+        numbered from ``base``."""
+        arrivals = self.arrivals.get((oi, step, base))
+        if arrivals is None:
+            arrivals = self.arrivals[oi, step, base] = frozenset(
+                (self.weight_rank[weight] * self.span + step + lifespan) * self.stride + base + k
+                for k, (lifespan, weight) in enumerate(self.options[oi])
+            )
+        return arrivals
 
     def node(self, state, dp, step, base, oi):
         """The state map, offline table and ratio after option ``oi``
         arrives at ``step``, its packets numbered from ``base``."""
-        key = (oi, step, base)
-        arrivals = self.arrivals.get(key)
-        if arrivals is None:
-            arrivals = self.arrivals[key] = frozenset(
-                self._packet(step, base + k, k, lifespan, weight)
-                for k, (lifespan, weight) in enumerate(self.options[oi])
-            )
-        state2 = advance(self.policy, state, step, arrivals, self.memo)
+        keys = self.keys(step, base, oi)
+        state2 = advance(self.policy, state, step, keys, self.deadlines, self.weights, self.memo)
         dp2 = _advance_opt_state(dp, *self.moves[oi])
         return state2, dp2, self._node_ratio(state2, dp2)
 
-    def _packet(self, step, index, k, lifespan, weight):
-        key = (step, index, k, lifespan, weight)
-        packet = self.packets.get(key)
-        if packet is None:
-            packet = Packet(f"s{step}p{k}", step, step + lifespan, weight, index)
-            self.packets[key] = packet
-        return packet
-
     def _node_ratio(self, states, dp):
         """OPT over the policy's expected gain, both drained, as an
-        unreduced (numerator, denominator) pair.  Every carried packet has
+        unreduced (numerator, denominator) pair.  Every carried key has
         deadline step + 2, so at step + 1 the oblivious schedule is the
-        heaviest one alone and every policy, like the optimum, transmits
-        it."""
+        heaviest key alone, the smallest, and every policy, like the
+        optimum, transmits it."""
         opt_scaled = max(value + (carry[-1] if carry else 0) for carry, value in dp.items())
-        drains = self.drains
+        weights = self.weights
         algorithm = 0  # times the map's denominator and the scale
         for carry, (prob, weighted, _) in states.carried.items():
-            drain = drains.get(carry)
-            if drain is None:
-                heaviest = max((p.weight for p in carry), default=Fraction(0))
-                drain = heaviest.numerator * (self.scale // heaviest.denominator)
-                drains[carry] = drain
-            algorithm += weighted + prob * drain
+            algorithm += weighted + (prob * weights[min(carry)] if carry else 0)
         if opt_scaled == 0:
             return 1, 1
         if algorithm == 0:

@@ -1,26 +1,27 @@
 """Step-loop simulation over instances.
 
-Every mode steps the same rule.  At each step the arrivals join the
-carried pending set, the policy decides on its oblivious schedule, and
-``carry_after`` drops the sent packet and every packet whose deadline has
-come.  ``advance`` takes that step for a distribution over carried sets,
+Every mode steps the same rule, over integer keys.  A key stands for one
+packet; sorting keys gives the greedy order (``offline._greedy_order``:
+weight descending, ties in the deadline-first order), and the key's
+deadline and weight, an integer over a common denominator, sit in lists
+indexed by key, so a pending set is a frozenset of ints.  An instance's
+keys are its packets' ranks (``_compile``); the adversarial search builds
+its own key space (``analysis._SearchKernel``).  At each step the arrivals
+join the carried pending set, ``_ranked_step`` sorts it and runs the slot
+greedy of ``offline._oblivious`` over it, the policy rule reads the
+integer weights of the oblivious schedule's earliest and heaviest key, and
+the sent key and every key whose deadline has come are dropped.
+
+``advance`` takes that step for a distribution over carried sets,
 merging outcomes that carry the same set.  ``busy_steps`` lists the steps
 a run visits, skipping the idle ones where nothing is pending.  A
 transition memo (``Transitions``) lets search paths that meet a pending
 set again at the same step decide it once.
 
 Inside the kernel everything is an integer: weights over their common
-denominator (``model.weight_scale``), and a state map's probabilities and gains
-over one denominator per map (``States``).  A ``Fraction`` is built once,
-for the result.
-
-The single-path runs compile the instance once (``_Compiled``): packets
-become their ranks in the greedy order, with deadlines and integer weights
-in lists indexed by rank, so a pending set is a set of ints.  Each step
-sorts the pending ranks, runs the slot greedy of ``offline._oblivious``
-over them (``_ranked_step``) and applies the policy rule to the earliest
-and heaviest ranks' integer weights; packets are looked up only for the
-report.
+denominator, and a state map's probabilities and gains over one
+denominator per map (``States``).  A ``Fraction`` is built once, for the
+result, and packets are looked up only for the report.
 
 Three execution modes:
 
@@ -33,7 +34,7 @@ Three execution modes:
   for exact mode; every draw compares a 64-bit uniform integer with the
   exact rational threshold, so the lottery itself is bias-free.  Trials
   that meet a pending set again at the same step take its earliest and
-  heaviest ranks from a memo.
+  heaviest keys from a memo.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from operator import gt
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .model import Instance, InvariantError, Packet, weight_scale
-from .offline import _greedy_order, _latest_free_steps, oblivious_schedule, opt_schedule
+from .offline import _greedy_order, _latest_free_steps, opt_schedule
 from .policies import DETERMINISTIC_POLICIES, _choose, _rg_lottery
 
 DEFAULT_EXACT_CAP = 1 << 20
@@ -58,8 +59,8 @@ DEFAULT_EXACT_CAP = 1 << 20
 class States(NamedTuple):
     """A distribution over carried pending sets, in integers.
 
-    Weights are integers over ``scale``.  Each carried set maps to its
-    probability, as a numerator over ``denominator``; its
+    Weights are integers over ``scale``.  Each carried set of keys maps to
+    its probability, as a numerator over ``denominator``; its
     probability-weighted gain so far, as a numerator over
     ``denominator * scale``; and the number of branching-tree paths
     reaching it.
@@ -67,7 +68,7 @@ class States(NamedTuple):
 
     scale: int
     denominator: int
-    carried: Mapping[frozenset[Packet], tuple[int, int, int]]
+    carried: Mapping[frozenset[int], tuple[int, int, int]]
 
 
 def start(scale: int) -> States:
@@ -77,13 +78,13 @@ def start(scale: int) -> States:
 
 
 # One policy decision as integers: the common denominator of its
-# probabilities and, per outcome, the carried set, the probability's
-# numerator over that denominator and the sent packet's weight times the
-# scale.
-Transition = tuple[int, tuple[tuple[frozenset[Packet], int, int], ...]]
+# probabilities and, per outcome, the carried set of keys, the
+# probability's numerator over that denominator and the sent key's weight
+# times the scale.
+Transition = tuple[int, tuple[tuple[frozenset[int], int, int], ...]]
 
-# (step, pending set) -> the transition of one policy there.
-Transitions = dict[tuple[int, frozenset[Packet]], Transition]
+# (step, pending keys) -> the transition of one policy there.
+Transitions = dict[tuple[int, frozenset[int]], Transition]
 
 # An empty pending set sends nothing and carries nothing.
 _IDLE: Transition = (1, ((frozenset(), 1, 0),))
@@ -138,48 +139,39 @@ def busy_steps(instance: Instance, carrying: Callable[[], bool]) -> Iterator[int
             step = next((s for s in arrival_steps if s > step), None)
 
 
-def _scaled(weight: Fraction, scale: int) -> int:
-    if scale % weight.denominator:
-        raise ValueError(f"weight {weight} is not a whole multiple of 1/{scale}")
-    return weight.numerator * (scale // weight.denominator)
-
-
 def _transition(
     policy: str,
-    pending: frozenset[Packet],
+    pending: frozenset[int],
     step: int,
-    scale: int,
+    deadlines: list[int],
+    weights: list[int],
     memo: Transitions | None,
 ) -> Transition:
     """The outcomes of the policy's decision on the oblivious schedule of
     ``pending``, taken from ``memo`` when it holds this step and pending
-    set, and stored there otherwise.  The policy rule reads the packets'
-    weights as integers over ``scale``; rg's lottery is w_e / w_h in lowest
-    terms.  A memo serves one policy and one scale.  A remembered outcome
-    carries packets equal to, not identical with, the caller's, so callers
-    compare packets by equality."""
+    set, and stored there otherwise.  The policy rule reads the keys'
+    integer weights; rg's lottery is w_e / w_h in lowest terms.  A memo
+    serves one policy and one key space."""
     key = (step, pending)
     if memo is not None:
         transition = memo.get(key)
         if transition is not None:
             return transition
-    oblivious = oblivious_schedule(pending, step)
-    e, h = oblivious.earliest, oblivious.heaviest
+    if min(map(deadlines.__getitem__, pending)) <= step:
+        raise ValueError(f"a key of the pending set is not pending at step {step}")
+    expired = [k for k in pending if deadlines[k] == step + 1]
+    sequence, e, h = _ranked_step(deadlines, weights, pending, step)
     if policy == "rg" and e != h:
-        w_e, w_h = _scaled(e.weight, scale), _scaled(h.weight, scale)
-        denominator, p_e, p_h = _rg_lottery(w_e, w_h)
-        transition = (
-            denominator,
-            ((carry_after(pending, e, step), p_e, w_e), (carry_after(pending, h, step), p_h, w_h)),
-        )
-    else:
-        if policy == "rg":  # one candidate: sent surely
-            sent = e
-        else:
-            sent = _choose(
-                policy, e, h, oblivious.schedule.sequence(), lambda p: _scaled(p.weight, scale)
-            )
-        transition = (1, ((carry_after(pending, sent, step), 1, _scaled(sent.weight, scale)),))
+        denominator, p_e, p_h = _rg_lottery(weights[e], weights[h])
+        outcomes = ((e, p_e), (h, p_h))
+    else:  # rg with one candidate sends it surely
+        denominator = 1
+        sent = e if policy == "rg" else _choose(policy, e, h, sequence, weights.__getitem__)
+        outcomes = ((sent, 1),)
+    transition = (
+        denominator,
+        tuple((pending.difference(expired, (k,)), p, weights[k]) for k, p in outcomes),
+    )
     if memo is not None:
         memo[key] = transition
     return transition
@@ -189,7 +181,9 @@ def advance(
     policy: str,
     states: States,
     step: int,
-    arrivals: Iterable[Packet],
+    arrivals: Iterable[int],
+    deadlines: list[int],
+    weights: list[int],
     memo: Transitions | None = None,
 ) -> States:
     """One step of a policy's distribution over carried pending sets.
@@ -197,11 +191,12 @@ def advance(
     The arrivals join every carried set, the policy decides on the
     oblivious schedule of the result, and every outcome of the decision is
     carried on with its probability; outcomes that carry the same set are
-    merged.  The new denominator is the old one times the least common
-    multiple of the step's lottery denominators, divided by the gcd of the
-    map when a lottery multiplied it.  A deterministic policy keeps a
-    single state of probability 1.  ``memo``, if given, remembers the
-    policy's transitions across calls.
+    merged.  ``deadlines`` and ``weights`` (integers over the map's scale)
+    are indexed by key.  The new denominator is the old one times the
+    least common multiple of the step's lottery denominators, divided by
+    the gcd of the map when a lottery multiplied it.  A deterministic
+    policy keeps a single state of probability 1.  ``memo``, if given,
+    remembers the policy's transitions across calls.
     """
     scale, denominator, current = states
     arrivals = frozenset(arrivals)
@@ -210,13 +205,13 @@ def advance(
     for carry, value in current.items():
         pending = carry | arrivals
         if pending:
-            transition = _transition(policy, pending, step, scale, memo)
+            transition = _transition(policy, pending, step, deadlines, weights, memo)
             if transition[0] != 1:
                 common = lcm(common, transition[0])
         else:
             transition = _IDLE
         moves.append((value, transition))
-    out: dict[frozenset[Packet], tuple[int, int, int]] = {}
+    out: dict[frozenset[int], tuple[int, int, int]] = {}
     for (prob, weighted, paths), (lottery, outcomes) in moves:
         spread = common // lottery
         for carry, factor, sent in outcomes:
@@ -241,13 +236,13 @@ def advance(
 
 
 class _Compiled(NamedTuple):
-    """An instance compiled for the single-path runs.
+    """An instance compiled to its key space.
 
-    A packet's rank is its position in the greedy order
-    (``offline._greedy_order``), so sorting ranks gives their greedy order.
+    A packet's key is its rank in the greedy order
+    (``offline._greedy_order``), so sorting keys gives their greedy order.
     ``deadlines`` and ``weights`` (integers over ``scale``) are indexed by
-    rank; ``arrivals`` and ``expiring`` map a step to the ranks released
-    at it and to the ranks whose deadline it is.
+    key; ``arrivals`` and ``expiring`` map a step to the keys released at
+    it and to the keys whose deadline it is.
     """
 
     packets: list[Packet]
@@ -258,8 +253,10 @@ class _Compiled(NamedTuple):
     expiring: dict[int, tuple[int, ...]]
 
 
-def _compile(instance: Instance) -> _Compiled:
-    packets = _greedy_order(instance.packets)
+def _compile(packets: Iterable[Packet]) -> _Compiled:
+    """The key space of ``packets``: an instance's, or several instances'
+    packets, whose keys sort in each instance's greedy order."""
+    packets = _greedy_order(packets)
     scale = weight_scale(packets)
     arrivals: dict[int, list[int]] = {}
     expiring: dict[int, list[int]] = {}
@@ -277,20 +274,19 @@ def _compile(instance: Instance) -> _Compiled:
 
 
 def _ranked_step(
-    compiled: _Compiled, pending: frozenset[int], step: int
+    deadlines: list[int], weights: list[int], pending: frozenset[int], step: int
 ) -> tuple[list[int], int, int]:
-    """The oblivious schedule of ``pending``, ranks of ``compiled`` all
-    pending at ``step``: its ranks in the deadline-first order, its earliest
-    rank and its heaviest.  Raises InvariantError if a rank's slot misses
-    its deadline or the earliest outweighs the heaviest."""
-    deadline = compiled.deadlines.__getitem__
+    """The oblivious schedule of ``pending``, keys all pending at ``step``:
+    its keys in the deadline-first order, its earliest key and its
+    heaviest.  Raises InvariantError if a key's slot misses its deadline or
+    the earliest outweighs the heaviest."""
+    deadline = deadlines.__getitem__
     kept = _latest_free_steps(sorted(pending), step, deadline)
     # Stable on the greedy order: the deadline-first order.
     sequence = sorted(kept, key=deadline)
     if not all(map(gt, map(deadline, sequence), count(step))):
         raise InvariantError(f"oblivious schedule at step {step} misses a deadline")
     e, h = sequence[0], kept[0]
-    weights = compiled.weights
     if not 0 < weights[e] <= weights[h]:
         raise InvariantError(f"earliest packet outweighs the heaviest at step {step}")
     return sequence, e, h
@@ -312,7 +308,7 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
     total = 0  # times the scale
     for step in busy_steps(instance, lambda: bool(carry)):
         pending = carry.union(arrivals.get(step, ()))
-        sequence, e, h = _ranked_step(compiled, pending, step)
+        sequence, e, h = _ranked_step(compiled.deadlines, weights, pending, step)
         choice = _choose(policy, e, h, sequence, weights.__getitem__)
         if choice not in sequence:
             raise InvariantError(f"policy {policy} chose outside the oblivious schedule")
@@ -357,8 +353,9 @@ def run_rg_exact(
 def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction]:
     """``run_rg_exact`` plus the offline optimum it checks the value against,
     so that callers reporting both compute the optimum once."""
-    arrivals = instance.arrivals_by_step
-    states = start(weight_scale(instance))
+    compiled = _compile(instance)
+    arrivals, deadlines, weights = compiled.arrivals, compiled.deadlines, compiled.weights
+    states = start(compiled.scale)
     spent = 0
     for step in busy_steps(instance, lambda: any(states.carried)):
         spent += len(states.carried)
@@ -366,7 +363,7 @@ def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction]:
             raise ExactCapExceeded(
                 f"instance too large for exact mode (exact states > {cap})"
             )
-        states = advance("rg", states, step, arrivals.get(step, ()))
+        states = advance("rg", states, step, arrivals.get(step, ()), deadlines, weights)
     scale, denominator, final = states
     value = Fraction(sum(weighted for _, weighted, _ in final.values()), denominator * scale)
     leaves = sum(paths for _, _, paths in final.values())
@@ -393,7 +390,7 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
         raise ValueError("trials must be >= 1")
     compiled = _compile(instance)
     arrivals, expiring, weights = compiled.arrivals, compiled.expiring, compiled.weights
-    # (step, pending ranks) -> the earliest and the heaviest rank there.
+    # (step, pending keys) -> the earliest and the heaviest key there.
     memo: dict[tuple[int, frozenset[int]], tuple[int, int]] = {}
     totals: list[float] = []
     shift = 1 << 64
@@ -406,7 +403,7 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
             key = (step, pending)
             pair = memo.get(key)
             if pair is None:
-                _, e, h = _ranked_step(compiled, pending, step)
+                _, e, h = _ranked_step(compiled.deadlines, weights, pending, step)
                 pair = memo[key] = (e, h)
             e, h = pair
             # The earliest with probability w_e / w_h: draw / 2^64 < w_e / w_h,

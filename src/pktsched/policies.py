@@ -63,36 +63,9 @@ class PolicyDecision:
         return cls(lottery=outcomes)
 
 
-def at_most_golden(x: Fraction) -> bool:
-    """x <= phi, decided exactly for nonnegative rationals: with x = n/d,
-    x*x <= x + 1 iff n*n <= n*d + d*d."""
-    n, d = x.numerator, x.denominator
-    if n < 0:
-        raise ValueError("golden-ratio comparison needs a nonnegative value")
-    return n * n <= n * d + d * d
-
-
-def at_least_golden(x: Fraction) -> bool:
-    """x >= phi, decided exactly for nonnegative rationals."""
-    n, d = x.numerator, x.denominator
-    if n < 0:
-        raise ValueError("golden-ratio comparison needs a nonnegative value")
-    return n * n >= n * d + d * d
-
-
 def _within_golden(e: int, h: int) -> bool:
     """h <= phi * e for positive integers: h/e <= phi iff h*h <= h*e + e*e."""
     return h * h <= h * e + e * e
-
-
-def golden_test(w_e: Fraction, w_h: Fraction) -> bool:
-    """True iff phi * w_e >= w_h, i.e. the weight gap is within the golden ratio.
-
-    Over the common denominator the weights are the integers e and h, and
-    h/e <= phi iff h*h <= h*e + e*e."""
-    if w_e <= 0 or w_h <= 0:
-        raise ValueError("weights must be positive")
-    return _within_golden(w_e.numerator * w_h.denominator, w_h.numerator * w_e.denominator)
 
 
 def _choose(

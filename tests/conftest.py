@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 
+from pktsched.engine import _compile
 from pktsched.model import Instance, Packet
 
 
@@ -12,12 +14,25 @@ def mk(pid: str, release: int, deadline: int, weight, index: int = 0) -> Packet:
     return Packet(pid, release, deadline, Fraction(weight), index)
 
 
-def as_fractions(states) -> dict:
-    """An ``engine.States`` map in ``Fraction``s: carried set ->
-    (probability, probability-weighted gain, path count)."""
+def key_space(*packet_sets):
+    """One compiled key space over the distinct packets of ``packet_sets``
+    (``engine._compile``), and each packet's key in it.  Equal packets
+    share a key."""
+    compiled = _compile(dict.fromkeys(chain(*packet_sets)))
+    return compiled, {p: k for k, p in enumerate(compiled.packets)}
+
+
+def as_fractions(states, packets) -> dict:
+    """An ``engine.States`` map in ``Fraction``s, each key mapped back to
+    its packet in ``packets``: carried packets -> (probability,
+    probability-weighted gain, path count)."""
     scale, denominator, entries = states
     return {
-        carry: (Fraction(prob, denominator), Fraction(weighted, denominator * scale), paths)
+        frozenset(packets[k] for k in carry): (
+            Fraction(prob, denominator),
+            Fraction(weighted, denominator * scale),
+            paths,
+        )
         for carry, (prob, weighted, paths) in entries.items()
     }
 

@@ -11,7 +11,9 @@ quadratic, and the order checks of the fact checker by comparing every
 step or every pair instead of a heap walk or a single pass, the step
 kernel's state map in ``Fraction``s instead of integers over a common
 denominator, and single runs over packets instead of compiled ranks, with
-the Monte Carlo threshold as a ``Fraction``.
+the Monte Carlo threshold as a ``Fraction``.  ``at_most_golden`` is no
+oracle: it is the bound r*r <= r + 1 as the acceptance criterion states
+it, for the tests' bound checks.
 """
 
 from __future__ import annotations
@@ -196,6 +198,13 @@ def golden_at_most(x: Fraction) -> bool:
         if abs(value - phi) < decimal.Decimal("1e-40"):
             raise AssertionError(f"golden comparison too close to call: {x}")
         return value < phi
+
+
+def at_most_golden(r: Fraction) -> bool:
+    """The bound r <= phi of a nonnegative ratio as the acceptance criterion
+    states it, r*r <= r + 1, in integers: with r = n/d, n*n <= n*d + d*d."""
+    n, d = r.numerator, r.denominator
+    return n * n <= n * d + d * d
 
 
 def oracle_golden_test(w_e: Fraction, w_h: Fraction) -> bool:

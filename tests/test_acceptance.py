@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_opt, oracle_rg_expectation
+from oracles import at_most_golden, brute_force_opt, oracle_rg_expectation
 
 from pktsched.analysis import (
     GeneratorSpec,
@@ -32,7 +32,6 @@ from pktsched.analysis import (
 from pktsched.engine import run_policy, run_rg_exact, run_rg_mc
 from pktsched.model import Instance, follows_priority_order
 from pktsched.offline import oblivious_schedule, opt_schedule
-from pktsched.policies import at_most_golden
 
 MENU = (Fraction(1), Fraction(2), Fraction(3), Fraction(5), Fraction(8))
 SWEEP_STEPS = 4

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mk, mk_instance, random_agreeable
-from oracles import oracle_heavier_scheduled_monotone
+from oracles import at_most_golden, oracle_heavier_scheduled_monotone
 
+from pktsched import analysis
 from pktsched.analysis import (
     GeneratorSpec,
     adversary_search,
@@ -22,7 +23,8 @@ from pktsched.analysis import (
 )
 from pktsched.engine import run_policy
 from pktsched.model import Instance
-from pktsched.policies import at_most_golden
+from pktsched.offline import _greedy_order
+from pktsched.policies import POLICIES
 
 MENU12 = (Fraction(1), Fraction(2))
 
@@ -248,6 +250,50 @@ class TestAdversarySearch:
             adversary_search("mg-prime", 1, MENU12, max_nodes=0)
         with pytest.raises(ValueError):
             adversary_search("mg-prime", 1, MENU12, beam_width=0)
+
+
+@st.composite
+def search_paths(draw):
+    """The step options of a menu of up to three fractional weights at a
+    branching of 1-3, a depth of 1-4, that branching, and a path of up to
+    ``depth`` options."""
+    weights = st.fractions(min_value=Fraction(1, 4), max_value=8, max_denominator=4)
+    menu = draw(st.lists(weights, min_size=1, max_size=3, unique=True))
+    depth, branching = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    options = two_bounded_step_options(menu, branching)
+    path = draw(st.lists(st.integers(0, len(options) - 1), min_size=1, max_size=depth))
+    return options, depth, branching, path
+
+
+class TestSearchKeys:
+    """The search's key space: key = ((n_w - 1 - weight index) * D +
+    deadline) * A + arrival index, with D = depth + 3 and A = depth *
+    branching + 1."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(search_paths(), st.sampled_from(POLICIES))
+    def test_keys_sort_as_the_witness_packets(self, drawn, policy):
+        options, depth, branching, path = drawn
+        stride = depth * branching + 1
+        packets = analysis._instance_from_path(options, path).packets
+        kernel = analysis._SearchKernel(policy, options, depth, branching)
+        state, dp, base = kernel.start, analysis.OPT_START, 0
+        for step, oi in enumerate(path, start=1):
+            arrivals = kernel.keys(step, base, oi)
+            assert sorted(k % stride for k in arrivals) == list(
+                range(base, base + len(options[oi]))
+            )
+            for carry in state.carried:
+                keys = sorted(carry | arrivals)
+                pending = [packets[k % stride] for k in keys]
+                assert all(p.release <= step < p.deadline for p in pending)
+                assert pending == _greedy_order(pending)
+                assert [kernel.deadlines[k] for k in keys] == [p.deadline for p in pending]
+                assert [Fraction(kernel.weights[k], kernel.scale) for k in keys] == [
+                    p.weight for p in pending
+                ]
+            state, dp, _ = kernel.node(state, dp, step, base, oi)
+            base += len(options[oi])
 
 
 class TestCheckFacts:

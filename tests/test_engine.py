@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_fractions, mk_instance, random_agreeable
+from conftest import as_fractions, key_space, mk_instance, random_agreeable
 from oracles import (
     brute_force_opt,
     oracle_advance,
@@ -29,7 +29,7 @@ from pktsched.engine import (
     run_rg_mc,
     start,
 )
-from pktsched.model import Instance, weight_scale
+from pktsched.model import Instance
 from pktsched.offline import oblivious_schedule
 from pktsched.policies import DETERMINISTIC_POLICIES, POLICIES
 
@@ -56,14 +56,24 @@ def small_agreeable(draw):
     return Instance.build(rows)
 
 
-def step_states(instance, policy, memo=None, scale=None):
+def advance_packets(policy, states, step, arrivals, space, memo=None):
+    """``advance`` with packet ``arrivals``, stepped as their keys in
+    ``space``: a key space and its packet -> key map (``key_space``)."""
+    compiled, key = space
+    keys = [key[p] for p in arrivals]
+    return advance(policy, states, step, keys, compiled.deadlines, compiled.weights, memo)
+
+
+def step_states(instance, policy, memo=None, space=None):
     """The state map after ``advance`` has stepped through every step, in
-    ``Fraction``s; weights are scaled by ``scale``, by default their
-    common denominator."""
-    states = start(weight_scale(instance) if scale is None else scale)
+    ``Fraction``s over packets; the keys come from ``space``, by default
+    the instance's own key space."""
+    space = key_space(instance) if space is None else space
+    states = start(space[0].scale)
     for step in range(instance.first_release, instance.horizon + 1):
-        states = advance(policy, states, step, instance.arrivals_by_step.get(step, ()), memo)
-    return as_fractions(states)
+        arrivals = instance.arrivals_by_step.get(step, ())
+        states = advance_packets(policy, states, step, arrivals, space, memo)
+    return as_fractions(states, space[0].packets)
 
 
 def gadget_horizon(gadgets):
@@ -229,42 +239,40 @@ class TestAdvance:
     def test_shared_memo_changes_nothing(self, first, second):
         # One memo per policy serves two instances whose packets share
         # arrival indices, then a rebuilt copy of the first, whose packets
-        # are equal to, not identical with, the remembered ones.  A memo
-        # serves one scale.
+        # are equal to, not identical with, the remembered ones and so map
+        # to the same keys.  A memo serves one key space.
         copy = Instance.build((p.id, p.release, p.deadline, p.weight) for p in first)
-        scale = weight_scale([*first, *second])
+        space = key_space(first, second)
         for policy in POLICIES:
             memo = {}
             for inst in (first, second):
-                assert step_states(inst, policy, memo, scale) == step_states(inst, policy)
+                assert step_states(inst, policy, memo, space) == step_states(inst, policy)
             remembered = len(memo)
-            assert step_states(copy, policy, memo, scale) == step_states(first, policy)
+            assert step_states(copy, policy, memo, space) == step_states(first, policy)
             assert len(memo) == remembered  # every decision was found again
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(small_agreeable(), small_agreeable())
     def test_matches_fraction_reference(self, first, second):
         # After every step, alone and with one memo shared by two
-        # instances, the integer map equals the Fraction reference entry
-        # for entry: carried sets, probabilities, gains and path counts.
-        scale = weight_scale([*first, *second])
+        # instances over one key space, the integer map, its keys mapped
+        # back to packets, equals the Fraction reference entry for entry:
+        # carried sets, probabilities, gains and path counts.
+        shared_space = key_space(first, second)
         for policy in POLICIES:
             memo = {}
             for inst in (first, second):
+                own_space = key_space(inst)
                 reference = {frozenset(): (Fraction(1), Fraction(0), 1)}
-                alone = start(weight_scale(inst))
-                shared = start(scale)
+                alone = start(own_space[0].scale)
+                shared = start(shared_space[0].scale)
                 for step in range(inst.first_release, inst.horizon + 1):
                     arrivals = inst.arrivals_by_step.get(step, ())
                     reference = oracle_advance(policy, reference, step, arrivals)
-                    alone = advance(policy, alone, step, arrivals)
-                    shared = advance(policy, shared, step, arrivals, memo)
-                    assert as_fractions(alone) == reference
-                    assert as_fractions(shared) == reference
-
-    def test_refuses_a_weight_off_the_scale(self):
-        with pytest.raises(ValueError, match="whole multiple"):
-            advance("rg", start(2), 1, mk_instance(("x", 1, 2, Fraction(1, 3))))
+                    alone = advance_packets(policy, alone, step, arrivals, own_space)
+                    shared = advance_packets(policy, shared, step, arrivals, shared_space, memo)
+                    assert as_fractions(alone, own_space[0].packets) == reference
+                    assert as_fractions(shared, shared_space[0].packets) == reference
 
 
 class TestRunRgMc:
@@ -326,9 +334,9 @@ class TestRunRgMc:
 
 
 class TestRankedSchedules:
-    """The single-path runs step over packet ranks through one core,
-    ``engine._ranked_step``; ``check_facts`` sorts each pending set by a
-    greedy rank and hands it to the private core of
+    """The single-path runs step over packet ranks, their keys, through
+    one core, ``engine._ranked_step``; ``check_facts`` sorts each pending
+    set by a greedy rank and hands it to the private core of
     ``oblivious_schedule``.  Every step of each agrees with the public
     schedule and the oracle."""
 
@@ -338,9 +346,9 @@ class TestRankedSchedules:
         ranked_core, packet_core = engine._ranked_step, analysis._oblivious
         ranked, facts = [], []
 
-        def record_ranked(compiled, pending, step):
-            result = ranked_core(compiled, pending, step)
-            ranked.append((compiled.packets, pending, step, result))
+        def record_ranked(deadlines, weights, pending, step):
+            result = ranked_core(deadlines, weights, pending, step)
+            ranked.append((pending, step, result))
             return result
 
         def record_facts(pending, candidates, step):
@@ -364,7 +372,8 @@ class TestRankedSchedules:
             calls["check_facts"] = len(facts)
         # Every caller went through its core, unless there is no step.
         assert all(n > 0 for n in calls.values()) == bool(inst.packets)
-        for packets, pending, step, (sequence, earliest, heaviest) in ranked:
+        packets = engine._compile(inst).packets
+        for pending, step, (sequence, earliest, heaviest) in ranked:
             pending = frozenset(packets[r] for r in pending)
             public = oblivious_schedule(pending, step)
             expected = oracle_oblivious(pending, step)

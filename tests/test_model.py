@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_fractions, mk, mk_instance
+from conftest import as_fractions, key_space, mk, mk_instance
 from oracles import feasible_by_enumeration, oracle_follows_priority_order
 
-from pktsched.engine import States, advance, carry_after, start
+from pktsched.engine import States, advance, carry_after
 from pktsched.model import (
     Instance,
     Schedule,
@@ -148,7 +148,7 @@ class TestInstance:
 class TestBuffer:
     """The pending buffer from one step to the next: ``carry_after`` keeps
     what is still pending, ``advance`` admits the arrivals and refuses a
-    packet outside its window."""
+    key whose deadline has passed."""
 
     def test_expiry_at_deadline(self):
         a, b = mk("a", 1, 2, 1, 0), mk("b", 1, 3, 2, 1)
@@ -157,21 +157,21 @@ class TestBuffer:
     def test_arrival_joins_buffer(self):
         b = mk("b", 1, 5, 1)
         c = mk("c", 3, 5, 1, 1)
-        states = advance("mg-prime", States(1, 1, {frozenset({b}): (1, 0, 1)}), 3, (c,))
-        assert as_fractions(states) == {frozenset({c}): (1, 1, 1)}
+        compiled, key = key_space([b, c])
+        carried = States(1, 1, {frozenset({key[b]}): (1, 0, 1)})
+        states = advance("mg-prime", carried, 3, (key[c],), compiled.deadlines, compiled.weights)
+        assert as_fractions(states, compiled.packets) == {frozenset({c}): (1, 1, 1)}
 
     def test_only_expired_dropped(self):
         a, b, x = mk("a", 1, 3, 1, 0), mk("b", 1, 4, 1, 1), mk("x", 2, 4, 1, 2)
         assert carry_after(frozenset({a, b, x}), x, 2) == {b}
 
     def test_rejects_step_jump(self):
-        stale = States(1, 1, {frozenset({mk("a", 1, 3, 1)}): (1, 0, 1)})
+        a = mk("a", 1, 3, 1)
+        compiled, key = key_space([a])
+        stale = States(1, 1, {frozenset({key[a]}): (1, 0, 1)})
         with pytest.raises(ValueError, match="not pending"):
-            advance("mg-prime", stale, 3, ())
-
-    def test_rejects_misdated_arrival(self):
-        with pytest.raises(ValueError, match="not pending"):
-            advance("mg-prime", start(1), 2, (mk("x", 3, 4, 1),))
+            advance("mg-prime", stale, 3, (), compiled.deadlines, compiled.weights)
 
     def test_never_retains_expired_never_drops_live(self):
         rng = random.Random(5)

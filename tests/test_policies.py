@@ -10,11 +10,9 @@ from pktsched.model import precedes
 from pktsched.offline import oblivious_schedule
 from pktsched.policies import (
     PolicyDecision,
-    at_least_golden,
-    at_most_golden,
+    _within_golden,
     baseline_choose,
     decide,
-    golden_test,
     mg_choose,
     mg_prime_choose,
     rg_distribution,
@@ -30,35 +28,45 @@ def random_positive(rng):
     return Fraction(rng.randint(1, 400), rng.randint(1, 400))
 
 
+def within(w_e, w_h):
+    """``_within_golden`` on two rational weights, as the integers over
+    their common denominator that a policy compares."""
+    return _within_golden(w_e.numerator * w_h.denominator, w_h.numerator * w_e.denominator)
+
+
 class TestGoldenTest:
+    """``_within_golden(e, h)``: h <= phi * e for positive integer weights."""
+
     def test_equal_weights(self):
-        assert golden_test(Fraction(1), Fraction(1))
+        assert _within_golden(1, 1)
 
     def test_double_exceeds(self):
-        assert not golden_test(Fraction(1), Fraction(2))
+        assert not _within_golden(1, 2)
 
     def test_three_halves_within(self):
-        assert golden_test(Fraction(2), Fraction(3))
+        assert _within_golden(2, 3)
 
     def test_scale_invariance_properties(self):
         rng = random.Random(8)
         for _ in range(200):
             w = random_positive(rng)
-            assert golden_test(w, w)
-            assert not golden_test(w, 2 * w)
+            assert within(w, w)
+            assert not within(w, 2 * w)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            golden_test(Fraction(0), Fraction(1))
-        with pytest.raises(ValueError):
-            golden_test(Fraction(1), Fraction(-1))
+        # The integer test assumes positive weights; the model refuses the
+        # others before any policy compares them.
+        with pytest.raises(ValueError, match="non-positive weight"):
+            mk("e", 1, 2, 0)
+        with pytest.raises(ValueError, match="non-positive weight"):
+            mk("h", 1, 2, -1)
 
     def test_agrees_with_high_precision_oracle(self):
         rng = random.Random(123)
         for _ in range(10_000):
             w_e = random_positive(rng)
             w_h = random_positive(rng)
-            assert golden_test(w_e, w_h) == oracle_golden_test(w_e, w_h)
+            assert within(w_e, w_h) == oracle_golden_test(w_e, w_h)
 
     def test_quadratic_equality_never_hit_by_rationals(self):
         # w_h/w_e equal to the golden ratio would need an irrational value,
@@ -70,24 +78,19 @@ class TestGoldenTest:
             assert w_h * w_h != w_h * w_e + w_e * w_e
 
     def test_golden_bounds_helpers(self):
-        assert at_most_golden(Fraction(8, 5))
-        assert not at_most_golden(Fraction(5, 3))
-        assert at_least_golden(Fraction(5, 3))
-        assert not at_least_golden(Fraction(8, 5))
-        with pytest.raises(ValueError):
-            at_most_golden(Fraction(-1))
+        # 8/5 lies below phi and 5/3 above it.
+        assert _within_golden(5, 8)
+        assert not _within_golden(3, 5)
 
     def test_fibonacci_ratios_on_both_sides_of_phi(self):
         # Consecutive Fibonacci ratios close in on phi from alternating
         # sides: 987/610 lies just below it, 1597/987 just above.
-        below, above = Fraction(987, 610), Fraction(1597, 987)
-        assert at_most_golden(below) and not at_least_golden(below)
-        assert at_least_golden(above) and not at_most_golden(above)
+        assert _within_golden(610, 987) and not _within_golden(987, 1597)
         for scale in (Fraction(1), Fraction(3, 7), Fraction(11, 2)):
-            assert golden_test(610 * scale, 987 * scale)
-            assert not golden_test(987 * scale, 1597 * scale)
+            assert within(610 * scale, 987 * scale)
+            assert not within(987 * scale, 1597 * scale)
         for w_e, w_h in ((Fraction(610), Fraction(987)), (Fraction(987, 5), Fraction(1597, 5))):
-            assert golden_test(w_e, w_h) == oracle_golden_test(w_e, w_h)
+            assert within(w_e, w_h) == oracle_golden_test(w_e, w_h)
 
 
 class TestMgChoose:
@@ -113,7 +116,7 @@ class TestMgChoose:
                 for i in range(rng.randint(1, 5))
             ]
             ob = oblivious_schedule(packets, 1)
-            if golden_test(ob.earliest.weight, ob.heaviest.weight):
+            if within(ob.earliest.weight, ob.heaviest.weight):
                 assert mg_choose(ob) == mg_prime_choose(ob) == ob.earliest
             else:
                 chosen = mg_choose(ob)
