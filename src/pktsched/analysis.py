@@ -17,42 +17,28 @@ from __future__ import annotations
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .engine import (
     DEFAULT_EXACT_CAP,
     Transitions,
+    _compile,
+    _ranked_step,
     _rg_exact,
     advance,
     busy_steps,
-    carry_after,
     run_policy,
     start,
 )
-from .model import (
-    EMPTY_SCHEDULE,
-    Instance,
-    InvariantError,
-    Packet,
-    Schedule,
-    _scaled_order_key,
-    as_weight,
-    follows_priority_order,
-    precedes,
-    weight_scale,
-)
-from .offline import (
-    ObliviousSchedule,
-    _greedy_rank,
-    _oblivious,
-    conforming_clairvoyant,
-    oblivious_schedule,
-)
-from .policies import decide
+from .model import Instance, InvariantError, _follows_order, as_weight
+from .offline import _conforming_slots
+from .policies import _choose
+
+_T = TypeVar("_T")
 
 FAMILIES = ("agreeable-random", "two-bounded", "s-uniform", "golden-chain")
 
@@ -512,7 +498,9 @@ FACT_CHECKS = (
     "front_swap_feasible",
 )
 
-Corruption = Callable[[int, ObliviousSchedule], ObliviousSchedule | None]
+# (step, the oblivious schedule's ranks in the deadline-first order) -> a
+# replacement sequence, or None to keep it.
+Corruption = Callable[[int, tuple[int, ...]], Sequence[int] | None]
 
 
 @dataclass
@@ -551,115 +539,144 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     the optimum of the pending set (the value of the true oblivious
     schedule, which is the greedy of ``opt_schedule``); a conforming clairvoyant
     schedule can be built and follows the deadline-first order; its
-    already-pending packets lie inside the oblivious schedule; every
+    already-pending part lies inside the oblivious schedule; every
     oblivious packet order-before its first packet weighs strictly less;
     for oblivious packets i order-before j with w_i < w_j, scheduling i
     implies scheduling j; and when the earliest packet is skipped, the
     heaviest can be moved to the front without breaking feasibility.
 
-    ``corrupt`` may replace the oblivious schedule handed to the checks at
-    chosen steps (mutation-testing hook); the run itself is driven by the
-    true schedules.  Failures are findings, not exceptions.
+    The run steps the compiled instance as ``run_policy`` does: packets are
+    their ranks in the greedy order, weights integers over the instance's
+    common denominator, and the deadline-first order is ``(deadline,
+    rank)``.  A packet is looked up only to name it in a step's note.
+
+    ``corrupt(step, sequence)`` is a mutation-testing hook: it gets the
+    ranks of the step's oblivious schedule in the deadline-first order and
+    may return a replacement sequence, in the same order, to hand to the
+    checks in its place.  The checked earliest packet is the replacement's
+    first member and the checked heaviest its smallest rank.  The run itself
+    is driven by the true schedules.  Failures are findings, not exceptions.
     """
     if not instance.is_agreeable:
         raise ValueError("fact checks require an agreeable instance")
-    arrivals = instance.arrivals_by_step
-    packets = instance.packets
-    rank = _greedy_rank(packets)
+    compiled = _compile(instance)
+    arrivals, expiring, weights = compiled.arrivals, compiled.expiring, compiled.weights
+    releases = [p.release for p in compiled.packets]
     report = FactsReport()
-    carry: frozenset[Packet] = frozenset()
-    released = 0  # packets[released:] are the future arrivals
+    carry: frozenset[int] = frozenset()
+    future = frozenset(range(len(releases)))  # the ranks not yet released
     for step in busy_steps(instance, lambda: bool(carry)):
-        pending = carry.union(arrivals.get(step, ()))
-        truth = _oblivious(pending, sorted(pending, key=rank.__getitem__), step)
-        checked = truth
+        arrived = arrivals.get(step, ())
+        pending = carry.union(arrived)
+        future = future.difference(arrived)
+        sequence, e, h = _ranked_step(compiled.deadlines, weights, pending, step)
+        checked = sequence
         if corrupt is not None:
-            replacement = corrupt(step, truth)
+            replacement = corrupt(step, tuple(sequence))
             if replacement is not None:
                 checked = replacement
-        while released < len(packets) and packets[released].release <= step:
-            released += 1
         report.steps.append(
-            _check_step(pending, packets[released:], step, checked, truth.schedule.weight)
+            _check_step(compiled, releases, step, sorted(pending | future), checked, sequence)
         )
-        choice = decide("mg-prime", truth).deterministic
-        carry = carry_after(pending, choice, step)
+        choice = _choose("mg-prime", e, h, sequence, weights.__getitem__)
+        carry = pending.difference(expiring.get(step + 1, ()), (choice,))
     return report
 
 
 def _check_step(
-    pending, future, step, oblivious: ObliviousSchedule, pending_opt: Fraction
+    compiled, releases: list[int], step: int, candidates: list[int], checked, truth
 ) -> StepFacts:
-    """The facts at one step; ``pending_opt`` is the optimum of the pending
-    set, the value of its true oblivious schedule."""
-    results = {name: False for name in FACT_CHECKS}
-    note = None
-    results["oblivious_optimal"] = oblivious.schedule.weight == pending_opt
+    """The facts at one step over the ranks of ``compiled``: ``candidates``
+    are the pending and the future ranks in increasing order, ``checked``
+    the oblivious schedule handed to the checks and ``truth`` the true one,
+    both in the deadline-first order."""
+    deadlines, weights = compiled.deadlines, compiled.weights
+    results = dict.fromkeys(FACT_CHECKS, False)
+    weight = weights.__getitem__
+    results["oblivious_optimal"] = sum(map(weight, checked)) == sum(map(weight, truth))
+    scheduled = set(checked)
     try:
-        conforming = conforming_clairvoyant(pending, future, step, oblivious)
+        conforming = _conforming_slots(
+            candidates,
+            step,
+            scheduled,
+            releases,
+            deadlines,
+            weights,
+            lambda k: compiled.packets[k].id,
+        )
     except (InvariantError, ValueError) as err:
         return StepFacts(step, results, note=str(err))
-    results["conforming_built"] = follows_priority_order(conforming, step)
-    scheduled = oblivious.schedule.packets
-    results["pending_within_oblivious"] = all(
-        p in scheduled for p in conforming.packets if p.release <= step
+    chosen = {k for _, k in conforming}
+
+    def order(k):
+        return deadlines[k], k
+
+    results["conforming_built"] = _follows_order(conforming, step, releases.__getitem__, order)
+    results["pending_within_oblivious"] = all(k in scheduled for k in chosen if releases[k] <= step)
+    first = conforming[0][1]
+    results["first_packet_outweighs_earlier"] = all(
+        weights[k] < weights[first] for k in checked if order(k) < order(first)
     )
-    first = conforming.at(step)
-    results["first_packet_outweighs_earlier"] = first is not None and all(
-        p.weight < first.weight
-        for p in scheduled
-        if p != first and precedes(p, first)
-    )
-    results["heavier_scheduled_monotone"] = heavier_scheduled_monotone(
-        scheduled, conforming.packets
-    )
+    results["heavier_scheduled_monotone"] = heavier_scheduled_monotone(checked, chosen, weight)
     results["front_swap_feasible"] = _front_swap_feasible(
-        conforming, step, oblivious
+        conforming,
+        chosen,
+        step,
+        checked[0] if checked else None,
+        min(checked, default=None),
+        releases,
+        deadlines,
     )
-    return StepFacts(step, results, note)
+    return StepFacts(step, results)
 
 
-def heavier_scheduled_monotone(scheduled, chosen) -> bool:
-    """For packets i order-before j in ``scheduled`` with w_i < w_j: i in
-    ``chosen`` implies j in ``chosen``.
+def heavier_scheduled_monotone(
+    sequence: Sequence[_T], chosen: Container[_T], weight: Callable[[_T], int | Fraction]
+) -> bool:
+    """For members i before j in ``sequence``, the oblivious schedule in
+    the deadline-first order, with w_i < w_j: i in ``chosen`` implies j in
+    ``chosen``.
 
-    One pass in the deadline-first order: a packet left out of ``chosen``
-    must weigh no more than every chosen packet before it.
+    One pass: a member left out of ``chosen`` must weigh no more than
+    every chosen member before it.
     """
-    scale = weight_scale(scheduled)
-    lightest = None  # of the chosen packets seen so far, times the scale
-    for p in sorted(scheduled, key=_scaled_order_key(scale)):
-        weight = p.weight.numerator * (scale // p.weight.denominator)
+    lightest = None  # of the chosen members seen so far
+    for p in sequence:
+        w = weight(p)
         if p in chosen:
-            if lightest is None or weight < lightest:
-                lightest = weight
-        elif lightest is not None and lightest < weight:
+            if lightest is None or w < lightest:
+                lightest = w
+        elif lightest is not None and lightest < w:
             return False
     return True
 
 
 def _front_swap_feasible(
-    conforming: Schedule, step: int, oblivious: ObliviousSchedule
+    conforming: list[tuple[int, int]],
+    chosen: Container[int],
+    step: int,
+    earliest: int | None,
+    heaviest: int | None,
+    releases: list[int],
+    deadlines: list[int],
 ) -> bool:
-    """When the oblivious schedule's first packet is skipped, the heaviest
-    one must be movable to the front of the conforming schedule."""
-    earliest, heaviest = oblivious.earliest, oblivious.heaviest
+    """When the oblivious schedule's first rank is skipped, its heaviest
+    must be movable to the front of the conforming schedule."""
     if earliest is None or heaviest is None:
         return False
-    if earliest in conforming.packets:
+    if earliest in chosen:
         return True  # nothing to reorder
-    if heaviest not in conforming.packets:
+    if heaviest not in chosen:
         return False
-    sequence = conforming.sequence()
-    already_pending = [p for p in sequence if p.release <= step]
-    not_yet = [p for p in sequence if p.release > step]
+    sequence = [k for _, k in conforming]
     reordered = [heaviest]
-    reordered += [p for p in already_pending if p != heaviest]
-    reordered += not_yet
+    reordered += [k for k in sequence if releases[k] <= step and k != heaviest]
+    reordered += [k for k in sequence if releases[k] > step]
     current = step
-    for packet in reordered:
-        slot = max(current, packet.release)
-        if slot >= packet.deadline:
+    for k in reordered:
+        slot = max(current, releases[k])
+        if slot >= deadlines[k]:
             return False
         current = slot + 1
     return True
@@ -669,15 +686,10 @@ def drop_packet_corruption(target_step: int, drop_position: int) -> Corruption:
     """Mutation hook: remove one packet from the oblivious schedule of the
     chosen step (position taken modulo the schedule length)."""
 
-    def corrupt(step: int, oblivious: ObliviousSchedule) -> ObliviousSchedule | None:
+    def corrupt(step: int, sequence: tuple[int, ...]) -> tuple[int, ...] | None:
         if step != target_step:
             return None
-        sequence = oblivious.schedule.sequence()
-        victim = sequence[drop_position % len(sequence)]
-        kept = [p for p in sequence if p != victim]
-        dominated = oblivious.dominated | {victim}
-        if not kept:
-            return ObliviousSchedule(EMPTY_SCHEDULE, step, None, None, dominated)
-        return replace(oblivious_schedule(kept, step), dominated=dominated)
+        victim = drop_position % len(sequence)
+        return sequence[:victim] + sequence[victim + 1 :]
 
     return corrupt

@@ -5,10 +5,11 @@ packet; sorting keys gives the greedy order (``offline._greedy_order``:
 weight descending, ties in the deadline-first order), and the key's
 deadline and weight, an integer over a common denominator, sit in lists
 indexed by key, so a pending set is a frozenset of ints.  An instance's
-keys are its packets' ranks (``_compile``); the adversarial search builds
-its own key space (``analysis._SearchKernel``).  At each step the arrivals
+keys are its packets' ranks (``_compile``), which ``analysis.check_facts``
+steps as well; the adversarial search builds its own key space
+(``analysis._SearchKernel``).  At each step the arrivals
 join the carried pending set, ``_ranked_step`` sorts it and runs the slot
-greedy of ``offline._oblivious`` over it, the policy rule reads the
+greedy of ``offline.oblivious_schedule`` over it, the policy rule reads the
 integer weights of the oblivious schedule's earliest and heaviest key, and
 the sent key and every key whose deadline has come are dropped.
 
@@ -115,13 +116,6 @@ class RunReport:
     total_gain: Fraction
     opt_value: Fraction
     ratio: Fraction
-
-
-def carry_after(pending: frozenset[Packet], sent: Packet, step: int) -> frozenset[Packet]:
-    """The packets of ``pending`` other than ``sent`` that are still pending
-    at ``step + 1``, i.e. whose deadline lies beyond it.  The difference
-    reuses the hashes ``pending`` stores."""
-    return pending.difference([p for p in pending if p.deadline <= step + 1], (sent,))
 
 
 def busy_steps(instance: Instance, carrying: Callable[[], bool]) -> Iterator[int]:

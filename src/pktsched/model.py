@@ -13,7 +13,10 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
+
+_release = attrgetter("release")
 
 
 class InvariantError(RuntimeError):
@@ -319,9 +322,15 @@ def edf_schedule(packets: Iterable[Packet], start: int) -> Schedule:
     """
     packets = list(packets)
     key = _scaled_order_key(weight_scale(packets))
-    waiting = sorted(
-        ((p.release, i, p) for i, p in enumerate(packets)), reverse=True
-    )
+    return Schedule(tuple(_edf_slots(packets, start, _release, key)))
+
+
+def _edf_slots(members, start: int, release, key) -> list[tuple]:
+    """``edf_schedule``'s ``(step, member)`` slots, where ``release`` maps
+    a member to its release and ``key`` to its place in the deadline-first
+    order, a tuple whose first item is the member's deadline.  A member is
+    a packet or a key of a compiled instance (``engine._compile``)."""
+    waiting = sorted(((release(p), i, p) for i, p in enumerate(members)), reverse=True)
     available: list[tuple] = []
     slots = []
     step = start
@@ -331,12 +340,12 @@ def edf_schedule(packets: Iterable[Packet], start: int) -> Schedule:
         while waiting and waiting[-1][0] <= step:
             _, i, p = waiting.pop()
             heappush(available, (key(p), i, p))
-        packet = heappop(available)[2]
-        if packet.deadline <= step:
+        order, _, member = heappop(available)
+        if order[0] <= step:
             raise ValueError(f"packet set is not feasible from step {start}")
-        slots.append((step, packet))
+        slots.append((step, member))
         step += 1
-    return Schedule(tuple(slots))
+    return slots
 
 
 def follows_priority_order(schedule: Schedule, start: int) -> bool:
@@ -350,11 +359,19 @@ def follows_priority_order(schedule: Schedule, start: int) -> bool:
     slots = schedule.slots
     if not slots:
         return True
+    key = _scaled_order_key(weight_scale(p for _, p in slots))
+    return _follows_order(slots, start, _release, key)
+
+
+def _follows_order(slots, start: int, release, key) -> bool:
+    """``follows_priority_order`` on nonempty ``(step, member)`` slots in
+    step order, where ``release`` maps a member to its release and ``key``
+    to its place in the deadline-first order.  A member is a packet or a
+    key of a compiled instance (``engine._compile``)."""
     if slots[0][0] < start:
         return False
-    key = _scaled_order_key(weight_scale(p for _, p in slots))
     waiting = sorted(
-        ((p.release, i, p) for i, (_, p) in enumerate(slots)), reverse=True
+        ((release(p), i, p) for i, (_, p) in enumerate(slots)), reverse=True
     )
     available: list[tuple] = []
     step = start

@@ -14,16 +14,18 @@ in release order, each at the earliest step it can, and a candidate is
 probed by pushing back the run of slots that follow its own without a gap;
 otherwise ``is_feasible_set`` simulates earliest-deadline-first with
 release times.  Either way the kept set is laid out in the deadline-first
-order.  A walk over one instance ranks its packets in the greedy order once
-and sorts each pending set by that rank, instead of by weight, before the
-oblivious schedule's slot greedy: ``check_facts`` ranks packets
-(``_greedy_rank``), and the single-path runs of ``engine`` step over the
-ranks themselves.
+order.  The first two tests read a candidate's release and deadline
+through accessors, so they serve packets and the integer keys of a
+compiled instance alike (``engine._compile``: a key is a packet's rank in
+the greedy order, so sorting keys gives that order).
 
-The *conforming clairvoyant schedule* is built here as well: the greedy
-optimum over pending plus future packets, whose already-pending part lies
-inside the oblivious schedule because both greedies share one order, with
-its first packet chosen to outweigh every order-earlier oblivious member.
+The *conforming clairvoyant schedule* is built here as well, by one core
+over keys (``_conforming_slots``): the greedy optimum over pending plus
+future packets, whose already-pending part lies inside the oblivious
+schedule because both greedies share one order, with its first packet
+chosen to outweigh every order-earlier oblivious member.
+``conforming_clairvoyant`` ranks its packets and calls that core;
+``analysis.check_facts`` calls it on the ranks of its compiled instance.
 """
 
 from __future__ import annotations
@@ -32,12 +34,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, sub
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
 from .model import (
     InvariantError,
     Packet,
     Schedule,
+    _edf_slots,
+    _release,
     edf_schedule,
     has_agreeable_deadlines,
     is_feasible_set,
@@ -69,16 +73,6 @@ def _greedy_order(packets: Iterable[Packet]) -> list[Packet]:
     )
 
 
-def _greedy_rank(packets: Iterable[Packet]) -> dict[Packet, int]:
-    """Each packet's position in the greedy order of ``packets``.
-
-    Over the packets of one instance the order is strict, so sorting any
-    subset by ``rank.__getitem__`` gives that subset's greedy order; a run
-    builds its rank once instead of sorting every pending set by weight.
-    """
-    return {p: i for i, p in enumerate(_greedy_order(packets))}
-
-
 def _latest_free_steps(
     candidates: Iterable[_T], start: int, deadline: Callable[[_T], int] = _deadline
 ) -> list[_T]:
@@ -108,9 +102,16 @@ def _latest_free_steps(
     return kept
 
 
-def _fifo_slots(candidates: Iterable[Packet], start: int) -> list[Packet]:
+def _fifo_slots(
+    candidates: Iterable[_T],
+    start: int,
+    release: Callable[[_T], int] = _release,
+    deadline: Callable[[_T], int] = _deadline,
+) -> list[_T]:
     """The weight greedy over an agreeable set, visited in ``candidates``'
-    order; returns the kept packets in visiting order.
+    order; returns the kept candidates in visiting order.  A candidate is a
+    packet or, with ``release`` and ``deadline`` mapping it to its packet's,
+    a key of a compiled instance.
 
     With ``r' = max(release, start)``, the deadlines of an agreeable set
     never decrease in ``(r', deadline)`` order, so earliest-deadline-first
@@ -118,18 +119,19 @@ def _fifo_slots(candidates: Iterable[Packet], start: int) -> list[Packet]:
     1, r')``, and the set is feasible iff every slot lies before its
     deadline.  A candidate takes its slot in that order and pushes back by
     one only the run of kept packets whose slots follow on without a gap;
-    a failed probe changes nothing.
+    a failed probe changes nothing.  Kept packets with equal ``(r',
+    deadline)`` are interchangeable, so a candidate goes before them.
     """
-    keys: list[tuple[int, int, int]] = []
+    keys: list[tuple[int, int]] = []
     slots: list[int] = []
     deadlines: list[int] = []
-    kept: list[Packet] = []
+    kept: list[_T] = []
     for p in candidates:
-        release = max(p.release, start)
-        key = (release, p.deadline, p.arrival_index)
+        d = deadline(p)
+        key = (max(release(p), start), d)
         i = bisect_left(keys, key)
-        slot = release if i == 0 else max(slots[i - 1] + 1, release)
-        if slot >= p.deadline:
+        slot = key[0] if i == 0 else max(slots[i - 1] + 1, key[0])
+        if slot >= d:
             continue
         # The run is [i, end): slots[j] == slot + j - i there, and since the
         # slots rise by at least one per position, nowhere after it.
@@ -144,7 +146,7 @@ def _fifo_slots(candidates: Iterable[Packet], start: int) -> list[Packet]:
             continue
         keys.insert(i, key)
         slots[i:end] = range(slot, slot + end - i + 1)
-        deadlines.insert(i, p.deadline)
+        deadlines.insert(i, d)
         kept.append(p)
     return kept
 
@@ -218,22 +220,12 @@ def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedul
     for p in pending:
         if not p.pending_window(step):
             raise ValueError(f"packet {p.id} is not pending at step {step}")
-    return _oblivious(frozenset(pending), _greedy_order(pending), step)
-
-
-def _oblivious(
-    pending: frozenset[Packet], candidates: list[Packet], step: int
-) -> ObliviousSchedule:
-    """The oblivious schedule of ``pending``, given ``candidates``: its
-    packets in greedy order, all pending at ``step``.  ``check_facts``
-    sorts its pending sets by a rank built once (``_greedy_rank``);
-    ``oblivious_schedule`` sorts its input itself."""
-    kept = _latest_free_steps(candidates, step)
+    kept = _latest_free_steps(_greedy_order(pending), step)
     # Sorting is stable, so equal deadlines keep the greedy's heavier-first,
     # earlier-arrival-first order: the result is the deadline-first order.
     sequence = sorted(kept, key=_deadline)
     schedule = Schedule(tuple(enumerate(sequence, start=step)))
-    dominated = pending.difference(schedule.packets)
+    dominated = frozenset(pending).difference(schedule.packets)
     return ObliviousSchedule(schedule, step, sequence[0], kept[0], dominated)
 
 
@@ -258,6 +250,8 @@ def conforming_clairvoyant(
     the earlier packets of the union is not spanned by the earlier pending
     ones either.  So the pending part already lies inside a true oblivious
     schedule; a pending packet outside ``oblivious`` raises InvariantError.
+    The packets are ranked in the greedy order and built by the core over
+    ranks, ``_conforming_slots``.
     """
     pending = list(pending)
     future = list(future)
@@ -272,35 +266,64 @@ def conforming_clairvoyant(
     universe = pending + future
     if not has_agreeable_deadlines(universe):
         raise ValueError("conforming schedules require agreeable deadlines")
+    scheduled = oblivious.schedule.packets
+    order = _greedy_order(scheduled.union(universe))
+    rank = {p: k for k, p in enumerate(order)}
+    slots = _conforming_slots(
+        sorted(map(rank.__getitem__, universe)),
+        step,
+        set(map(rank.__getitem__, scheduled)),
+        [p.release for p in order],
+        [p.deadline for p in order],
+        [p.weight for p in order],
+        lambda k: order[k].id,
+    )
+    return Schedule(tuple((t, order[k]) for t, k in slots))
 
-    ordered = edf_schedule(_greedy_optimal_set(universe, step), step)
-    for p in ordered.sequence():
-        if p.release <= step and p not in oblivious.schedule.packets:
+
+def _conforming_slots(
+    candidates: list[int],
+    step: int,
+    oblivious: Collection[int],
+    releases: Sequence[int],
+    deadlines: Sequence[int],
+    weights: Sequence,
+    name: Callable[[int], str],
+) -> list[tuple[int, int]]:
+    """The conforming clairvoyant schedule over keys, as ``(step, key)``
+    slots in step order.
+
+    ``candidates`` are the keys of the pending and the future packets in
+    increasing order, the greedy order, and together agreeable;
+    ``oblivious`` holds the keys of the oblivious schedule.  ``releases``,
+    ``deadlines`` and ``weights`` are indexed by key, and ``name`` names a
+    key's packet in an error.  Among equal deadlines, key order is the
+    deadline-first order, so ``(deadline, key)`` is that order.
+    """
+    release, deadline = releases.__getitem__, deadlines.__getitem__
+    if max(map(release, candidates), default=step) <= step:
+        kept = _latest_free_steps(candidates, step, deadline)
+    else:
+        kept = _fifo_slots(candidates, step, release, deadline)
+    slots = _edf_slots(kept, step, release, lambda k: (deadlines[k], k))
+    for _, k in slots:
+        if release(k) <= step and k not in oblivious:
             raise InvariantError(
-                f"pending packet {p.id} of the optimum lies outside the "
+                f"pending packet {name(k)} of the optimum lies outside the "
                 "oblivious schedule; the oblivious schedule is not optimal"
             )
-    first = ordered.at(step)
-    if first is None:
+    if not slots or slots[0][0] != step:
         raise InvariantError("conforming schedule leaves the current step idle")
-    # Among packets of one weight, the deadline-first order is by deadline,
-    # then arrival.
-    substitute = min(
-        (p for p in oblivious.schedule.packets if p.weight == first.weight),
-        key=lambda p: (p.deadline, p.arrival_index),
-        default=None,
-    )
+    first = slots[0][1]
+    # Among keys of one weight, key order is by deadline, then arrival.
+    substitute = min((k for k in oblivious if weights[k] == weights[first]), default=None)
     if substitute is None:
         raise InvariantError(
             "first packet of the conforming schedule is not weight-matched "
             "in the oblivious schedule"
         )
     if substitute != first:
-        if substitute in ordered.packets:
+        if substitute in kept:
             raise InvariantError("equal-weight substitute already scheduled")
-        slots = tuple(
-            (t, substitute if t == step else p) for t, p in ordered.slots
-        )
-        ordered = Schedule(slots)
-    return ordered
-
+        slots[0] = (step, substitute)
+    return slots

@@ -100,30 +100,6 @@ def _choose(
     raise RuntimeError("no candidate despite the heaviest packet qualifying")
 
 
-def _choose_packet(policy: str, oblivious: ObliviousSchedule) -> Packet:
-    """``_choose`` on an oblivious schedule's packets, their weights over
-    the schedule's common denominator."""
-    e, h = _require_pair(oblivious)
-    sequence = oblivious.schedule.sequence()
-    scale = weight_scale(sequence)
-    return _choose(
-        policy, e, h, sequence, lambda p: p.weight.numerator * (scale // p.weight.denominator)
-    )
-
-
-def mg_choose(oblivious: ObliviousSchedule) -> Packet:
-    """Original greedy: the earliest packet when the gap is within the golden
-    ratio, otherwise the order-minimal packet within a golden-ratio factor of
-    both the earliest and the heaviest."""
-    return _choose_packet("mg", oblivious)
-
-
-def mg_prime_choose(oblivious: ObliviousSchedule) -> Packet:
-    """Simplified greedy: the earliest packet when the gap is within the
-    golden ratio, otherwise the heaviest."""
-    return _choose_packet("mg-prime", oblivious)
-
-
 def _rg_lottery(w_e: int, w_h: int) -> tuple[int, int, int]:
     """The randomized policy's lottery between the earliest packet, of
     weight ``w_e``, and the heaviest, of weight ``w_h`` (integers over one
@@ -148,17 +124,20 @@ def rg_distribution(oblivious: ObliviousSchedule) -> PolicyDecision:
     return PolicyDecision.mixed(((e, Fraction(p_e, denominator)), (h, Fraction(p_h, denominator))))
 
 
-def baseline_choose(name: str, oblivious: ObliviousSchedule) -> Packet:
-    if name not in ("greedy-weight", "edf-nondominated"):
-        raise ValueError(f"unknown baseline {name!r}")
-    return _choose_packet(name, oblivious)
-
-
 def decide(policy: str, oblivious: ObliviousSchedule) -> PolicyDecision:
-    """Uniform entry point mapping a policy name to its decision."""
+    """Uniform entry point mapping a policy name to its decision on an
+    oblivious schedule's packets; a deterministic policy applies
+    ``_choose`` to their weights over the schedule's common denominator."""
     if policy == "rg":
         return rg_distribution(oblivious)
-    return PolicyDecision.sure(_choose_packet(policy, oblivious))
+    e, h = _require_pair(oblivious)
+    sequence = oblivious.schedule.sequence()
+    scale = weight_scale(sequence)
+
+    def weight(p: Packet) -> int:
+        return p.weight.numerator * (scale // p.weight.denominator)
+
+    return PolicyDecision.sure(_choose(policy, e, h, sequence, weight))
 
 
 def _require_pair(oblivious: ObliviousSchedule) -> tuple[Packet, Packet]:

@@ -11,7 +11,9 @@ quadratic, and the order checks of the fact checker by comparing every
 step or every pair instead of a heap walk or a single pass, the step
 kernel's state map in ``Fraction``s instead of integers over a common
 denominator, and single runs over packets instead of compiled ranks, with
-the Monte Carlo threshold as a ``Fraction``.  ``at_most_golden`` is no
+the Monte Carlo threshold as a ``Fraction``, and the structural fact
+checks over ``Packet``s and ``Schedule``s instead of compiled ranks.
+``at_most_golden`` is no
 oracle: it is the bound r*r <= r + 1 as the acceptance criterion states
 it, for the tests' bound checks.
 """
@@ -25,9 +27,19 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 
-from pktsched.engine import carry_after
-from pktsched.model import Instance, Packet, is_feasible_set, order_key, precedes
-from pktsched.offline import oblivious_schedule
+from pktsched.analysis import FACT_CHECKS, StepFacts
+from pktsched.model import (
+    Instance,
+    InvariantError,
+    Packet,
+    Schedule,
+    edf_schedule,
+    follows_priority_order,
+    is_feasible_set,
+    order_key,
+    precedes,
+)
+from pktsched.offline import ObliviousSchedule, oblivious_schedule
 from pktsched.policies import decide
 
 ZERO = Fraction(0)
@@ -374,3 +386,126 @@ def oracle_advance(policy, states, step, arrivals):
                 paths,
             )
     return out
+
+
+def carry_after(pending: frozenset[Packet], sent: Packet, step: int) -> frozenset[Packet]:
+    """The packets of ``pending`` other than ``sent`` that are still pending
+    at ``step + 1``, i.e. whose deadline lies beyond it."""
+    return pending.difference([p for p in pending if p.deadline <= step + 1], (sent,))
+
+
+def oracle_check_facts(instance: Instance, drop: tuple[int, int] | None = None):
+    """``analysis.check_facts`` over ``Packet``s: at every step of the
+    mg-prime run, the public oblivious schedule, a conforming schedule built
+    from the per-candidate greedy, and the six facts on ``Schedule``s, the
+    monotone fact pair by pair.  ``drop = (step, position)`` removes that
+    packet from the oblivious schedule handed to the checks, as
+    ``drop_packet_corruption`` does.  Returns the list of ``StepFacts``."""
+    if not instance.is_agreeable:
+        raise ValueError("fact checks require an agreeable instance")
+    arrivals = instance.arrivals_by_step
+    steps = []
+    carry: frozenset[Packet] = frozenset()
+    step = instance.first_release
+    while instance.packets and step <= instance.horizon:
+        pending = carry.union(arrivals.get(step, ()))
+        if pending:
+            truth = oblivious_schedule(pending, step)
+            checked = truth
+            if drop is not None and drop[0] == step:
+                checked = _oracle_drop(truth, drop[1])
+            future = [p for p in instance.packets if p.release > step]
+            steps.append(_oracle_check_step(pending, future, step, checked, truth))
+            carry = carry_after(pending, decide("mg-prime", truth).deterministic, step)
+        step += 1
+    return steps
+
+
+def _oracle_drop(oblivious, position):
+    sequence = oblivious.schedule.sequence()
+    victim = sequence[position % len(sequence)]
+    kept = [p for p in sequence if p != victim]
+    dominated = oblivious.dominated | {victim}
+    if not kept:
+        return ObliviousSchedule(Schedule(()), oblivious.start, None, None, dominated)
+    schedule = oblivious_schedule(kept, oblivious.start)
+    return ObliviousSchedule(
+        schedule.schedule, schedule.start, schedule.earliest, schedule.heaviest, dominated
+    )
+
+
+def _oracle_check_step(pending, future, step, oblivious, truth) -> StepFacts:
+    results = {name: False for name in FACT_CHECKS}
+    results["oblivious_optimal"] = oblivious.schedule.weight == truth.schedule.weight
+    try:
+        conforming = oracle_conforming(pending, future, step, oblivious)
+    except (InvariantError, ValueError) as err:
+        return StepFacts(step, results, note=str(err))
+    results["conforming_built"] = follows_priority_order(conforming, step)
+    scheduled = oblivious.schedule.packets
+    results["pending_within_oblivious"] = all(
+        p in scheduled for p in conforming.packets if p.release <= step
+    )
+    first = conforming.at(step)
+    results["first_packet_outweighs_earlier"] = first is not None and all(
+        p.weight < first.weight for p in scheduled if p != first and precedes(p, first)
+    )
+    results["heavier_scheduled_monotone"] = oracle_heavier_scheduled_monotone(
+        scheduled, conforming.packets
+    )
+    results["front_swap_feasible"] = _oracle_front_swap_feasible(conforming, step, oblivious)
+    return StepFacts(step, results)
+
+
+def oracle_conforming(pending, future, step, oblivious) -> Schedule:
+    """The conforming clairvoyant schedule from ``Packet``s: the
+    deadline-first schedule of ``oracle_greedy_set`` over pending plus
+    future packets, its first packet replaced by the order-minimal
+    oblivious packet of equal weight.  Raises as
+    ``conforming_clairvoyant`` does, with its messages."""
+    ordered = edf_schedule(oracle_greedy_set(list(pending) + list(future), step), step)
+    for p in ordered.sequence():
+        if p.release <= step and p not in oblivious.schedule.packets:
+            raise InvariantError(
+                f"pending packet {p.id} of the optimum lies outside the "
+                "oblivious schedule; the oblivious schedule is not optimal"
+            )
+    first = ordered.at(step)
+    if first is None:
+        raise InvariantError("conforming schedule leaves the current step idle")
+    substitute = min(
+        (p for p in oblivious.schedule.packets if p.weight == first.weight),
+        key=order_key,
+        default=None,
+    )
+    if substitute is None:
+        raise InvariantError(
+            "first packet of the conforming schedule is not weight-matched "
+            "in the oblivious schedule"
+        )
+    if substitute != first:
+        if substitute in ordered.packets:
+            raise InvariantError("equal-weight substitute already scheduled")
+        ordered = Schedule(tuple((t, substitute if t == step else p) for t, p in ordered.slots))
+    return ordered
+
+
+def _oracle_front_swap_feasible(conforming, step, oblivious) -> bool:
+    earliest, heaviest = oblivious.earliest, oblivious.heaviest
+    if earliest is None or heaviest is None:
+        return False
+    if earliest in conforming.packets:
+        return True
+    if heaviest not in conforming.packets:
+        return False
+    sequence = conforming.sequence()
+    reordered = [heaviest]
+    reordered += [p for p in sequence if p.release <= step and p != heaviest]
+    reordered += [p for p in sequence if p.release > step]
+    current = step
+    for packet in reordered:
+        slot = max(current, packet.release)
+        if slot >= packet.deadline:
+            return False
+        current = slot + 1
+    return True

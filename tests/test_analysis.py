@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mk, mk_instance, random_agreeable
-from oracles import at_most_golden, oracle_heavier_scheduled_monotone
+from oracles import at_most_golden, oracle_check_facts, oracle_heavier_scheduled_monotone
 
 from pktsched import analysis
 from pktsched.analysis import (
+    FACT_CHECKS,
     GeneratorSpec,
     adversary_search,
     check_facts,
@@ -22,15 +23,44 @@ from pktsched.analysis import (
     two_bounded_step_options,
 )
 from pktsched.engine import run_policy
-from pktsched.model import Instance
+from pktsched.model import Instance, order_key
 from pktsched.offline import _greedy_order
 from pktsched.policies import POLICIES
 
 MENU12 = (Fraction(1), Fraction(2))
 
+# Few weights, two of them fractional, so that weights tie often.
+TIE_MENU = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(3), Fraction(8))
+
 
 def three_packet_instance():
     return mk_instance(("a", 1, 2, 1), ("b", 1, 3, 2), ("c", 2, 3, 2))
+
+
+@st.composite
+def tied_agreeable(draw):
+    """Up to 4 release steps, one or two apart, with up to 3 arrivals each
+    whose weights come from ``TIE_MENU`` and whose deadlines lie close
+    together, so weights and deadlines tie often.  Every deadline reaches
+    the latest deadline released before it, so the instance is agreeable."""
+    rows = []
+    floor = 0
+    step = 0
+    for _ in range(draw(st.integers(1, 4))):
+        step += draw(st.integers(1, 2))
+        batch_max = 0
+        arrivals = st.tuples(st.integers(0, 3), st.sampled_from(TIE_MENU))
+        for spread, weight in draw(st.lists(arrivals, max_size=3)):
+            deadline = max(floor, step + 1) + spread
+            rows.append((f"p{len(rows)}", step, deadline, weight))
+            batch_max = max(batch_max, deadline)
+        floor = max(floor, batch_max)
+    return Instance.build(rows)
+
+
+def as_rows(steps):
+    """Step facts as comparable rows, the results in their order."""
+    return [(entry.step, list(entry.results.items()), entry.note) for entry in steps]
 
 
 class TestCompetitiveRatio:
@@ -306,9 +336,24 @@ class TestCheckFacts:
     def test_monotone_check_matches_pairwise_oracle(self, rows):
         scheduled = [mk(f"p{i}", 1, d, w, i) for i, (d, w, _) in enumerate(rows)]
         chosen = frozenset(p for p, (_, _, keep) in zip(scheduled, rows) if keep)
+        sequence = sorted(scheduled, key=order_key)
         assert heavier_scheduled_monotone(
-            frozenset(scheduled), chosen
+            sequence, chosen, lambda p: p.weight
         ) == oracle_heavier_scheduled_monotone(scheduled, chosen)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(tied_agreeable())
+    def test_matches_the_packet_oracle_with_and_without_a_corruption(self, inst):
+        report = check_facts(inst)
+        assert as_rows(report.steps) == as_rows(oracle_check_facts(inst))
+        assert all(list(entry.results) == list(FACT_CHECKS) for entry in report.steps)
+        for record in run_policy(inst, "mg-prime").per_step:
+            # One position past the end wraps around to the first.
+            for position in range(len(record.scheduled_ids) + 1):
+                corrupt = drop_packet_corruption(record.step, position)
+                assert as_rows(check_facts(inst, corrupt).steps) == as_rows(
+                    oracle_check_facts(inst, (record.step, position))
+                )
 
     def test_passes_on_random_agreeable_instances(self):
         rng = random.Random(2024)

@@ -334,31 +334,24 @@ class TestRunRgMc:
 
 
 class TestRankedSchedules:
-    """The single-path runs step over packet ranks, their keys, through
-    one core, ``engine._ranked_step``; ``check_facts`` sorts each pending
-    set by a greedy rank and hands it to the private core of
-    ``oblivious_schedule``.  Every step of each agrees with the public
-    schedule and the oracle."""
+    """The single-path runs and ``check_facts`` step over packet ranks,
+    their keys, through one core, ``engine._ranked_step``.  Every step of
+    each agrees with the public schedule and the oracle."""
 
     @settings(max_examples=120, derandomize=True, database=None, deadline=None)
     @given(small_agreeable(), st.integers(0, 99))
     def test_every_step_matches_the_public_schedule_and_the_oracle(self, inst, seed):
-        ranked_core, packet_core = engine._ranked_step, analysis._oblivious
-        ranked, facts = [], []
+        ranked_core = engine._ranked_step
+        ranked = []
 
         def record_ranked(deadlines, weights, pending, step):
             result = ranked_core(deadlines, weights, pending, step)
             ranked.append((pending, step, result))
             return result
 
-        def record_facts(pending, candidates, step):
-            result = packet_core(pending, candidates, step)
-            facts.append((pending, step, result))
-            return result
-
         calls = {}
         with mock.patch.object(engine, "_ranked_step", record_ranked), mock.patch.object(
-            analysis, "_oblivious", record_facts
+            analysis, "_ranked_step", record_ranked
         ):
             for policy in DETERMINISTIC_POLICIES:
                 before = len(ranked)
@@ -368,8 +361,10 @@ class TestRankedSchedules:
             before = len(ranked)
             run_rg_mc(inst, 3, seed)
             calls["rg"] = len(ranked) - before
-            check_facts(inst)
-            calls["check_facts"] = len(facts)
+            before = len(ranked)
+            steps = len(check_facts(inst).steps)
+            calls["check_facts"] = len(ranked) - before
+            assert calls["check_facts"] == steps
         # Every caller went through its core, unless there is no step.
         assert all(n > 0 for n in calls.values()) == bool(inst.packets)
         packets = engine._compile(inst).packets
@@ -380,16 +375,9 @@ class TestRankedSchedules:
             assert tuple(packets[r] for r in sequence) == public.schedule.sequence() == expected[0]
             assert (packets[earliest], packets[heaviest]) == (public.earliest, public.heaviest)
             assert (public.earliest, public.heaviest) == expected[1:3]
-        for pending, step, truth in facts:
-            # All five fields: schedule, start, earliest, heaviest, dominated.
-            assert truth == oblivious_schedule(pending, step)
-            sequence, earliest, heaviest, dominated = oracle_oblivious(pending, step)
-            assert truth.schedule.sequence() == sequence
-            assert (truth.earliest, truth.heaviest, truth.dominated) == (
-                earliest,
-                heaviest,
-                dominated,
-            )
+            # The ranks left out are the dominated packets.
+            assert pending.difference(packets[r] for r in sequence) == public.dominated
+            assert public.dominated == expected[3]
 
 
 ORACLE_RUNS = {

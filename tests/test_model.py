@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_fractions, key_space, mk, mk_instance
-from oracles import feasible_by_enumeration, oracle_follows_priority_order
+from oracles import carry_after, feasible_by_enumeration, oracle_follows_priority_order
 
-from pktsched.engine import States, advance, carry_after
+from pktsched.engine import States, advance
 from pktsched.model import (
     Instance,
     Schedule,

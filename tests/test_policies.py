@@ -8,20 +8,17 @@ from oracles import oracle_golden_test
 
 from pktsched.model import precedes
 from pktsched.offline import oblivious_schedule
-from pktsched.policies import (
-    PolicyDecision,
-    _within_golden,
-    baseline_choose,
-    decide,
-    mg_choose,
-    mg_prime_choose,
-    rg_distribution,
-)
+from pktsched.policies import PolicyDecision, _within_golden, decide, rg_distribution
 
 
 def pending_schedule(*packets):
     start = min(p.release for p in packets)
     return oblivious_schedule(set(packets), start)
+
+
+def choose(policy, oblivious):
+    """A deterministic policy's choice on an oblivious schedule."""
+    return decide(policy, oblivious).deterministic
 
 
 def random_positive(rng):
@@ -96,17 +93,17 @@ class TestGoldenTest:
 class TestMgChoose:
     def test_falls_back_to_heaviest(self):
         e, h = mk("e", 1, 2, 1, 0), mk("h", 1, 3, 3, 1)
-        assert mg_choose(pending_schedule(e, h)) == h
+        assert choose("mg", pending_schedule(e, h)) == h
 
     def test_takes_middle_candidate(self):
         e = mk("e", 1, 2, 1, 0)
         f = mk("f", 1, 3, 2, 1)
         h = mk("h", 1, 4, 3, 2)
-        assert mg_choose(pending_schedule(e, f, h)) == f
+        assert choose("mg", pending_schedule(e, f, h)) == f
 
     def test_singleton(self):
         x = mk("x", 1, 2, 1)
-        assert mg_choose(pending_schedule(x)) == x
+        assert choose("mg", pending_schedule(x)) == x
 
     def test_agrees_with_simplified_when_within_golden(self):
         rng = random.Random(77)
@@ -117,9 +114,9 @@ class TestMgChoose:
             ]
             ob = oblivious_schedule(packets, 1)
             if within(ob.earliest.weight, ob.heaviest.weight):
-                assert mg_choose(ob) == mg_prime_choose(ob) == ob.earliest
+                assert choose("mg", ob) == choose("mg-prime", ob) == ob.earliest
             else:
-                chosen = mg_choose(ob)
+                chosen = choose("mg", ob)
                 # between the earliest and the heaviest in the order
                 assert not precedes(chosen, ob.earliest)
                 assert not precedes(ob.heaviest, chosen)
@@ -128,15 +125,15 @@ class TestMgChoose:
 class TestMgPrimeChoose:
     def test_sends_heaviest_outside_golden(self):
         e, h = mk("e", 1, 2, 1, 0), mk("h", 1, 4, 3, 1)
-        assert mg_prime_choose(pending_schedule(e, h)) == h
+        assert choose("mg-prime", pending_schedule(e, h)) == h
 
     def test_sends_earliest_within_golden(self):
         e, h = mk("e", 1, 2, 2, 0), mk("h", 1, 4, 3, 1)
-        assert mg_prime_choose(pending_schedule(e, h)) == e
+        assert choose("mg-prime", pending_schedule(e, h)) == e
 
     def test_singleton(self):
         x = mk("x", 1, 2, 1)
-        assert mg_prime_choose(pending_schedule(x)) == x
+        assert choose("mg-prime", pending_schedule(x)) == x
 
     def test_always_earliest_or_heaviest(self):
         rng = random.Random(13)
@@ -146,7 +143,7 @@ class TestMgPrimeChoose:
                 for i in range(rng.randint(1, 5))
             ]
             ob = oblivious_schedule(packets, 1)
-            assert mg_prime_choose(ob) in (ob.earliest, ob.heaviest)
+            assert choose("mg-prime", ob) in (ob.earliest, ob.heaviest)
 
 
 class TestRgDistribution:
@@ -180,18 +177,16 @@ class TestBaselinesAndRegistry:
     def test_baselines(self):
         e, h = mk("e", 1, 2, 1, 0), mk("h", 1, 3, 5, 1)
         ob = pending_schedule(e, h)
-        assert baseline_choose("greedy-weight", ob) == h
-        assert baseline_choose("edf-nondominated", ob) == e
+        assert choose("greedy-weight", ob) == h
+        assert choose("edf-nondominated", ob) == e
         x = mk("x", 1, 2, 1)
         single = pending_schedule(x)
-        assert baseline_choose("greedy-weight", single) == x
-        assert baseline_choose("edf-nondominated", single) == x
+        assert choose("greedy-weight", single) == x
+        assert choose("edf-nondominated", single) == x
 
     def test_unknown_names_raise(self):
         ob = pending_schedule(mk("x", 1, 2, 1))
-        with pytest.raises(ValueError):
-            baseline_choose("bogus", ob)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown policy 'bogus'"):
             decide("bogus", ob)
 
     def test_decide_dispatch(self):
