@@ -26,8 +26,6 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, T
 from .engine import (
     DEFAULT_EXACT_CAP,
     Transitions,
-    _compile,
-    _ranked_step,
     _rg_exact,
     advance,
     busy_steps,
@@ -35,7 +33,7 @@ from .engine import (
     start,
 )
 from .model import Instance, InvariantError, _follows_order, as_weight
-from .offline import _conforming_slots
+from .offline import _compile, _conforming_slots, _ranked_step
 from .policies import _choose
 
 _T = TypeVar("_T")
@@ -561,10 +559,9 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
         raise ValueError("fact checks require an agreeable instance")
     compiled = _compile(instance)
     arrivals, expiring, weights = compiled.arrivals, compiled.expiring, compiled.weights
-    releases = [p.release for p in compiled.packets]
     report = FactsReport()
     carry: frozenset[int] = frozenset()
-    future = frozenset(range(len(releases)))  # the ranks not yet released
+    future = frozenset(range(len(compiled.packets)))  # the ranks not yet released
     for step in busy_steps(instance, lambda: bool(carry)):
         arrived = arrivals.get(step, ())
         pending = carry.union(arrived)
@@ -576,35 +573,25 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
             if replacement is not None:
                 checked = replacement
         report.steps.append(
-            _check_step(compiled, releases, step, sorted(pending | future), checked, sequence)
+            _check_step(compiled, step, sorted(pending | future), checked, sequence)
         )
         choice = _choose("mg-prime", e, h, sequence, weights.__getitem__)
         carry = pending.difference(expiring.get(step + 1, ()), (choice,))
     return report
 
 
-def _check_step(
-    compiled, releases: list[int], step: int, candidates: list[int], checked, truth
-) -> StepFacts:
+def _check_step(compiled, step: int, candidates: list[int], checked, truth) -> StepFacts:
     """The facts at one step over the ranks of ``compiled``: ``candidates``
     are the pending and the future ranks in increasing order, ``checked``
     the oblivious schedule handed to the checks and ``truth`` the true one,
     both in the deadline-first order."""
-    deadlines, weights = compiled.deadlines, compiled.weights
+    releases, deadlines, weights = compiled.releases, compiled.deadlines, compiled.weights
     results = dict.fromkeys(FACT_CHECKS, False)
     weight = weights.__getitem__
     results["oblivious_optimal"] = sum(map(weight, checked)) == sum(map(weight, truth))
     scheduled = set(checked)
     try:
-        conforming = _conforming_slots(
-            candidates,
-            step,
-            scheduled,
-            releases,
-            deadlines,
-            weights,
-            lambda k: compiled.packets[k].id,
-        )
+        conforming = _conforming_slots(compiled, candidates, step, scheduled)
     except (InvariantError, ValueError) as err:
         return StepFacts(step, results, note=str(err))
     chosen = {k for _, k in conforming}

@@ -5,13 +5,15 @@ packet; sorting keys gives the greedy order (``offline._greedy_order``:
 weight descending, ties in the deadline-first order), and the key's
 deadline and weight, an integer over a common denominator, sit in lists
 indexed by key, so a pending set is a frozenset of ints.  An instance's
-keys are its packets' ranks (``_compile``), which ``analysis.check_facts``
-steps as well; the adversarial search builds its own key space
-(``analysis._SearchKernel``).  At each step the arrivals
-join the carried pending set, ``_ranked_step`` sorts it and runs the slot
-greedy of ``offline.oblivious_schedule`` over it, the policy rule reads the
-integer weights of the oblivious schedule's earliest and heaviest key, and
-the sent key and every key whose deadline has come are dropped.
+keys are its packets' ranks (``offline._compile``), which
+``analysis.check_facts`` steps as well; the adversarial search builds its
+own key space (``analysis._SearchKernel``).  At each step the arrivals
+join the carried pending set, ``offline._ranked_step`` sorts it and runs
+the slot greedy of the oblivious schedule over it, the policy rule reads
+the integer weights of the oblivious schedule's earliest and heaviest key,
+and the sent key and every key whose deadline has come are dropped.  A run
+checks its gain against the offline optimum of the compile it steps
+(``offline._opt_weight``).
 
 ``advance`` takes that step for a distribution over carried sets,
 merging outcomes that carry the same set.  ``busy_steps`` lists the steps
@@ -45,13 +47,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from math import gcd, lcm
-from operator import gt
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .model import Instance, InvariantError, Packet, weight_scale
-from .offline import _greedy_order, _latest_free_steps, opt_schedule
+from .model import Instance, InvariantError, Packet
+from .offline import _compile, _opt_weight, _ranked_step
 from .policies import DETERMINISTIC_POLICIES, _choose, _rg_lottery
 
 DEFAULT_EXACT_CAP = 1 << 20
@@ -229,63 +229,6 @@ def advance(
     return States(scale, denominator, out)
 
 
-class _Compiled(NamedTuple):
-    """An instance compiled to its key space.
-
-    A packet's key is its rank in the greedy order
-    (``offline._greedy_order``), so sorting keys gives their greedy order.
-    ``deadlines`` and ``weights`` (integers over ``scale``) are indexed by
-    key; ``arrivals`` and ``expiring`` map a step to the keys released at
-    it and to the keys whose deadline it is.
-    """
-
-    packets: list[Packet]
-    deadlines: list[int]
-    weights: list[int]
-    scale: int
-    arrivals: dict[int, tuple[int, ...]]
-    expiring: dict[int, tuple[int, ...]]
-
-
-def _compile(packets: Iterable[Packet]) -> _Compiled:
-    """The key space of ``packets``: an instance's, or several instances'
-    packets, whose keys sort in each instance's greedy order."""
-    packets = _greedy_order(packets)
-    scale = weight_scale(packets)
-    arrivals: dict[int, list[int]] = {}
-    expiring: dict[int, list[int]] = {}
-    for rank, p in enumerate(packets):
-        arrivals.setdefault(p.release, []).append(rank)
-        expiring.setdefault(p.deadline, []).append(rank)
-    return _Compiled(
-        packets,
-        [p.deadline for p in packets],
-        [p.weight.numerator * (scale // p.weight.denominator) for p in packets],
-        scale,
-        {step: tuple(ranks) for step, ranks in arrivals.items()},
-        {step: tuple(ranks) for step, ranks in expiring.items()},
-    )
-
-
-def _ranked_step(
-    deadlines: list[int], weights: list[int], pending: frozenset[int], step: int
-) -> tuple[list[int], int, int]:
-    """The oblivious schedule of ``pending``, keys all pending at ``step``:
-    its keys in the deadline-first order, its earliest key and its
-    heaviest.  Raises InvariantError if a key's slot misses its deadline or
-    the earliest outweighs the heaviest."""
-    deadline = deadlines.__getitem__
-    kept = _latest_free_steps(sorted(pending), step, deadline)
-    # Stable on the greedy order: the deadline-first order.
-    sequence = sorted(kept, key=deadline)
-    if not all(map(gt, map(deadline, sequence), count(step))):
-        raise InvariantError(f"oblivious schedule at step {step} misses a deadline")
-    e, h = sequence[0], kept[0]
-    if not 0 < weights[e] <= weights[h]:
-        raise InvariantError(f"earliest packet outweighs the heaviest at step {step}")
-    return sequence, e, h
-
-
 def run_policy(instance: Instance, policy: str) -> RunReport:
     """Simulate a deterministic policy over all steps and report exact totals."""
     if policy not in DETERMINISTIC_POLICIES:
@@ -319,12 +262,12 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
             )
         )
         carry = pending.difference(expiring.get(step + 1, ()), (choice,))
-    total_gain = Fraction(total, compiled.scale)
-    _, opt_value = opt_schedule(instance.packets, instance.first_release)
-    if total_gain > opt_value:
+    opt = _opt_weight(compiled, instance.first_release, instance.is_agreeable)
+    if total > opt:
         raise InvariantError("online gain exceeded the offline optimum")
-    ratio = Fraction(1) if opt_value == 0 else opt_value / total_gain
-    return RunReport(policy, tuple(records), total_gain, opt_value, ratio)
+    ratio = Fraction(1) if opt == 0 else Fraction(opt, total)
+    scale = compiled.scale
+    return RunReport(policy, tuple(records), Fraction(total, scale), Fraction(opt, scale), ratio)
 
 
 def run_rg_exact(
@@ -361,7 +304,8 @@ def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction]:
     scale, denominator, final = states
     value = Fraction(sum(weighted for _, weighted, _ in final.values()), denominator * scale)
     leaves = sum(paths for _, _, paths in final.values())
-    _, opt_value = opt_schedule(instance.packets, instance.first_release)
+    opt = _opt_weight(compiled, instance.first_release, instance.is_agreeable)
+    opt_value = Fraction(opt, scale)
     if value > opt_value:
         raise InvariantError("expected gain exceeded the offline optimum")
     return value, leaves, opt_value

@@ -13,10 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import lcm
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
-
-_release = attrgetter("release")
 
 
 class InvariantError(RuntimeError):
@@ -49,6 +46,12 @@ class Packet:
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # Exact type: a bool is an int subclass, and refused too.
+        if type(self.release) is not int or type(self.deadline) is not int:
+            raise ValueError(
+                f"packet {self.id}: release and deadline must be integer steps, "
+                f"not {self.release!r} and {self.deadline!r}"
+            )
         if self.release < 1:
             raise ValueError(f"packet {self.id}: release must be a positive step")
         if self.deadline <= self.release:
@@ -106,18 +109,6 @@ def order_key(packet: Packet):
     return (packet.deadline, -packet.weight, packet.arrival_index)
 
 
-def _scaled_order_key(scale: int):
-    """``order_key`` for packets whose weights are whole multiples of
-    ``1/scale``, with the weight as a negated integer over ``scale``; it
-    orders those packets exactly as ``order_key`` does, without building a
-    negated Fraction per call."""
-    return lambda p: (
-        p.deadline,
-        -(p.weight.numerator * (scale // p.weight.denominator)),
-        p.arrival_index,
-    )
-
-
 def precedes(first: Packet, second: Packet) -> bool:
     """True if ``first`` comes strictly before ``second`` in the order.
 
@@ -173,7 +164,7 @@ class Instance:
     def build(cls, specs: Iterable[tuple]) -> "Instance":
         """Build from ``(id, release, deadline, weight)`` rows in arrival order."""
         packets = tuple(
-            Packet(str(pid), int(r), int(d), as_weight(w), index)
+            Packet(str(pid), r, d, as_weight(w), index)
             for index, (pid, r, d, w) in enumerate(specs)
         )
         return cls(packets)
@@ -274,9 +265,6 @@ class Schedule:
         return tuple(packet for _, packet in self.slots)
 
 
-EMPTY_SCHEDULE = Schedule(())
-
-
 def is_feasible_set(packets: Iterable[Packet], start: int) -> bool:
     """Can every packet be transmitted inside its window from ``start`` on?
 
@@ -312,24 +300,17 @@ def is_feasible_set(packets: Iterable[Packet], start: int) -> bool:
     return True
 
 
-def edf_schedule(packets: Iterable[Packet], start: int) -> Schedule:
-    """The deadline-first-order schedule of a feasible set.
-
-    Each step from ``start`` on transmits the order-minimal released packet
-    and idles when none is released; packets with equal order keys keep
-    their input order.  Raises ValueError if a packet misses its deadline,
-    that is, if the set is not feasible from ``start``.
-    """
-    packets = list(packets)
-    key = _scaled_order_key(weight_scale(packets))
-    return Schedule(tuple(_edf_slots(packets, start, _release, key)))
-
-
 def _edf_slots(members, start: int, release, key) -> list[tuple]:
-    """``edf_schedule``'s ``(step, member)`` slots, where ``release`` maps
-    a member to its release and ``key`` to its place in the deadline-first
-    order, a tuple whose first item is the member's deadline.  A member is
-    a packet or a key of a compiled instance (``engine._compile``)."""
+    """The deadline-first-order schedule of a feasible set of ``members``,
+    as ``(step, member)`` slots in step order.
+
+    Each step from ``start`` on sends the order-minimal released member and
+    idles when none is released; members with equal order keys keep their
+    input order.  ``release`` maps a member to its release and ``key`` to
+    its place in the deadline-first order, a tuple whose first item is the
+    member's deadline.  A member is a packet or a key of a compiled
+    instance (``offline._compile``).  Raises ValueError if a member misses
+    its deadline, that is, if the set is not feasible from ``start``."""
     waiting = sorted(((release(p), i, p) for i, p in enumerate(members)), reverse=True)
     available: list[tuple] = []
     slots = []
@@ -348,26 +329,17 @@ def _edf_slots(members, start: int, release, key) -> list[tuple]:
     return slots
 
 
-def follows_priority_order(schedule: Schedule, start: int) -> bool:
-    """Check that a schedule always transmits its order-minimal available packet.
-
-    Gaps are allowed only at steps where none of the schedule's remaining
-    packets is available.  A remaining packet's window reaches past its own
-    slot, so it is available at every step from its release to that slot;
-    the walk keeps the released remaining packets on a heap in the order.
-    """
-    slots = schedule.slots
-    if not slots:
-        return True
-    key = _scaled_order_key(weight_scale(p for _, p in slots))
-    return _follows_order(slots, start, _release, key)
-
-
 def _follows_order(slots, start: int, release, key) -> bool:
-    """``follows_priority_order`` on nonempty ``(step, member)`` slots in
-    step order, where ``release`` maps a member to its release and ``key``
-    to its place in the deadline-first order.  A member is a packet or a
-    key of a compiled instance (``engine._compile``)."""
+    """Check that nonempty ``(step, member)`` slots in step order always
+    send their order-minimal available member.
+
+    Gaps are allowed only at steps where none of the remaining members is
+    available.  A remaining member's window reaches past its own slot, so
+    it is available at every step from its release to that slot; the walk
+    keeps the released remaining members on a heap in the order.
+    ``release`` maps a member to its release and ``key`` to its place in
+    the deadline-first order.  A member is a packet or a key of a compiled
+    instance (``offline._compile``)."""
     if slots[0][0] < start:
         return False
     waiting = sorted(

@@ -1,31 +1,39 @@
-"""Offline optima and canonical per-step schedules.
+"""Offline optima and canonical per-step schedules, over compiled keys.
 
 Sets of unit packets that can all be transmitted inside their windows form
 a transversal matroid, so a weight greedy is exact: take packets by weight
 descending (ties in the deadline-first order) and keep each one while the
-kept set stays feasible.  The same greedy gives the offline optimum over
-pending plus future packets and, over a pending set, the *oblivious
-schedule* (optimal deadline-first-order schedule of the pending set, made
-canonical by the tie order).  Three exact feasibility tests back the
-greedy, chosen by the input: when every packet is released by the start,
-the kept packets hold distinct steps (each the latest free one inside its
-window); else, when the deadlines are agreeable, the kept packets go out
-in release order, each at the earliest step it can, and a candidate is
-probed by pushing back the run of slots that follow its own without a gap;
-otherwise ``is_feasible_set`` simulates earliest-deadline-first with
-release times.  Either way the kept set is laid out in the deadline-first
-order.  The first two tests read a candidate's release and deadline
-through accessors, so they serve packets and the integer keys of a
-compiled instance alike (``engine._compile``: a key is a packet's rank in
-the greedy order, so sorting keys gives that order).
+kept set stays feasible.  ``_compile`` ranks a packet set in that order
+once: a packet's key is its rank, so sorting keys gives the greedy order,
+and the keys' releases, deadlines and weights (integers over a common
+denominator) sit in lists indexed by key.  The engine and the fact checks
+step the same compile.
+
+One greedy over keys, ``_greedy_keys``, gives the offline optimum over
+pending plus future packets, and three exact feasibility tests back it,
+chosen by the input: when every candidate is released by the start, the
+kept keys hold distinct steps (each the latest free one inside its window);
+else, when the deadlines are agreeable, the kept keys go out in release
+order, each at the earliest step it can, and a candidate is probed by
+pushing back the run of slots that follow its own without a gap; otherwise
+``is_feasible_set`` simulates earliest-deadline-first with release times.
+The kept set is laid out in the deadline-first order, which on keys is
+``(deadline, key)``.  ``opt_schedule`` is a compile and that greedy;
+``_opt_weight`` is the optimum's value from a compile a run already holds.
+
+Over a pending set, every key is released, and ``_ranked_step`` gives the
+*oblivious schedule* (optimal deadline-first-order schedule of the pending
+set, made canonical by the tie order) with its earliest and heaviest key.
+It serves every mode of the engine, the search, ``analysis.check_facts``
+and ``oblivious_schedule``.
 
 The *conforming clairvoyant schedule* is built here as well, by one core
 over keys (``_conforming_slots``): the greedy optimum over pending plus
 future packets, whose already-pending part lies inside the oblivious
 schedule because both greedies share one order, with its first packet
 chosen to outweigh every order-earlier oblivious member.
-``conforming_clairvoyant`` ranks its packets and calls that core;
-``analysis.check_facts`` calls it on the ranks of its compiled instance.
+``conforming_clairvoyant`` compiles its packets and calls that core;
+``analysis.check_facts`` calls it on the keys of its compiled instance.
 """
 
 from __future__ import annotations
@@ -33,23 +41,19 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, sub
-from typing import Callable, Collection, Iterable, Sequence, TypeVar
+from itertools import count
+from operator import gt, sub
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .model import (
     InvariantError,
     Packet,
     Schedule,
     _edf_slots,
-    _release,
-    edf_schedule,
     has_agreeable_deadlines,
     is_feasible_set,
     weight_scale,
 )
-
-_deadline = attrgetter("deadline")
-_T = TypeVar("_T")
 
 
 def _greedy_order(packets: Iterable[Packet]) -> list[Packet]:
@@ -73,24 +77,62 @@ def _greedy_order(packets: Iterable[Packet]) -> list[Packet]:
     )
 
 
+class _Compiled(NamedTuple):
+    """A packet set compiled to its key space.
+
+    A packet's key is its rank in the greedy order (``_greedy_order``), so
+    sorting keys gives their greedy order.  ``releases``, ``deadlines`` and
+    ``weights`` (integers over ``scale``) are indexed by key; ``arrivals``
+    and ``expiring`` map a step to the keys released at it and to the keys
+    whose deadline it is.
+    """
+
+    packets: list[Packet]
+    releases: list[int]
+    deadlines: list[int]
+    weights: list[int]
+    scale: int
+    arrivals: dict[int, tuple[int, ...]]
+    expiring: dict[int, tuple[int, ...]]
+
+
+def _compile(packets: Iterable[Packet]) -> _Compiled:
+    """The key space of ``packets``: an instance's, or several instances'
+    packets, whose keys sort in each instance's greedy order."""
+    packets = _greedy_order(packets)
+    scale = weight_scale(packets)
+    arrivals: dict[int, list[int]] = {}
+    expiring: dict[int, list[int]] = {}
+    for rank, p in enumerate(packets):
+        arrivals.setdefault(p.release, []).append(rank)
+        expiring.setdefault(p.deadline, []).append(rank)
+    return _Compiled(
+        packets,
+        [p.release for p in packets],
+        [p.deadline for p in packets],
+        [p.weight.numerator * (scale // p.weight.denominator) for p in packets],
+        scale,
+        {step: tuple(ranks) for step, ranks in arrivals.items()},
+        {step: tuple(ranks) for step, ranks in expiring.items()},
+    )
+
+
 def _latest_free_steps(
-    candidates: Iterable[_T], start: int, deadline: Callable[[_T], int] = _deadline
-) -> list[_T]:
-    """The weight greedy over packets all released by ``start``, visited in
-    ``candidates``' order: a candidate is kept iff some step in
-    ``[start, deadline)`` is still free, and it takes the latest such step
-    (unit jobs with deadlines: the kept set stays feasible exactly then).
-    Returns the kept candidates in visiting order.  A candidate is a packet
-    or, with ``deadline`` mapping it to its packet's deadline, the rank of
-    one in a compiled run (``engine._Compiled``)."""
+    candidates: Iterable[int], start: int, deadlines: Sequence[int]
+) -> list[int]:
+    """The weight greedy over keys all released by ``start``, visited in
+    ``candidates``' order: a key is kept iff some step in ``[start,
+    deadline)`` is still free, and it takes the latest such step (unit jobs
+    with deadlines: the kept set stays feasible exactly then).  Returns the
+    kept keys in visiting order; ``deadlines`` is indexed by key."""
     # A taken step t maps to a lower step below[t] such that every step in
     # (below[t], t] is taken; the first step reached that is not in
     # ``below`` is the latest free one.  Each step of a walk is pointed two
     # links down (path halving), which keeps the walks short.
     below: dict[int, int] = {}
-    kept: list[_T] = []
-    for p in candidates:
-        step = deadline(p) - 1
+    kept: list[int] = []
+    for k in candidates:
+        step = deadlines[k] - 1
         while step in below:
             lower = below[step]
             if lower in below:
@@ -98,20 +140,19 @@ def _latest_free_steps(
             step = lower
         if step >= start:
             below[step] = step - 1
-            kept.append(p)
+            kept.append(k)
     return kept
 
 
 def _fifo_slots(
-    candidates: Iterable[_T],
+    candidates: Iterable[int],
     start: int,
-    release: Callable[[_T], int] = _release,
-    deadline: Callable[[_T], int] = _deadline,
-) -> list[_T]:
-    """The weight greedy over an agreeable set, visited in ``candidates``'
-    order; returns the kept candidates in visiting order.  A candidate is a
-    packet or, with ``release`` and ``deadline`` mapping it to its packet's,
-    a key of a compiled instance.
+    releases: Sequence[int],
+    deadlines: Sequence[int],
+) -> list[int]:
+    """The weight greedy over the keys of an agreeable set, visited in
+    ``candidates``' order; returns the kept keys in visiting order.
+    ``releases`` and ``deadlines`` are indexed by key.
 
     With ``r' = max(release, start)``, the deadlines of an agreeable set
     never decrease in ``(r', deadline)`` order, so earliest-deadline-first
@@ -124,11 +165,11 @@ def _fifo_slots(
     """
     keys: list[tuple[int, int]] = []
     slots: list[int] = []
-    deadlines: list[int] = []
-    kept: list[_T] = []
-    for p in candidates:
-        d = deadline(p)
-        key = (max(release(p), start), d)
+    kept_deadlines: list[int] = []
+    kept: list[int] = []
+    for k in candidates:
+        d = deadlines[k]
+        key = (max(releases[k], start), d)
         i = bisect_left(keys, key)
         slot = key[0] if i == 0 else max(slots[i - 1] + 1, key[0])
         if slot >= d:
@@ -142,37 +183,49 @@ def _fifo_slots(
                 low = mid + 1
             else:
                 end = mid
-        if end > i and min(map(sub, deadlines[i:end], slots[i:end])) < 2:
+        if end > i and min(map(sub, kept_deadlines[i:end], slots[i:end])) < 2:
             continue
         keys.insert(i, key)
         slots[i:end] = range(slot, slot + end - i + 1)
-        deadlines.insert(i, d)
-        kept.append(p)
+        kept_deadlines.insert(i, d)
+        kept.append(k)
     return kept
 
 
-def _greedy_optimal_set(packets: Iterable[Packet], start: int) -> list[Packet]:
-    """Maximum-weight subset feasible from ``start``, by the weight greedy.
+def _greedy_keys(
+    compiled: _Compiled, candidates: Sequence[int], start: int, agreeable: bool
+) -> list[int]:
+    """Maximum-weight subset of ``candidates`` feasible from ``start``, by
+    the weight greedy over keys of ``compiled`` in increasing order.
 
-    Returns the kept packets in greedy order, so over a pending set the
-    first one is the order-minimal packet of maximum weight.  The input
-    picks one of three exact feasibility tests: when every packet is
-    released by ``start`` the kept set takes distinct latest free steps
-    (``_latest_free_steps``); else, when the deadlines are agreeable, the
-    kept set's slots in release order are probed and shifted
-    (``_fifo_slots``); otherwise each candidate is probed with the
-    release-aware ``is_feasible_set``.
+    Returns the kept keys in visiting order, so over a pending set the
+    first one is the order-minimal key of maximum weight.  The input picks
+    one of three exact feasibility tests: when every candidate is released
+    by ``start`` the kept set takes distinct latest free steps
+    (``_latest_free_steps``); else, when the caller knows the candidates
+    to be ``agreeable``, the kept set's slots in release order are probed
+    and shifted (``_fifo_slots``); otherwise each candidate's packet is
+    probed with the kept ones by the release-aware ``is_feasible_set``.
     """
-    candidates = _greedy_order(packets)
-    if all(p.release <= start for p in candidates):
-        return _latest_free_steps(candidates, start)
-    if has_agreeable_deadlines(candidates):
-        return _fifo_slots(candidates, start)
-    kept: list[Packet] = []
-    for p in candidates:
-        if is_feasible_set(kept + [p], start):
-            kept.append(p)
+    releases, deadlines = compiled.releases, compiled.deadlines
+    if max(map(releases.__getitem__, candidates), default=start) <= start:
+        return _latest_free_steps(candidates, start, deadlines)
+    if agreeable:
+        return _fifo_slots(candidates, start, releases, deadlines)
+    packets = compiled.packets
+    kept: list[int] = []
+    for k in candidates:
+        if is_feasible_set(map(packets.__getitem__, [*kept, k]), start):
+            kept.append(k)
     return kept
+
+
+def _opt_weight(compiled: _Compiled, start: int, agreeable: bool) -> int:
+    """The offline optimum's value over every packet of ``compiled`` from
+    ``start``, as an integer over ``compiled.scale``; ``agreeable`` says
+    whether the packets' deadlines are."""
+    kept = _greedy_keys(compiled, range(len(compiled.packets)), start, agreeable)
+    return sum(map(compiled.weights.__getitem__, kept))
 
 
 def opt_schedule(packets: Iterable[Packet], start: int) -> tuple[Schedule, Fraction]:
@@ -182,8 +235,12 @@ def opt_schedule(packets: Iterable[Packet], start: int) -> tuple[Schedule, Fract
     respected, so future packets may appear with windows beyond ``start``.
     The schedule is the deadline-first-order schedule of the greedy set.
     """
-    schedule = edf_schedule(_greedy_optimal_set(packets, start), start)
-    return schedule, schedule.weight
+    compiled = _compile(packets)
+    order, deadlines = compiled.packets, compiled.deadlines
+    kept = _greedy_keys(compiled, range(len(order)), start, has_agreeable_deadlines(order))
+    slots = _edf_slots(kept, start, compiled.releases.__getitem__, lambda k: (deadlines[k], k))
+    value = Fraction(sum(map(compiled.weights.__getitem__, kept)), compiled.scale)
+    return Schedule(tuple((t, order[k]) for t, k in slots)), value
 
 
 @dataclass(frozen=True)
@@ -204,6 +261,25 @@ class ObliviousSchedule:
     dominated: frozenset[Packet]
 
 
+def _ranked_step(
+    deadlines: Sequence[int], weights: Sequence[int], pending: Iterable[int], step: int
+) -> tuple[list[int], int, int]:
+    """The oblivious schedule of ``pending``, keys all pending at ``step``:
+    its keys in the deadline-first order, its earliest key and its
+    heaviest.  Raises InvariantError if a key's slot misses its deadline or
+    the earliest outweighs the heaviest."""
+    kept = _latest_free_steps(sorted(pending), step, deadlines)
+    # Stable on the greedy order: the deadline-first order.
+    deadline = deadlines.__getitem__
+    sequence = sorted(kept, key=deadline)
+    if not all(map(gt, map(deadline, sequence), count(step))):
+        raise InvariantError(f"oblivious schedule at step {step} misses a deadline")
+    e, h = sequence[0], kept[0]
+    if not 0 < weights[e] <= weights[h]:
+        raise InvariantError(f"earliest packet outweighs the heaviest at step {step}")
+    return sequence, e, h
+
+
 def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedule:
     """Optimal deadline-first-order schedule over the pending set.
 
@@ -211,7 +287,8 @@ def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedul
     considered by weight descending (ties in the deadline-first order) and
     kept while the kept set stays feasible.  Every packet is released, so
     the kept set goes out in the deadline-first order on consecutive steps
-    from ``step``, and the greedy's first packet is the heaviest.  The test
+    from ``step``, and the greedy's first packet is the heaviest.  The
+    pending set is compiled and laid out by ``_ranked_step``.  The test
     suite checks the result against exhaustive enumeration.
     """
     pending = list(pending)
@@ -220,13 +297,12 @@ def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedul
     for p in pending:
         if not p.pending_window(step):
             raise ValueError(f"packet {p.id} is not pending at step {step}")
-    kept = _latest_free_steps(_greedy_order(pending), step)
-    # Sorting is stable, so equal deadlines keep the greedy's heavier-first,
-    # earlier-arrival-first order: the result is the deadline-first order.
-    sequence = sorted(kept, key=_deadline)
-    schedule = Schedule(tuple(enumerate(sequence, start=step)))
+    compiled = _compile(pending)
+    order = compiled.packets
+    sequence, e, h = _ranked_step(compiled.deadlines, compiled.weights, range(len(order)), step)
+    schedule = Schedule(tuple(enumerate(map(order.__getitem__, sequence), start=step)))
     dominated = frozenset(pending).difference(schedule.packets)
-    return ObliviousSchedule(schedule, step, sequence[0], kept[0], dominated)
+    return ObliviousSchedule(schedule, step, order[e], order[h], dominated)
 
 
 def conforming_clairvoyant(
@@ -250,8 +326,8 @@ def conforming_clairvoyant(
     the earlier packets of the union is not spanned by the earlier pending
     ones either.  So the pending part already lies inside a true oblivious
     schedule; a pending packet outside ``oblivious`` raises InvariantError.
-    The packets are ranked in the greedy order and built by the core over
-    ranks, ``_conforming_slots``.
+    The packets are compiled and built by the core over keys,
+    ``_conforming_slots``.
     """
     pending = list(pending)
     future = list(future)
@@ -267,50 +343,38 @@ def conforming_clairvoyant(
     if not has_agreeable_deadlines(universe):
         raise ValueError("conforming schedules require agreeable deadlines")
     scheduled = oblivious.schedule.packets
-    order = _greedy_order(scheduled.union(universe))
+    compiled = _compile(scheduled.union(universe))
+    order = compiled.packets
     rank = {p: k for k, p in enumerate(order)}
     slots = _conforming_slots(
+        compiled,
         sorted(map(rank.__getitem__, universe)),
         step,
         set(map(rank.__getitem__, scheduled)),
-        [p.release for p in order],
-        [p.deadline for p in order],
-        [p.weight for p in order],
-        lambda k: order[k].id,
     )
     return Schedule(tuple((t, order[k]) for t, k in slots))
 
 
 def _conforming_slots(
-    candidates: list[int],
-    step: int,
-    oblivious: Collection[int],
-    releases: Sequence[int],
-    deadlines: Sequence[int],
-    weights: Sequence,
-    name: Callable[[int], str],
+    compiled: _Compiled, candidates: list[int], step: int, oblivious: Collection[int]
 ) -> list[tuple[int, int]]:
-    """The conforming clairvoyant schedule over keys, as ``(step, key)``
-    slots in step order.
+    """The conforming clairvoyant schedule over keys of ``compiled``, as
+    ``(step, key)`` slots in step order.
 
     ``candidates`` are the keys of the pending and the future packets in
     increasing order, the greedy order, and together agreeable;
-    ``oblivious`` holds the keys of the oblivious schedule.  ``releases``,
-    ``deadlines`` and ``weights`` are indexed by key, and ``name`` names a
-    key's packet in an error.  Among equal deadlines, key order is the
-    deadline-first order, so ``(deadline, key)`` is that order.
+    ``oblivious`` holds the keys of the oblivious schedule.  Among equal
+    deadlines, key order is the deadline-first order, so ``(deadline,
+    key)`` is that order.
     """
-    release, deadline = releases.__getitem__, deadlines.__getitem__
-    if max(map(release, candidates), default=step) <= step:
-        kept = _latest_free_steps(candidates, step, deadline)
-    else:
-        kept = _fifo_slots(candidates, step, release, deadline)
-    slots = _edf_slots(kept, step, release, lambda k: (deadlines[k], k))
+    releases, deadlines, weights = compiled.releases, compiled.deadlines, compiled.weights
+    kept = _greedy_keys(compiled, candidates, step, True)
+    slots = _edf_slots(kept, step, releases.__getitem__, lambda k: (deadlines[k], k))
     for _, k in slots:
-        if release(k) <= step and k not in oblivious:
+        if releases[k] <= step and k not in oblivious:
             raise InvariantError(
-                f"pending packet {name(k)} of the optimum lies outside the "
-                "oblivious schedule; the oblivious schedule is not optimal"
+                f"pending packet {compiled.packets[k].id} of the optimum lies outside "
+                "the oblivious schedule; the oblivious schedule is not optimal"
             )
     if not slots or slots[0][0] != step:
         raise InvariantError("conforming schedule leaves the current step idle")

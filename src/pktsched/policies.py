@@ -78,7 +78,7 @@ def _choose(
     first mg candidate in it is the order-minimal one (only mg reads it),
     and ``weight`` maps a member to its weight as an integer
     over a common denominator.  A member is a packet, or the rank of one
-    in a compiled run (``engine._Compiled``).
+    in a compiled run (``offline._Compiled``).
     """
     if policy == "edf-nondominated":
         return e

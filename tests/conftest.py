@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from itertools import chain
 
-from pktsched.engine import _compile
+from pktsched.offline import _compile
 from pktsched.model import Instance, Packet
 
 
@@ -16,7 +16,7 @@ def mk(pid: str, release: int, deadline: int, weight, index: int = 0) -> Packet:
 
 def key_space(*packet_sets):
     """One compiled key space over the distinct packets of ``packet_sets``
-    (``engine._compile``), and each packet's key in it.  Equal packets
+    (``offline._compile``), and each packet's key in it.  Equal packets
     share a key."""
     compiled = _compile(dict.fromkeys(chain(*packet_sets)))
     return compiled, {p: k for k, p in enumerate(compiled.packets)}

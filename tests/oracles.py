@@ -15,7 +15,10 @@ the Monte Carlo threshold as a ``Fraction``, and the structural fact
 checks over ``Packet``s and ``Schedule``s instead of compiled ranks.
 ``at_most_golden`` is no
 oracle: it is the bound r*r <= r + 1 as the acceptance criterion states
-it, for the tests' bound checks.
+it, for the tests' bound checks.  Nor are ``edf_schedule`` and
+``follows_priority_order``: they lay out and check ``Packet`` schedules
+through the model's heap walks over members, for the tests and the
+reference fact checks.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import attrgetter
 
 from pktsched.analysis import FACT_CHECKS, StepFacts
 from pktsched.model import (
@@ -33,11 +37,12 @@ from pktsched.model import (
     InvariantError,
     Packet,
     Schedule,
-    edf_schedule,
-    follows_priority_order,
+    _edf_slots,
+    _follows_order,
     is_feasible_set,
     order_key,
     precedes,
+    weight_scale,
 )
 from pktsched.offline import ObliviousSchedule, oblivious_schedule
 from pktsched.policies import decide
@@ -182,6 +187,49 @@ def oracle_follows_priority_order(schedule, start) -> bool:
             return False
         remaining.remove(assigned)
     return not remaining
+
+
+_release = attrgetter("release")
+
+
+def _scaled_order_key(scale: int):
+    """``order_key`` for packets whose weights are whole multiples of
+    ``1/scale``, with the weight as a negated integer over ``scale``; it
+    orders those packets exactly as ``order_key`` does, without building a
+    negated Fraction per call."""
+    return lambda p: (
+        p.deadline,
+        -(p.weight.numerator * (scale // p.weight.denominator)),
+        p.arrival_index,
+    )
+
+
+def edf_schedule(packets, start: int) -> Schedule:
+    """The deadline-first-order schedule of a feasible set.
+
+    Each step from ``start`` on transmits the order-minimal released packet
+    and idles when none is released; packets with equal order keys keep
+    their input order.  Raises ValueError if a packet misses its deadline,
+    that is, if the set is not feasible from ``start``.
+    """
+    packets = list(packets)
+    key = _scaled_order_key(weight_scale(packets))
+    return Schedule(tuple(_edf_slots(packets, start, _release, key)))
+
+
+def follows_priority_order(schedule: Schedule, start: int) -> bool:
+    """Check that a schedule always transmits its order-minimal available packet.
+
+    Gaps are allowed only at steps where none of the schedule's remaining
+    packets is available.  A remaining packet's window reaches past its own
+    slot, so it is available at every step from its release to that slot;
+    the walk keeps the released remaining packets on a heap in the order.
+    """
+    slots = schedule.slots
+    if not slots:
+        return True
+    key = _scaled_order_key(weight_scale(p for _, p in slots))
+    return _follows_order(slots, start, _release, key)
 
 
 def oracle_heavier_scheduled_monotone(scheduled, chosen) -> bool:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import at_most_golden, brute_force_opt, oracle_rg_expectation
+from oracles import at_most_golden, brute_force_opt, follows_priority_order, oracle_rg_expectation
 
 from pktsched.analysis import (
     GeneratorSpec,
@@ -30,7 +30,7 @@ from pktsched.analysis import (
     generate,
 )
 from pktsched.engine import run_policy, run_rg_exact, run_rg_mc
-from pktsched.model import Instance, follows_priority_order
+from pktsched.model import Instance
 from pktsched.offline import oblivious_schedule, opt_schedule
 
 MENU = (Fraction(1), Fraction(2), Fraction(3), Fraction(5), Fraction(8))

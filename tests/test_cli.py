@@ -6,7 +6,7 @@ import pytest
 
 from conftest import mk_instance
 
-from pktsched import analysis, cli, engine
+from pktsched import analysis, cli, engine, offline
 from pktsched.analysis import golden_chain
 from pktsched.model import InvariantError
 
@@ -201,18 +201,23 @@ class TestCommands:
     )
     def test_optimum_computed_once_per_command(self, tiny, monkeypatch, argv):
         calls = []
-        original = engine.opt_schedule
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(original):
+            def counted(*args):
+                calls.append(original.__name__)
+                return original(*args)
 
-        # analysis does not import opt_schedule today; patching it anyway
-        # counts any call it might make through that name later.
+            return counted
+
+        # The runs take the optimum from the compile they step, through
+        # ``_opt_weight``.  A module that does not import a name today gets
+        # it anyway, so any call made through it later counts too.
         for module in (engine, analysis, cli):
-            monkeypatch.setattr(module, "opt_schedule", counted, raising=False)
+            for name in ("_opt_weight", "opt_schedule"):
+                counted = counting(getattr(offline, name))
+                monkeypatch.setattr(module, name, counted, raising=False)
         assert cli.main(argv + ["--instance", tiny]) == 0
-        assert len(calls) == 1
+        assert calls == ["_opt_weight"]
 
     def test_gen_then_ratio_pipeline(self, tmp_path, capsys):
         out = tmp_path / "gen.jsonl"

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import as_fractions, key_space, mk_instance, random_agreeable
@@ -19,10 +19,17 @@ from oracles import (
     oracle_rg_mc,
 )
 
-from pktsched import analysis, engine
-from pktsched.analysis import GeneratorSpec, check_facts, generate, golden_chain
+from pktsched import analysis, engine, offline
+from pktsched.analysis import (
+    GeneratorSpec,
+    check_facts,
+    competitive_ratio,
+    generate,
+    golden_chain,
+)
 from pktsched.engine import (
     ExactCapExceeded,
+    _rg_exact,
     advance,
     run_policy,
     run_rg_exact,
@@ -30,7 +37,7 @@ from pktsched.engine import (
     start,
 )
 from pktsched.model import Instance
-from pktsched.offline import oblivious_schedule
+from pktsched.offline import oblivious_schedule, opt_schedule
 from pktsched.policies import DETERMINISTIC_POLICIES, POLICIES
 
 
@@ -54,6 +61,31 @@ def small_agreeable(draw):
             batch_max = max(batch_max, deadline)
         floor = max(floor, batch_max)
     return Instance.build(rows)
+
+
+@st.composite
+def small_non_agreeable(draw):
+    """2 to 6 packets released at steps 1 to 3, in release order, whose
+    deadlines are not agreeable: some packet released later has an earlier
+    deadline than one released before it."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 3),  # release
+                st.integers(1, 4),  # lifespan
+                st.integers(1, 9),  # weight numerator
+                st.integers(1, 3),  # weight denominator
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    rows.sort(key=lambda row: row[0])
+    inst = Instance.build(
+        (f"p{i}", r, r + span, Fraction(num, den)) for i, (r, span, num, den) in enumerate(rows)
+    )
+    assume(not inst.is_agreeable)
+    return inst
 
 
 def advance_packets(policy, states, step, arrivals, space, memo=None):
@@ -223,6 +255,23 @@ class TestRunRgExact:
         assert 1 < ratio <= Fraction(4, 3)
 
 
+class TestNonAgreeableOptimum:
+    """The runs take the offline optimum from the compile they step; on
+    non-agreeable instances its greedy probes each candidate with
+    ``is_feasible_set``, as ``opt_schedule`` does."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(small_non_agreeable())
+    def test_every_optimum_matches_brute_force(self, inst):
+        best = brute_force_opt(inst.packets, inst.first_release)
+        assert opt_schedule(inst.packets, inst.first_release)[1] == best
+        for policy in DETERMINISTIC_POLICIES:
+            assert run_policy(inst, policy).opt_value == best
+        expected, _, opt_value = _rg_exact(inst, 1 << 20)
+        assert opt_value == best
+        assert competitive_ratio(inst, "rg") == best / expected
+
+
 class TestAdvance:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(small_agreeable())
@@ -335,13 +384,13 @@ class TestRunRgMc:
 
 class TestRankedSchedules:
     """The single-path runs and ``check_facts`` step over packet ranks,
-    their keys, through one core, ``engine._ranked_step``.  Every step of
+    their keys, through one core, ``offline._ranked_step``.  Every step of
     each agrees with the public schedule and the oracle."""
 
     @settings(max_examples=120, derandomize=True, database=None, deadline=None)
     @given(small_agreeable(), st.integers(0, 99))
     def test_every_step_matches_the_public_schedule_and_the_oracle(self, inst, seed):
-        ranked_core = engine._ranked_step
+        ranked_core = offline._ranked_step
         ranked = []
 
         def record_ranked(deadlines, weights, pending, step):
@@ -367,7 +416,7 @@ class TestRankedSchedules:
             assert calls["check_facts"] == steps
         # Every caller went through its core, unless there is no step.
         assert all(n > 0 for n in calls.values()) == bool(inst.packets)
-        packets = engine._compile(inst).packets
+        packets = offline._compile(inst).packets
         for pending, step, (sequence, earliest, heaviest) in ranked:
             pending = frozenset(packets[r] for r in pending)
             public = oblivious_schedule(pending, step)

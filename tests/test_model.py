@@ -6,14 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_fractions, key_space, mk, mk_instance
-from oracles import carry_after, feasible_by_enumeration, oracle_follows_priority_order
+from oracles import (
+    carry_after,
+    edf_schedule,
+    feasible_by_enumeration,
+    follows_priority_order,
+    oracle_follows_priority_order,
+)
 
 from pktsched.engine import States, advance
 from pktsched.model import (
     Instance,
+    Packet,
     Schedule,
-    edf_schedule,
-    follows_priority_order,
     is_feasible_set,
     order_key,
     precedes,
@@ -111,6 +116,17 @@ class TestPacketValidation:
     def test_rejects_bad_release(self):
         with pytest.raises(ValueError, match="positive step"):
             mk("a", 0, 2, 1)
+
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    @pytest.mark.parametrize("name", ["release", "deadline"])
+    def test_rejects_non_integer_steps(self, name, value):
+        steps = {"release": 1, "deadline": 3, name: value}
+        message = "packet a: release and deadline must be integer steps"
+        with pytest.raises(ValueError, match=message):
+            Packet("a", steps["release"], steps["deadline"], Fraction(1), 0)
+        # Instance.build passes steps through as they are, never truncated.
+        with pytest.raises(ValueError, match=message):
+            Instance.build([("a", steps["release"], steps["deadline"], 1)])
 
 
 class TestInstance:

@@ -7,19 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mk, mk_instance, random_agreeable
-from oracles import brute_force_opt, oracle_greedy_set, oracle_oblivious
+from oracles import brute_force_opt, follows_priority_order, oracle_greedy_set, oracle_oblivious
 
 from pktsched import offline
 from pktsched.model import (
     InvariantError,
-    follows_priority_order,
     has_agreeable_deadlines,
     is_feasible_set,
     order_key,
     precedes,
 )
 from pktsched.offline import (
-    _greedy_optimal_set,
+    _compile,
+    _greedy_keys,
     conforming_clairvoyant,
     oblivious_schedule,
     opt_schedule,
@@ -177,7 +177,9 @@ class TestOptSchedule:
     def test_agreeable_greedy_keeps_the_simulated_greedy_set(self, case):
         packets, start = case
         assert has_agreeable_deadlines(packets)
-        assert _greedy_optimal_set(packets, start) == oracle_greedy_set(packets, start)
+        compiled = _compile(packets)
+        kept = _greedy_keys(compiled, range(len(packets)), start, True)
+        assert [compiled.packets[k] for k in kept] == oracle_greedy_set(packets, start)
         sched, value = opt_schedule(packets, start)
         assert value == brute_force_opt(packets, start)
         assert follows_priority_order(sched, start)
