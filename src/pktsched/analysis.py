@@ -10,6 +10,8 @@ current step's long-lived arrivals, which lets the search step the
 engine's state map (``engine.advance``, over integer packet keys of the
 search's own key space) and an offline-optimum table incrementally
 instead of re-simulating every prefix; no ``Packet`` is built per node.
+Both step through memos: the table is an interned shape plus an offset,
+so most nodes cost one lookup for it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from types import MappingProxyType
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 from .engine import (
     DEFAULT_EXACT_CAP,
@@ -260,6 +261,10 @@ def adversary_search(
         raise ValueError("depth must be >= 1")
     if max_nodes is not None and max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
+    if branching < 1:
+        raise ValueError("branching must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     menu = tuple(sorted({as_weight(w) for w in menu}))
     options = two_bounded_step_options(menu, branching)
     if beam_width is not None:
@@ -271,7 +276,14 @@ def adversary_search(
     elif jobs > 1:
         chunks = [tuple(range(len(options))[i::jobs]) for i in range(jobs)]
         chunks = [c for c in chunks if c]
-        args = [(policy, depth, menu, branching, chunk, max_nodes) for chunk in chunks]
+        # Every root's subtree has the same size, so a budget split in
+        # proportion to the roots covers each chunk when the total would.
+        ends = list(itertools.accumulate(map(len, chunks), initial=0))
+        cuts = [None if max_nodes is None else max_nodes * end // len(options) for end in ends]
+        args = [
+            (policy, depth, menu, branching, chunk, None if a is None else b - a)
+            for chunk, a, b in zip(chunks, cuts, cuts[1:])
+        ]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             partials = list(pool.map(_search_subtree, args))
         best_ratio, best_path = None, None
@@ -309,7 +321,7 @@ def _explore_roots(policy, depth, branching, options, roots, max_nodes):
     complete = True
     kernel = _SearchKernel(policy, options, depth, branching)
 
-    def explore(step, state, dp, base, path, allowed):
+    def explore(step, state, table, base, path, allowed):
         nonlocal best, best_path, nodes, complete
         indices = allowed if allowed is not None else range(len(options))
         for oi in indices:
@@ -317,15 +329,15 @@ def _explore_roots(policy, depth, branching, options, roots, max_nodes):
                 complete = False
                 return
             nodes += 1
-            state2, dp2, ratio = kernel.node(state, dp, step, base, oi)
+            state2, table2, ratio = kernel.node(state, table, step, base, oi)
             child = path + (oi,)
             if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
                 best, best_path = ratio, child
             if step < depth:
-                explore(step + 1, state2, dp2, base + len(options[oi]), child, None)
+                explore(step + 1, state2, table2, base + len(options[oi]), child, None)
 
     try:
-        explore(1, kernel.start, OPT_START, 0, (), tuple(roots))
+        explore(1, kernel.start, kernel.table_start, 0, (), tuple(roots))
     finally:
         # ``explore`` is a closure that refers to itself, so the kernel's
         # memos would live on until the cyclic garbage collector ran.
@@ -339,20 +351,20 @@ def _beam_search(policy, depth, branching, options, beam_width, max_nodes):
     nodes = 0
     complete = True
     kernel = _SearchKernel(policy, options, depth, branching)
-    frontier = [(kernel.start, OPT_START, 0, ())]
+    frontier = [(kernel.start, kernel.table_start, 0, ())]
     for step in range(1, depth + 1):
         scored = []
-        for state, dp, base, path in frontier:
+        for state, table, base, path in frontier:
             for oi, option in enumerate(options):
                 if max_nodes is not None and nodes >= max_nodes:
                     complete = False
                     break
                 nodes += 1
-                state2, dp2, ratio = kernel.node(state, dp, step, base, oi)
+                state2, table2, ratio = kernel.node(state, table, step, base, oi)
                 child = path + (oi,)
                 if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
                     best, best_path = ratio, child
-                scored.append((ratio, child, state2, dp2, base + len(option)))
+                scored.append((ratio, child, state2, table2, base + len(option)))
             if not complete:
                 break
         if not complete or not scored:
@@ -362,7 +374,7 @@ def _beam_search(policy, depth, branching, options, beam_width, max_nodes):
         # keys order the ratios exactly.
         bits = max(ratio[1].bit_length() for ratio, *_ in scored)
         scored.sort(key=lambda row: (-((row[0][0] << 2 * bits) // row[0][1]), row[1]))
-        frontier = [(s, d, b, p) for _, p, s, d, b in scored[:beam_width]]
+        frontier = [(s, t, b, p) for _, p, s, t, b in scored[:beam_width]]
     return (None if best is None else Fraction(*best)), best_path, nodes, complete
 
 
@@ -375,12 +387,25 @@ class _SearchKernel:
     depth * branching + 1 above every arrival index, so sorting keys gives
     the greedy order.  ``deadlines`` and ``weights`` (times the options'
     common denominator) list every key's; each option's keys are built
-    once per step and arrival base."""
+    once per step and arrival base.
+
+    A table is (shape id, offset): its items less their smallest value,
+    interned in ``tables`` with the drained maximum in ``drained``, and
+    that value.  A table step shifts with its input, so ``steps`` maps
+    (shape id, move id) to (next shape id, offset delta)."""
 
     def __init__(self, policy, options, depth, branching):
         self.policy = policy
         self.options = options
-        self.scale, self.moves = _offline_moves(options)
+        self.scale, moves = _offline_moves(options)
+        ids: dict[tuple, int] = {}  # options with equal moves share an id
+        self.move_ids = [ids.setdefault(move, len(ids)) for move in moves]
+        self.moves = list(ids)
+        self.shapes: dict[tuple, int] = {}
+        self.tables: list[tuple] = []
+        self.drained: list[int] = []
+        self.steps: dict[tuple[int, int], tuple[int, int]] = {}
+        self.table_start = self._intern({(): 0})
         menu = sorted({w for option in options for _, w in option})
         self.weight_rank = {w: len(menu) - 1 - i for i, w in enumerate(menu)}
         self.span, self.stride = depth + 3, depth * branching + 1  # D and A
@@ -393,8 +418,19 @@ class _SearchKernel:
         self.arrivals: dict[tuple[int, int, int], frozenset[int]] = {}
 
     def clear(self):
-        self.memo.clear()
-        self.arrivals.clear()
+        for memo in (self.memo, self.arrivals, self.shapes, self.tables, self.drained, self.steps):
+            memo.clear()
+
+    def _intern(self, table):
+        """The dict ``table`` as (shape id, offset)."""
+        offset = min(table.values())
+        shape = tuple(sorted((carry, value - offset) for carry, value in table.items()))
+        sid = self.shapes.get(shape)
+        if sid is None:
+            sid = self.shapes[shape] = len(self.tables)
+            self.tables.append(shape)
+            self.drained.append(max(value + (c[-1] if c else 0) for c, value in shape))
+        return sid, offset
 
     def keys(self, step, base, oi):
         """The keys of option ``oi`` arriving at ``step``, its packets
@@ -407,21 +443,29 @@ class _SearchKernel:
             )
         return arrivals
 
-    def node(self, state, dp, step, base, oi):
+    def node(self, state, table, step, base, oi):
         """The state map, offline table and ratio after option ``oi``
         arrives at ``step``, its packets numbered from ``base``."""
         keys = self.keys(step, base, oi)
         state2 = advance(self.policy, state, step, keys, self.deadlines, self.weights, self.memo)
-        dp2 = _advance_opt_state(dp, *self.moves[oi])
-        return state2, dp2, self._node_ratio(state2, dp2)
+        sid, offset = table
+        move = self.move_ids[oi]
+        nxt = self.steps.get((sid, move))
+        if nxt is None:
+            nxt = self.steps[sid, move] = self._intern(
+                _advance_opt_state(self.tables[sid], *self.moves[move])
+            )
+        sid, delta = nxt
+        offset += delta
+        return state2, (sid, offset), self._node_ratio(state2, offset + self.drained[sid])
 
-    def _node_ratio(self, states, dp):
+    def _node_ratio(self, states, opt_scaled):
         """OPT over the policy's expected gain, both drained, as an
-        unreduced (numerator, denominator) pair.  Every carried key has
-        deadline step + 2, so at step + 1 the oblivious schedule is the
-        heaviest key alone, the smallest, and every policy, like the
-        optimum, transmits it."""
-        opt_scaled = max(value + (carry[-1] if carry else 0) for carry, value in dp.items())
+        unreduced (numerator, denominator) pair; ``opt_scaled`` is the
+        drained optimum times the scale.  Every carried key has deadline
+        step + 2, so at step + 1 the oblivious schedule is the heaviest key
+        alone, the smallest, and every policy, like the optimum, transmits
+        it."""
         weights = self.weights
         algorithm = 0  # times the map's denominator and the scale
         for carry, (prob, weighted, _) in states.carried.items():
@@ -439,13 +483,6 @@ def _instance_from_path(options, path) -> Instance:
         for k, (lifespan, weight) in enumerate(options[oi]):
             specs.append((f"s{step}p{k}", step, step + lifespan, weight))
     return Instance.build(specs)
-
-
-# The offline optimum's table: carried packets -> best gain so far.  Every
-# carried packet has deadline step + 2, so equal weights are interchangeable
-# and a carry is keyed by its sorted weights.  Weights and gains are ints,
-# the menu's weights times their common denominator.
-OPT_START: Mapping[tuple[int, ...], int] = MappingProxyType({(): 0})
 
 
 def _offline_moves(options):
@@ -466,17 +503,21 @@ def _offline_moves(options):
     return scale, moves
 
 
-def _advance_opt_state(dp, expiring, long_lived):
-    """One step of the offline table on arrivals whose expiring packets'
-    heaviest scaled weight is ``expiring`` and whose long-lived scaled
-    weights are ``long_lived`` (sorted)."""
+def _advance_opt_state(items, expiring, long_lived):
+    """One step of the offline table, given as its (carried packets, best
+    gain so far) items, on arrivals whose expiring packets' heaviest scaled
+    weight is ``expiring`` and whose long-lived scaled weights are
+    ``long_lived`` (sorted); returns the next table as a dict.  Every
+    carried packet has deadline step + 2, so equal weights are
+    interchangeable and a carry is keyed by its sorted weights.  Weights
+    and gains are ints, the menu's weights times their common denominator."""
     out: dict[tuple[int, ...], int] = {}
 
     def put(key, value):
         if out.get(key, -1) < value:
             out[key] = value
 
-    for carry, value in dp.items():
+    for carry, value in items:
         put(long_lived, value + max(expiring, carry[-1] if carry else 0))  # 0: idle
         for i, w in enumerate(long_lived):
             if i == 0 or long_lived[i - 1] != w:

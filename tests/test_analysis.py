@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mk, mk_instance, random_agreeable
-from oracles import at_most_golden, oracle_check_facts, oracle_heavier_scheduled_monotone
+from oracles import (
+    at_most_golden,
+    brute_force_opt,
+    oracle_check_facts,
+    oracle_heavier_scheduled_monotone,
+)
 
 from pktsched import analysis
 from pktsched.analysis import (
@@ -267,6 +273,20 @@ class TestAdversarySearch:
         assert not result.complete
         assert result.nodes == 5
 
+    def test_node_budget_is_a_total_over_workers(self, monkeypatch):
+        real = adversary_search("mg-prime", 2, MENU12, max_nodes=5, jobs=2)
+        assert (real.nodes, real.complete) == (5, False)
+        # Threads in place of worker processes, so that jobs=3 starts none.
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", ThreadPoolExecutor)
+        serial = adversary_search("mg-prime", 2, MENU12)
+        for jobs in (1, 2, 3):
+            for max_nodes in (1, 2, 5, 7, serial.nodes - 1):
+                result = adversary_search("mg-prime", 2, MENU12, max_nodes=max_nodes, jobs=jobs)
+                assert (result.nodes, result.complete) == (max_nodes, False)
+            # A budget that covers the tree serially covers it in parallel.
+            exact = adversary_search("mg-prime", 2, MENU12, max_nodes=serial.nodes, jobs=jobs)
+            assert exact == serial
+
     def test_randomized_never_beats_four_thirds(self):
         result = adversary_search("rg", 2, (Fraction(1), Fraction(2), Fraction(3)))
         assert 1 < result.ratio <= Fraction(4, 3)
@@ -280,6 +300,11 @@ class TestAdversarySearch:
             adversary_search("mg-prime", 1, MENU12, max_nodes=0)
         with pytest.raises(ValueError):
             adversary_search("mg-prime", 1, MENU12, beam_width=0)
+        with pytest.raises(ValueError, match="branching"):
+            adversary_search("mg-prime", 1, MENU12, branching=0)
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs"):
+                adversary_search("mg-prime", 1, MENU12, jobs=jobs)
 
 
 @st.composite
@@ -307,7 +332,7 @@ class TestSearchKeys:
         stride = depth * branching + 1
         packets = analysis._instance_from_path(options, path).packets
         kernel = analysis._SearchKernel(policy, options, depth, branching)
-        state, dp, base = kernel.start, analysis.OPT_START, 0
+        state, table, base = kernel.start, kernel.table_start, 0
         for step, oi in enumerate(path, start=1):
             arrivals = kernel.keys(step, base, oi)
             assert sorted(k % stride for k in arrivals) == list(
@@ -322,8 +347,43 @@ class TestSearchKeys:
                 assert [Fraction(kernel.weights[k], kernel.scale) for k in keys] == [
                     p.weight for p in pending
                 ]
-            state, dp, _ = kernel.node(state, dp, step, base, oi)
+            state, table, _ = kernel.node(state, table, step, base, oi)
             base += len(options[oi])
+
+
+def walk_drained_optima(kernel, options, path):
+    """The kernel's drained offline optimum, times the scale, at every node
+    along ``path``."""
+    state, (shape, offset), base = kernel.start, kernel.table_start, 0
+    optima = []
+    for step, oi in enumerate(path, start=1):
+        state, (shape, offset), _ = kernel.node(state, (shape, offset), step, base, oi)
+        optima.append(kernel.drained[shape] + offset)
+        base += len(options[oi])
+    return optima
+
+
+class TestOfflineTableMemo:
+    """The offline table as an interned shape plus an offset, stepped
+    through the (shape, move) memo, against the brute-force optimum."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(search_paths(), st.data())
+    def test_drained_optimum_matches_brute_force(self, drawn, data):
+        options, depth, branching, path = drawn
+        other = data.draw(st.lists(st.integers(0, len(options) - 1), min_size=1, max_size=depth))
+        expected = []
+        for step in range(1, len(path) + 1):
+            instance = analysis._instance_from_path(options, path[:step])
+            expected.append(brute_force_opt(instance.packets, instance.first_release))
+        cold = analysis._SearchKernel("mg-prime", options, depth, branching)
+        warm = analysis._SearchKernel("mg-prime", options, depth, branching)
+        # Walking another path from the same first option leaves table
+        # steps that ``path`` hits.
+        walk_drained_optima(warm, options, (path[:1] + other)[:depth])
+        for kernel in (cold, warm):
+            optima = walk_drained_optima(kernel, options, path)
+            assert [Fraction(opt, kernel.scale) for opt in optima] == expected
 
 
 class TestCheckFacts:

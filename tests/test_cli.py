@@ -271,6 +271,15 @@ class TestCommands:
         assert len(replay) >= 1
 
     @pytest.mark.parametrize(
+        "flag,value", [("--branching", "0"), ("--jobs", "0"), ("--jobs", "-3")]
+    )
+    def test_search_refuses_non_positive_counts(self, capsys, flag, value):
+        argv = ["search", "--policy", "mg-prime", "--depth", "1", "--menu", "1,2", flag, value]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{flag[2:]} must be >= 1" in err
+
+    @pytest.mark.parametrize(
         "argv,option",
         [
             (["search", "--policy", "rg", "--depth", "1", "--menu", "1,1e999999"], "--menu"),
