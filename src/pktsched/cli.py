@@ -35,7 +35,7 @@ from .engine import (
     run_policy,
     run_rg_mc,
 )
-from .model import Instance, InvariantError, as_weight
+from .model import Instance, InvariantError, PacketError, as_weight
 from .offline import opt_schedule
 from .policies import POLICIES
 
@@ -81,10 +81,15 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_instance(path: str) -> Instance:
-    """Read a JSON Lines instance file; errors name the offending line."""
+    """Read a JSON Lines instance file; errors name the offending line.
+
+    The reader checks only the format: one JSON object per line with the
+    four fields, and a rational weight.  ``Instance.build`` checks every
+    packet and instance rule, and its ``PacketError`` is mapped from the
+    packet's arrival index back to its line.
+    """
     specs = []
-    seen_ids: set[str] = set()
-    previous_release = 0
+    lines = []  # the line number of each packet, by arrival index
     with open(path, encoding="utf-8") as handle:
         for number, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -98,38 +103,21 @@ def parse_instance(path: str) -> Instance:
             if not isinstance(row, dict):
                 raise ValueError(f"expected an object, line {number}")
             try:
-                pid = row["id"]
-                release = row["r"]
-                deadline = row["d"]
-                weight_raw = row["w"]
+                pid, release, deadline, weight_raw = row["id"], row["r"], row["d"], row["w"]
             except KeyError as err:
                 raise ValueError(f"missing field {err.args[0]!r}, line {number}") from None
-            if not isinstance(pid, str) or not pid:
-                raise ValueError(f"packet id must be a nonempty string, line {number}")
-            if pid in seen_ids:
-                raise ValueError(f"duplicate packet id {pid!r}, line {number}")
-            if any(type(v) is not int for v in (release, deadline)):  # bool is an int
-                raise ValueError(f"release and deadline must be integers, line {number}")
-            if release < 1:
-                raise ValueError(f"release must be >= 1, line {number}")
-            if deadline <= release:
-                raise ValueError(f"empty lifespan, line {number}")
-            if release < previous_release:
-                raise ValueError(
-                    f"arrival order inconsistent with release times, line {number}"
-                )
             try:
                 weight = parse_rational(weight_raw)
             except (ValueError, ZeroDivisionError) as err:
                 raise ValueError(
                     f"invalid weight {weight_raw!r}, line {number}: {err}"
                 ) from None
-            if weight <= 0:
-                raise ValueError(f"non-positive weight, line {number}")
-            seen_ids.add(pid)
-            previous_release = release
             specs.append((pid, release, deadline, weight))
-    return Instance.build(specs)
+            lines.append(number)
+    try:
+        return Instance.build(specs)
+    except PacketError as err:
+        raise ValueError(f"{err}, line {lines[err.index]}") from None
 
 
 def write_instance(instance: Instance, path: str) -> None:

@@ -11,13 +11,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 
 class InvariantError(RuntimeError):
     """An internal consistency guarantee was violated; indicates a bug."""
+
+
+class PacketError(ValueError):
+    """An input rule broken by the packet at arrival index ``index``."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 def as_weight(value) -> Fraction:
@@ -34,8 +43,10 @@ class Packet:
     """A packet with release step, deadline, weight and arrival tie-break.
 
     ``arrival_index`` is the packet's global position in the arrival
-    sequence; it makes the deadline-first order below a strict total order
-    even between packets that agree on deadline and weight.
+    sequence.  The deadline-first order puts the earlier deadline first,
+    then the heavier packet, then the earlier arrival; the arrival index
+    makes it a strict total order even between packets that agree on
+    deadline and weight.  A broken rule raises ``PacketError``.
     """
 
     id: str
@@ -46,20 +57,36 @@ class Packet:
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # Straight-line checks: this runs for every packet ever built.
+        if type(self.id) is not str or not self.id:
+            raise PacketError(
+                f"packet id must be a nonempty string, not {self.id!r}", self.arrival_index
+            )
         # Exact type: a bool is an int subclass, and refused too.
         if type(self.release) is not int or type(self.deadline) is not int:
-            raise ValueError(
+            raise PacketError(
                 f"packet {self.id}: release and deadline must be integer steps, "
-                f"not {self.release!r} and {self.deadline!r}"
+                f"not {self.release!r} and {self.deadline!r}; steps must be integers",
+                self.arrival_index,
             )
         if self.release < 1:
-            raise ValueError(f"packet {self.id}: release must be a positive step")
-        if self.deadline <= self.release:
-            raise ValueError(
-                f"packet {self.id}: empty lifespan "
-                f"(deadline {self.deadline} <= release {self.release})"
+            raise PacketError(
+                f"packet {self.id}: release {self.release} is not a positive step; "
+                "release must be >= 1",
+                self.arrival_index,
             )
-        weight = as_weight(self.weight)
+        if self.deadline <= self.release:
+            raise PacketError(
+                f"packet {self.id}: deadline {self.deadline} <= release "
+                f"{self.release}, an empty lifespan",
+                self.arrival_index,
+            )
+        weight = self.weight if isinstance(self.weight, Fraction) else Fraction(self.weight)
+        if weight <= 0:
+            raise PacketError(
+                f"packet {self.id}: weight {weight} is a non-positive weight",
+                self.arrival_index,
+            )
         object.__setattr__(self, "weight", weight)
         # Hashed once from the compared fields other than the id, so packets
         # that differ only in weight or deadline (as on different search
@@ -99,27 +126,6 @@ def weight_scale(packets: Iterable[Packet]) -> int:
     return lcm(*(p.weight.denominator for p in packets))
 
 
-def order_key(packet: Packet):
-    """Sort key of the deadline-first packet order.
-
-    Earlier deadline first; among equal deadlines the heavier packet first;
-    remaining ties broken by earlier arrival.  This is a strict total order
-    on the packets of any single instance.
-    """
-    return (packet.deadline, -packet.weight, packet.arrival_index)
-
-
-def precedes(first: Packet, second: Packet) -> bool:
-    """True if ``first`` comes strictly before ``second`` in the order.
-
-    ``order_key`` compared without negating: the weights sit swapped."""
-    return (first.deadline, second.weight, first.arrival_index) < (
-        second.deadline,
-        first.weight,
-        second.arrival_index,
-    )
-
-
 def has_agreeable_deadlines(packets: Iterable[Packet]) -> bool:
     """True if packets released later never have earlier deadlines.
 
@@ -146,28 +152,30 @@ class Instance:
         seen_ids = set()
         last_index = -1
         for packet in self.packets:
+            index = packet.arrival_index
             if packet.release < previous_release:
-                raise ValueError(
-                    f"packet {packet.id}: arrival order inconsistent with releases"
+                raise PacketError(
+                    f"packet {packet.id}: arrival order inconsistent with releases", index
                 )
             if packet.id in seen_ids:
-                raise ValueError(f"duplicate packet id {packet.id!r}")
-            if packet.arrival_index <= last_index:
-                raise ValueError(
-                    f"packet {packet.id}: arrival_index must strictly increase"
+                raise PacketError(f"duplicate packet id {packet.id!r}", index)
+            if index <= last_index:
+                raise PacketError(
+                    f"packet {packet.id}: arrival_index must strictly increase", index
                 )
             previous_release = packet.release
             seen_ids.add(packet.id)
-            last_index = packet.arrival_index
+            last_index = index
 
     @classmethod
     def build(cls, specs: Iterable[tuple]) -> "Instance":
-        """Build from ``(id, release, deadline, weight)`` rows in arrival order."""
-        packets = tuple(
-            Packet(str(pid), r, d, as_weight(w), index)
-            for index, (pid, r, d, w) in enumerate(specs)
+        """Build from ``(id, release, deadline, weight)`` rows in arrival order.
+
+        Each row is taken as it is: ``Packet`` and ``Instance`` check every
+        rule, and a ``PacketError`` names the row by its arrival index."""
+        return cls(
+            tuple(Packet(pid, r, d, w, index) for index, (pid, r, d, w) in enumerate(specs))
         )
-        return cls(packets)
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -245,21 +253,6 @@ class Schedule:
     def packets(self) -> frozenset[Packet]:
         return frozenset(packet for _, packet in self.slots)
 
-    @cached_property
-    def weight(self) -> Fraction:
-        # Integer numerators over the common denominator, one Fraction.
-        scale = weight_scale(p for _, p in self.slots)
-        return Fraction(
-            sum(p.weight.numerator * (scale // p.weight.denominator) for _, p in self.slots),
-            scale,
-        )
-
-    def at(self, step: int) -> Packet | None:
-        for slot_step, packet in self.slots:
-            if slot_step == step:
-                return packet
-        return None
-
     def sequence(self) -> tuple[Packet, ...]:
         """Packets in transmission (step) order."""
         return tuple(packet for _, packet in self.slots)
@@ -268,36 +261,22 @@ class Schedule:
 def is_feasible_set(packets: Iterable[Packet], start: int) -> bool:
     """Can every packet be transmitted inside its window from ``start`` on?
 
-    Earliest-deadline-first simulation over plain deadlines: each step sends
-    the released packet with the earliest deadline, and a step with nothing
-    released is skipped.  EDF schedules a set of unit packets whenever any
-    schedule does, so the answer is exact also for packets released after
-    ``start``.
+    The earliest-deadline-first walk of ``_edf_slots`` over plain deadlines.
+    EDF schedules a set of unit packets whenever any schedule does, so the
+    answer is exact also for packets released after ``start``.
     """
-    deadlines = []
-    later = []
-    for p in packets:
-        if p.release <= start:
-            deadlines.append(p.deadline)
-        else:
-            later.append((p.release, p.deadline))
-    heapify(deadlines)
-    later.sort(reverse=True)
-    step = start
-    while later:
-        if not deadlines and later[-1][0] > step:
-            step = later[-1][0]
-        while later and later[-1][0] <= step:
-            heappush(deadlines, later.pop()[1])
-        if heappop(deadlines) <= step:
-            return False
-        step += 1
-    # Everything is released: the rest go out in deadline order.
-    for deadline in sorted(deadlines):
-        if deadline <= step:
-            return False
-        step += 1
+    try:
+        _edf_slots(packets, start, _release, _deadline_key)
+    except ValueError:
+        return False
     return True
+
+
+_release = attrgetter("release")
+
+
+def _deadline_key(packet: Packet) -> tuple[int]:
+    return (packet.deadline,)
 
 
 def _edf_slots(members, start: int, release, key) -> list[tuple]:

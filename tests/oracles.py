@@ -18,7 +18,9 @@ oracle: it is the bound r*r <= r + 1 as the acceptance criterion states
 it, for the tests' bound checks.  Nor are ``edf_schedule`` and
 ``follows_priority_order``: they lay out and check ``Packet`` schedules
 through the model's heap walks over members, for the tests and the
-reference fact checks.
+reference fact checks.  Nor are ``order_key``, ``precedes``,
+``schedule_weight`` and ``slot_at``: the deadline-first packet order and
+two ``Schedule`` readings, which only the tests and oracles need.
 """
 
 from __future__ import annotations
@@ -40,14 +42,43 @@ from pktsched.model import (
     _edf_slots,
     _follows_order,
     is_feasible_set,
-    order_key,
-    precedes,
     weight_scale,
 )
 from pktsched.offline import ObliviousSchedule, oblivious_schedule
 from pktsched.policies import decide
 
 ZERO = Fraction(0)
+
+
+def order_key(packet: Packet):
+    """Sort key of the deadline-first packet order.
+
+    Earlier deadline first; among equal deadlines the heavier packet first;
+    remaining ties broken by earlier arrival.  This is a strict total order
+    on the packets of any single instance.
+    """
+    return (packet.deadline, -packet.weight, packet.arrival_index)
+
+
+def precedes(first: Packet, second: Packet) -> bool:
+    """True if ``first`` comes strictly before ``second`` in the order.
+
+    ``order_key`` compared without negating: the weights sit swapped."""
+    return (first.deadline, second.weight, first.arrival_index) < (
+        second.deadline,
+        first.weight,
+        second.arrival_index,
+    )
+
+
+def schedule_weight(schedule: Schedule) -> Fraction:
+    """The total weight of a schedule's packets."""
+    return sum((p.weight for _, p in schedule.slots), ZERO)
+
+
+def slot_at(schedule: Schedule, step: int) -> Packet | None:
+    """The packet a schedule sends at ``step``, or None if it idles."""
+    return dict(schedule.slots).get(step)
 
 
 def brute_force_opt(packets, start) -> Fraction:
@@ -484,7 +515,9 @@ def _oracle_drop(oblivious, position):
 
 def _oracle_check_step(pending, future, step, oblivious, truth) -> StepFacts:
     results = {name: False for name in FACT_CHECKS}
-    results["oblivious_optimal"] = oblivious.schedule.weight == truth.schedule.weight
+    results["oblivious_optimal"] = schedule_weight(oblivious.schedule) == schedule_weight(
+        truth.schedule
+    )
     try:
         conforming = oracle_conforming(pending, future, step, oblivious)
     except (InvariantError, ValueError) as err:
@@ -494,7 +527,7 @@ def _oracle_check_step(pending, future, step, oblivious, truth) -> StepFacts:
     results["pending_within_oblivious"] = all(
         p in scheduled for p in conforming.packets if p.release <= step
     )
-    first = conforming.at(step)
+    first = slot_at(conforming, step)
     results["first_packet_outweighs_earlier"] = first is not None and all(
         p.weight < first.weight for p in scheduled if p != first and precedes(p, first)
     )
@@ -518,7 +551,7 @@ def oracle_conforming(pending, future, step, oblivious) -> Schedule:
                 f"pending packet {p.id} of the optimum lies outside the "
                 "oblivious schedule; the oblivious schedule is not optimal"
             )
-    first = ordered.at(step)
+    first = slot_at(ordered, step)
     if first is None:
         raise InvariantError("conforming schedule leaves the current step idle")
     substitute = min(

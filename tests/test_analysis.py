@@ -12,6 +12,7 @@ from oracles import (
     brute_force_opt,
     oracle_check_facts,
     oracle_heavier_scheduled_monotone,
+    order_key,
 )
 
 from pktsched import analysis
@@ -29,7 +30,7 @@ from pktsched.analysis import (
     two_bounded_step_options,
 )
 from pktsched.engine import run_policy
-from pktsched.model import Instance, order_key
+from pktsched.model import Instance
 from pktsched.offline import _greedy_order
 from pktsched.policies import POLICIES
 

@@ -3,12 +3,83 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_instance
 
 from pktsched import analysis, cli, engine, offline
 from pktsched.analysis import golden_chain
-from pktsched.model import InvariantError
+from pktsched.model import Instance, InvariantError
+
+
+@st.composite
+def instances(draw):
+    """Up to 6 packets with distinct ids of any text, quotes and non-ASCII
+    included, nondecreasing releases from 1 on, lifespans from 1 and
+    weights n/d."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=8), max_size=6, unique=True))
+    rows = []
+    release = 1
+    for pid in ids:
+        release += draw(st.integers(0, 3))
+        lifespan = draw(st.integers(1, 5))
+        weight = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
+        rows.append((pid, release, release + lifespan, weight))
+    return Instance.build(rows)
+
+
+def _line(pid, release, deadline, weight) -> str:
+    return json.dumps({"id": pid, "r": release, "d": deadline, "w": weight})
+
+
+# One malformed line for the reader: kind -> the line, given a valid row
+# (id, release, deadline, weight text) and the first line's id.  The first
+# four are format faults the reader finds; the rest break a packet or
+# instance rule that the model finds.  Every release of a valid file is at
+# least 2, so "earlier-release" moves a packet before the line above it.
+MALFORMED = {
+    "bad-json": lambda row, first: _line(*row)[:-1],
+    "non-object": lambda row, first: json.dumps(list(row)),
+    "missing-field": lambda row, first: json.dumps({"id": row[0], "r": row[1], "w": row[3]}),
+    "bool-step": lambda row, first: _line(row[0], True, row[2], row[3]),
+    "float-step": lambda row, first: _line(row[0], row[1], float(row[2]), row[3]),
+    "str-step": lambda row, first: _line(row[0], str(row[1]), row[2], row[3]),
+    "release-0": lambda row, first: _line(row[0], 0, row[2], row[3]),
+    "empty-lifespan": lambda row, first: _line(row[0], row[1], row[1], row[3]),
+    "weight-0": lambda row, first: _line(row[0], row[1], row[2], 0),
+    "weight-negative": lambda row, first: _line(row[0], row[1], row[2], "-1"),
+    "weight-1/0": lambda row, first: _line(row[0], row[1], row[2], "1/0"),
+    "weight-huge-exponent": lambda row, first: _line(row[0], row[1], row[2], "1e999999"),
+    "empty-id": lambda row, first: _line("", row[1], row[2], row[3]),
+    "repeated-id": lambda row, first: _line(first, row[1], row[2], row[3]),
+    "earlier-release": lambda row, first: _line(row[0], 1, row[2], row[3]),
+}
+AFTER_THE_FIRST = {"repeated-id", "earlier-release"}
+
+
+@st.composite
+def malformed_files(draw):
+    """A valid instance file with blank lines between its packet lines and
+    its k-th line made malformed: the file's text, k and the fault."""
+    kind = draw(st.sampled_from(sorted(MALFORMED)))
+    count = draw(st.integers(2 if kind in AFTER_THE_FIRST else 1, 6))
+    rows = []
+    release = 2
+    for i in range(count):
+        release += draw(st.integers(0, 2))
+        weight = f"{draw(st.integers(1, 9))}/{draw(st.integers(1, 4))}"
+        rows.append((f"p{i}", release, release + draw(st.integers(1, 3)), weight))
+    bad = draw(st.integers(1 if kind in AFTER_THE_FIRST else 0, count - 1))
+    lines = []
+    for i, row in enumerate(rows):
+        lines.extend([""] * draw(st.integers(0, 2)))
+        if i == bad:
+            number = len(lines) + 1
+            lines.append(MALFORMED[kind](row, rows[0][0]))
+        else:
+            lines.append(_line(*row))
+    return "\n".join(lines) + "\n", number, kind
 
 
 @pytest.fixture
@@ -91,6 +162,26 @@ class TestInstanceFiles:
         )
         with pytest.raises(ValueError, match="line 2"):
             cli.parse_instance(str(path))
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(instances())
+    def test_written_instance_reads_back_equal(self, tmp_path, inst):
+        path = tmp_path / "written.jsonl"
+        cli.write_instance(inst, str(path))
+        assert cli.parse_instance(str(path)) == inst
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(malformed_files())
+    def test_any_malformed_line_exits_one_naming_it(self, tmp_path, capsys, drawn):
+        text, number, kind = drawn
+        path = tmp_path / "malformed.jsonl"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["opt", "--instance", str(path)]) == 1, kind
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(rf"\bline {number}\b", err), (kind, err)
+        assert "Traceback" not in err
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "blank.jsonl"

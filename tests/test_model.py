@@ -12,17 +12,14 @@ from oracles import (
     feasible_by_enumeration,
     follows_priority_order,
     oracle_follows_priority_order,
+    order_key,
+    precedes,
+    schedule_weight,
+    slot_at,
 )
 
 from pktsched.engine import States, advance
-from pktsched.model import (
-    Instance,
-    Packet,
-    Schedule,
-    is_feasible_set,
-    order_key,
-    precedes,
-)
+from pktsched.model import Instance, Packet, PacketError, Schedule, is_feasible_set
 
 
 class TestPacketOrder:
@@ -127,6 +124,32 @@ class TestPacketValidation:
         # Instance.build passes steps through as they are, never truncated.
         with pytest.raises(ValueError, match=message):
             Instance.build([("a", steps["release"], steps["deadline"], 1)])
+
+    @pytest.mark.parametrize("pid", ["", 7, None, b"a", ("a",)])
+    def test_rejects_an_id_that_is_not_a_nonempty_string(self, pid):
+        message = "packet id must be a nonempty string"
+        with pytest.raises(ValueError, match=message):
+            Packet(pid, 1, 2, Fraction(1), 0)
+        # Instance.build passes ids through as they are, never coerced.
+        with pytest.raises(ValueError, match=message):
+            Instance.build([(pid, 1, 2, 1)])
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ("", 2, 3, 1),
+            ("c", 2, 3.0, 1),
+            ("c", 0, 3, 1),
+            ("c", 3, 3, 1),
+            ("c", 2, 3, 0),
+            ("a", 2, 3, 1),  # the first row's id again
+            ("c", 1, 3, 1),  # released before the row above it
+        ],
+    )
+    def test_error_names_the_packet_by_arrival_index(self, row):
+        with pytest.raises(PacketError) as caught:
+            Instance.build([("a", 1, 2, 1), ("b", 2, 3, 1), row, ("d", 3, 4, 1)])
+        assert caught.value.index == 2
 
 
 class TestInstance:
@@ -263,7 +286,7 @@ class TestEdfSchedule:
                 continue
             sched = edf_schedule(packets, 1)
             assert follows_priority_order(sched, 1)
-            assert sched.weight == sum(p.weight for p in packets)
+            assert schedule_weight(sched) == sum(p.weight for p in packets)
 
 
 @st.composite
@@ -335,7 +358,7 @@ class TestSchedule:
     def test_weight_and_lookup(self):
         a, b = mk("a", 1, 5, Fraction(1, 2), 0), mk("b", 1, 5, 2, 1)
         sched = Schedule(((1, a), (3, b)))
-        assert sched.weight == Fraction(5, 2)
-        assert sched.at(3) == b
-        assert sched.at(2) is None
+        assert schedule_weight(sched) == Fraction(5, 2)
+        assert slot_at(sched, 3) == b
+        assert slot_at(sched, 2) is None
         assert sched.packets == {a, b}

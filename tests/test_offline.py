@@ -7,16 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mk, mk_instance, random_agreeable
-from oracles import brute_force_opt, follows_priority_order, oracle_greedy_set, oracle_oblivious
-
-from pktsched import offline
-from pktsched.model import (
-    InvariantError,
-    has_agreeable_deadlines,
-    is_feasible_set,
+from oracles import (
+    brute_force_opt,
+    follows_priority_order,
+    oracle_greedy_set,
+    oracle_oblivious,
     order_key,
     precedes,
+    schedule_weight,
+    slot_at,
 )
+
+from pktsched import offline
+from pktsched.model import InvariantError, has_agreeable_deadlines, is_feasible_set
 from pktsched.offline import (
     _compile,
     _greedy_keys,
@@ -121,7 +124,7 @@ class TestOptSchedule:
         a, b = mk("a", 1, 2, 1, 0), mk("b", 1, 2, 9, 1)
         sched, value = opt_schedule([a, b], 1)
         assert value == 9
-        assert sched.at(1) == b
+        assert slot_at(sched, 1) == b
 
     def test_three_packet_instance(self):
         inst = mk_instance(("a", 1, 2, 1), ("b", 1, 3, 2), ("c", 2, 3, 2))
@@ -207,7 +210,7 @@ class TestOptSchedule:
     def test_large_deadline_does_not_blow_up(self):
         a = mk("a", 1, 10**6, 1, 0)
         sched, value = opt_schedule([a], 1)
-        assert value == 1 and sched.at(1) == a
+        assert value == 1 and slot_at(sched, 1) == a
 
 
 class TestObliviousSchedule:
@@ -248,7 +251,7 @@ class TestObliviousSchedule:
                 assert ob.schedule.sequence() == seq
                 assert ob.earliest == e and ob.heaviest == h and ob.dominated == dom
                 _, value = opt_schedule(pending, 1)
-                assert ob.schedule.weight == value
+                assert schedule_weight(ob.schedule) == value
                 assert value == brute_force_opt(pending, 1)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -260,7 +263,7 @@ class TestObliviousSchedule:
         assert ob.schedule.sequence() == seq
         assert ob.earliest == e and ob.heaviest == h and ob.dominated == dom
         _, value = opt_schedule(pending, step)
-        assert ob.schedule.weight == value == brute_force_opt(pending, step)
+        assert schedule_weight(ob.schedule) == value == brute_force_opt(pending, step)
 
     def test_matches_matching_value_on_random_sets(self):
         rng = random.Random(4)
@@ -278,7 +281,7 @@ class TestObliviousSchedule:
             ]
             ob = oblivious_schedule(pending, step)
             _, value = opt_schedule(pending, step)
-            assert ob.schedule.weight == value
+            assert schedule_weight(ob.schedule) == value
             assert value == brute_force_opt(pending, step)
             assert follows_priority_order(ob.schedule, step)
 
@@ -319,7 +322,7 @@ def assert_conforms(pending, future, step, ob):
     conf = conforming_clairvoyant(pending, future, step, ob)
     # optimal over pending plus future
     _, best = opt_schedule(list(pending) + future, step)
-    assert conf.weight == best
+    assert schedule_weight(conf) == best
     # deadline-first order
     assert follows_priority_order(conf, step)
     # pending part inside the oblivious schedule
@@ -329,7 +332,7 @@ def assert_conforms(pending, future, step, ob):
         if p.release <= step
     )
     # first-packet clause
-    first = conf.at(step)
+    first = slot_at(conf, step)
     assert first is not None
     assert all(
         p.weight < first.weight
@@ -417,7 +420,7 @@ class TestConformingClairvoyant:
         conf = conforming_clairvoyant([e, j, h], [x], 1, ob)
         assert conf.slots == ((1, j), (2, x), (3, h))
         assert ob.earliest not in conf.packets
-        assert conf.at(1) not in (ob.earliest, ob.heaviest)
+        assert slot_at(conf, 1) not in (ob.earliest, ob.heaviest)
         # moving the heaviest to the front keeps feasibility: h@1, j@2, x@3
         assert h.deadline > 1 and j.deadline > 2 and x.deadline > 3
 

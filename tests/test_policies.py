@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import mk
-from oracles import oracle_golden_test
+from oracles import oracle_golden_test, precedes
 
-from pktsched.model import precedes
 from pktsched.offline import oblivious_schedule
 from pktsched.policies import PolicyDecision, _within_golden, decide, rg_distribution
 
