@@ -21,6 +21,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
@@ -34,7 +35,7 @@ from .engine import (
     start,
 )
 from .model import Instance, InvariantError, _follows_order, as_weight
-from .offline import _compile, _conforming_slots, _ranked_step
+from .offline import _compiled, _conforming_slots, _ranked_step
 from .policies import _choose
 
 _T = TypeVar("_T")
@@ -88,8 +89,10 @@ def generate(spec: GeneratorSpec) -> Instance:
     if spec.family != "golden-chain":
         if spec.steps < 1 or spec.max_per_step < 1:
             raise ValueError("steps and max_per_step must be positive")
-        if not spec.weights or any(Fraction(w) <= 0 for w in spec.weights):
-            raise ValueError("weight menu must be nonempty and positive")
+        if not spec.weights:
+            raise ValueError("weight menu must be nonempty")
+        for weight in spec.weights:
+            as_weight(weight)
     rng = random.Random(spec.seed)
     if spec.family == "golden-chain":
         instance = golden_chain(spec.chain_length, spec.growth)
@@ -209,17 +212,21 @@ def enumerate_two_bounded(
         for option in options:
             if max_packets is not None and count + len(option) > max_packets:
                 continue
-            batch = [
-                (f"s{step}p{k}", step, step + lifespan, weight)
-                for k, (lifespan, weight) in enumerate(option)
-            ]
-            extended = specs + batch
+            extended = specs + _step_specs(step, option)
             yield Instance.build(extended)
             if step < max_steps:
                 yield from extend(extended, step + 1, count + len(option))
 
     if max_steps >= 1:
         yield from extend([], 1, 0)
+
+
+def _step_specs(step: int, option) -> list[tuple]:
+    """The ``Instance.build`` rows of ``option``'s packets arriving at ``step``."""
+    return [
+        (f"s{step}p{k}", step, step + lifespan, weight)
+        for k, (lifespan, weight) in enumerate(option)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +287,10 @@ def adversary_search(
         # proportion to the roots covers each chunk when the total would.
         ends = list(itertools.accumulate(map(len, chunks), initial=0))
         cuts = [None if max_nodes is None else max_nodes * end // len(options) for end in ends]
-        args = [
-            (policy, depth, menu, branching, chunk, None if a is None else b - a)
-            for chunk, a, b in zip(chunks, cuts, cuts[1:])
-        ]
+        budgets = [None if a is None else b - a for a, b in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            partials = list(pool.map(_search_subtree, args))
+            explore = partial(_explore_roots, policy, depth, branching, options)
+            partials = list(pool.map(explore, chunks, budgets))
         best_ratio, best_path = None, None
         nodes = sum(p[2] for p in partials)
         complete = all(p[3] for p in partials)
@@ -306,12 +311,6 @@ def adversary_search(
         raise RuntimeError("search explored no nodes; raise max_nodes")
     witness = _instance_from_path(options, best_path)
     return SearchResult(witness, policy, best_ratio, nodes, complete)
-
-
-def _search_subtree(args) -> tuple[Fraction | None, tuple | None, int, bool]:
-    policy, depth, menu, branching, roots, max_nodes = args
-    options = two_bounded_step_options(menu, branching)
-    return _explore_roots(policy, depth, branching, options, roots, max_nodes)
 
 
 def _explore_roots(policy, depth, branching, options, roots, max_nodes):
@@ -478,11 +477,9 @@ class _SearchKernel:
 
 
 def _instance_from_path(options, path) -> Instance:
-    specs = []
-    for step, oi in enumerate(path, start=1):
-        for k, (lifespan, weight) in enumerate(options[oi]):
-            specs.append((f"s{step}p{k}", step, step + lifespan, weight))
-    return Instance.build(specs)
+    return Instance.build(
+        row for step, oi in enumerate(path, start=1) for row in _step_specs(step, options[oi])
+    )
 
 
 def _offline_moves(options):
@@ -598,7 +595,7 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     """
     if not instance.is_agreeable:
         raise ValueError("fact checks require an agreeable instance")
-    compiled = _compile(instance)
+    compiled = _compiled(instance)
     arrivals, expiring, weights = compiled.arrivals, compiled.expiring, compiled.weights
     report = FactsReport()
     carry: frozenset[int] = frozenset()

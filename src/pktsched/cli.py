@@ -207,9 +207,10 @@ def _load(args, require_agreeable: bool) -> Instance:
 
 def _write_report(args, payload: dict) -> None:
     if getattr(args, "out", None):
-        # One write: json.dump with an indent writes every token apart.
+        # Compact, in one write: with an indent, json takes its pure-Python
+        # encoder, and json.dump writes every token apart.
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=2) + "\n")
+            handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def _ratio_line(label: str, value: Fraction) -> str:

@@ -1,11 +1,11 @@
 """Step-loop simulation over instances.
 
 Every mode steps the same rule, over integer keys.  A key stands for one
-packet; sorting keys gives the greedy order (``offline._greedy_order``:
-weight descending, ties in the deadline-first order), and the key's
-deadline and weight, an integer over a common denominator, sit in lists
-indexed by key, so a pending set is a frozenset of ints.  An instance's
-keys are its packets' ranks (``offline._compile``), which
+packet; sorting keys gives the greedy order (weight descending, ties in
+the deadline-first order), and the key's deadline and weight, an integer
+over a common denominator, sit in lists indexed by key, so a pending set
+is a frozenset of ints.  An instance's keys are its packets' ranks, from
+its one shared compile (``offline._compiled``), which
 ``analysis.check_facts`` steps as well; the adversarial search builds its
 own key space (``analysis._SearchKernel``).  At each step the arrivals
 join the carried pending set, ``offline._ranked_step`` sorts it and runs
@@ -51,7 +51,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .model import Instance, InvariantError, Packet
-from .offline import _compile, _opt_weight, _ranked_step
+from .offline import _compiled, _opt_weight, _ranked_step
 from .policies import DETERMINISTIC_POLICIES, _choose, _rg_lottery
 
 DEFAULT_EXACT_CAP = 1 << 20
@@ -236,7 +236,7 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
             f"run_policy needs a deterministic policy, not {policy!r}; "
             "use run_rg_exact or run_rg_mc for rg"
         )
-    compiled = _compile(instance)
+    compiled = _compiled(instance)
     packets, weights, expiring = compiled.packets, compiled.weights, compiled.expiring
     arrivals = compiled.arrivals
     ids = [p.id for p in packets]
@@ -290,7 +290,7 @@ def run_rg_exact(
 def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction]:
     """``run_rg_exact`` plus the offline optimum it checks the value against,
     so that callers reporting both compute the optimum once."""
-    compiled = _compile(instance)
+    compiled = _compiled(instance)
     arrivals, deadlines, weights = compiled.arrivals, compiled.deadlines, compiled.weights
     states = start(compiled.scale)
     spent = 0
@@ -326,7 +326,7 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    compiled = _compile(instance)
+    compiled = _compiled(instance)
     arrivals, expiring, weights = compiled.arrivals, compiled.expiring, compiled.weights
     # (step, pending keys) -> the earliest and the heaviest key there.
     memo: dict[tuple[int, frozenset[int]], tuple[int, int]] = {}

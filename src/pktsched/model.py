@@ -30,11 +30,17 @@ class PacketError(ValueError):
 
 
 def as_weight(value) -> Fraction:
-    """Coerce to an exact positive rational weight.  A Fraction is kept as
-    is (it is immutable), so packets built from one menu share its weights."""
-    weight = value if isinstance(value, Fraction) else Fraction(value)
+    """The weight rule: ``value`` as an exact positive rational, not a bool,
+    else ValueError.  A Fraction is kept as is (it is immutable), so packets
+    built from one menu share its weights."""
+    try:
+        weight = value if isinstance(value, Fraction) else Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        weight = None
+    if weight is None or type(value) is bool:
+        raise ValueError(f"weight {value!r} is not a rational number")
     if weight <= 0:
-        raise ValueError(f"non-positive weight {value!r}")
+        raise ValueError(f"weight {weight} is a non-positive weight")
     return weight
 
 
@@ -81,12 +87,10 @@ class Packet:
                 f"{self.release}, an empty lifespan",
                 self.arrival_index,
             )
-        weight = self.weight if isinstance(self.weight, Fraction) else Fraction(self.weight)
-        if weight <= 0:
-            raise PacketError(
-                f"packet {self.id}: weight {weight} is a non-positive weight",
-                self.arrival_index,
-            )
+        try:
+            weight = as_weight(self.weight)
+        except ValueError as err:
+            raise PacketError(f"packet {self.id}: {err}", self.arrival_index) from None
         object.__setattr__(self, "weight", weight)
         # Hashed once from the compared fields other than the id, so packets
         # that differ only in weight or deadline (as on different search
@@ -266,17 +270,10 @@ def is_feasible_set(packets: Iterable[Packet], start: int) -> bool:
     answer is exact also for packets released after ``start``.
     """
     try:
-        _edf_slots(packets, start, _release, _deadline_key)
+        _edf_slots(packets, start, attrgetter("release"), lambda p: (p.deadline,))
     except ValueError:
         return False
     return True
-
-
-_release = attrgetter("release")
-
-
-def _deadline_key(packet: Packet) -> tuple[int]:
-    return (packet.deadline,)
 
 
 def _edf_slots(members, start: int, release, key) -> list[tuple]:
@@ -309,30 +306,12 @@ def _edf_slots(members, start: int, release, key) -> list[tuple]:
 
 
 def _follows_order(slots, start: int, release, key) -> bool:
-    """Check that nonempty ``(step, member)`` slots in step order always
-    send their order-minimal available member.
-
-    Gaps are allowed only at steps where none of the remaining members is
-    available.  A remaining member's window reaches past its own slot, so
-    it is available at every step from its release to that slot; the walk
-    keeps the released remaining members on a heap in the order.
-    ``release`` maps a member to its release and ``key`` to its place in
-    the deadline-first order.  A member is a packet or a key of a compiled
-    instance (``offline._compile``)."""
-    if slots[0][0] < start:
+    """Check that ``(step, member)`` slots in step order are the
+    deadline-first-order schedule of their members from ``start``, as
+    ``_edf_slots`` lays it out with the same ``release`` and ``key``: each
+    step sends the order-minimal available member, and idles only when
+    none is available.  Members that miss their deadline there fail it."""
+    try:
+        return list(slots) == _edf_slots([m for _, m in slots], start, release, key)
+    except ValueError:
         return False
-    waiting = sorted(
-        ((release(p), i, p) for i, (_, p) in enumerate(slots)), reverse=True
-    )
-    available: list[tuple] = []
-    step = start
-    for slot_step, assigned in slots:
-        if slot_step > step and (available or waiting[-1][0] < slot_step):
-            return False  # an idle step with a packet available
-        while waiting and waiting[-1][0] <= slot_step:
-            _, i, p = waiting.pop()
-            heappush(available, (key(p), i, p))
-        if heappop(available)[2] != assigned:
-            return False
-        step = slot_step + 1
-    return True

@@ -6,8 +6,8 @@ descending (ties in the deadline-first order) and keep each one while the
 kept set stays feasible.  ``_compile`` ranks a packet set in that order
 once: a packet's key is its rank, so sorting keys gives the greedy order,
 and the keys' releases, deadlines and weights (integers over a common
-denominator) sit in lists indexed by key.  The engine and the fact checks
-step the same compile.
+denominator) sit in lists indexed by key.  The engine's runs and the fact
+checks of one instance share one compile, ``_compiled``.
 
 One greedy over keys, ``_greedy_keys``, gives the offline optimum over
 pending plus future packets, and three exact feasibility tests back it,
@@ -41,11 +41,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from operator import gt, sub
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .model import (
+    Instance,
     InvariantError,
     Packet,
     Schedule,
@@ -56,34 +58,14 @@ from .model import (
 )
 
 
-def _greedy_order(packets: Iterable[Packet]) -> list[Packet]:
-    """The packets by weight descending, ties in the deadline-first order.
-
-    That is the reverse of ascending (weight, -deadline, -arrival_index);
-    the sort is stable, so full ties keep their input order.  The weights
-    compare as integers over their common denominator, which orders them
-    exactly as the Fractions do, without Fraction arithmetic.
-    """
-    packets = list(packets)
-    scale = weight_scale(packets)
-    return sorted(
-        packets,
-        key=lambda p: (
-            p.weight.numerator * (scale // p.weight.denominator),
-            -p.deadline,
-            -p.arrival_index,
-        ),
-        reverse=True,
-    )
-
-
 class _Compiled(NamedTuple):
     """A packet set compiled to its key space.
 
-    A packet's key is its rank in the greedy order (``_greedy_order``), so
-    sorting keys gives their greedy order.  ``releases``, ``deadlines`` and
-    ``weights`` (integers over ``scale``) are indexed by key; ``arrivals``
-    and ``expiring`` map a step to the keys released at it and to the keys
+    A packet's key is its rank in the greedy order: weight descending, ties
+    in the deadline-first order, full ties in input order.  So sorting keys
+    gives their greedy order.  ``releases``, ``deadlines`` and ``weights``
+    (integers over ``scale``) are indexed by key; ``arrivals`` and
+    ``expiring`` map a step to the keys released at it and to the keys
     whose deadline it is.
     """
 
@@ -98,9 +80,17 @@ class _Compiled(NamedTuple):
 
 def _compile(packets: Iterable[Packet]) -> _Compiled:
     """The key space of ``packets``: an instance's, or several instances'
-    packets, whose keys sort in each instance's greedy order."""
-    packets = _greedy_order(packets)
+    packets, whose keys sort in each instance's greedy order.  The weights
+    compare as integers over their common denominator, which orders them
+    exactly as the Fractions do, without Fraction arithmetic."""
+    packets = list(packets)
     scale = weight_scale(packets)
+    scaled = [p.weight.numerator * (scale // p.weight.denominator) for p in packets]
+    ranked = sorted(
+        range(len(packets)),
+        key=lambda i: (-scaled[i], packets[i].deadline, packets[i].arrival_index),
+    )
+    packets = list(map(packets.__getitem__, ranked))
     arrivals: dict[int, list[int]] = {}
     expiring: dict[int, list[int]] = {}
     for rank, p in enumerate(packets):
@@ -110,11 +100,19 @@ def _compile(packets: Iterable[Packet]) -> _Compiled:
         packets,
         [p.release for p in packets],
         [p.deadline for p in packets],
-        [p.weight.numerator * (scale // p.weight.denominator) for p in packets],
+        list(map(scaled.__getitem__, ranked)),
         scale,
         {step: tuple(ranks) for step, ranks in arrivals.items()},
         {step: tuple(ranks) for step, ranks in expiring.items()},
     )
+
+
+@lru_cache(maxsize=1)
+def _compiled(instance: Instance) -> _Compiled:
+    """``_compile`` of a frozen instance, kept for the last one, so the runs
+    and fact checks of one instance (or of equal ones) share one compile,
+    which they only read."""
+    return _compile(instance)
 
 
 def _latest_free_steps(

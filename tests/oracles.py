@@ -17,7 +17,7 @@ checks over ``Packet``s and ``Schedule``s instead of compiled ranks.
 oracle: it is the bound r*r <= r + 1 as the acceptance criterion states
 it, for the tests' bound checks.  Nor are ``edf_schedule`` and
 ``follows_priority_order``: they lay out and check ``Packet`` schedules
-through the model's heap walks over members, for the tests and the
+through the model's deadline-first walk over members, for the tests and the
 reference fact checks.  Nor are ``order_key``, ``precedes``,
 ``schedule_weight`` and ``slot_at``: the deadline-first packet order and
 two ``Schedule`` readings, which only the tests and oracles need.
@@ -249,16 +249,11 @@ def edf_schedule(packets, start: int) -> Schedule:
 
 
 def follows_priority_order(schedule: Schedule, start: int) -> bool:
-    """Check that a schedule always transmits its order-minimal available packet.
-
-    Gaps are allowed only at steps where none of the schedule's remaining
-    packets is available.  A remaining packet's window reaches past its own
-    slot, so it is available at every step from its release to that slot;
-    the walk keeps the released remaining packets on a heap in the order.
-    """
+    """Check that a schedule always transmits its order-minimal available
+    packet, idling only when none of its remaining packets is available:
+    that is, that it is the deadline-first layout of its packets from
+    ``start``."""
     slots = schedule.slots
-    if not slots:
-        return True
     key = _scaled_order_key(weight_scale(p for _, p in slots))
     return _follows_order(slots, start, _release, key)
 

@@ -31,7 +31,7 @@ from pktsched.analysis import (
 )
 from pktsched.engine import run_policy
 from pktsched.model import Instance
-from pktsched.offline import _greedy_order
+from pktsched.offline import _compile
 from pktsched.policies import POLICIES
 
 MENU12 = (Fraction(1), Fraction(2))
@@ -343,7 +343,7 @@ class TestSearchKeys:
                 keys = sorted(carry | arrivals)
                 pending = [packets[k % stride] for k in keys]
                 assert all(p.release <= step < p.deadline for p in pending)
-                assert pending == _greedy_order(pending)
+                assert pending == _compile(pending).packets
                 assert [kernel.deadlines[k] for k in keys] == [p.deadline for p in pending]
                 assert [Fraction(kernel.weights[k], kernel.scale) for k in keys] == [
                     p.weight for p in pending

@@ -201,7 +201,10 @@ class TestCommands:
             ["run", "--policy", "mg-prime", "--instance", tiny, "--out", str(out_path)]
         )
         assert code == 0
-        payload = json.loads(out_path.read_text())
+        text = out_path.read_text()
+        # One compact JSON object on one line.
+        assert text.endswith("}\n") and text.count("\n") == 1 and ", " not in text
+        payload = json.loads(text)
         assert payload["total_gain"] == "4/1"
         assert payload["total_gain_dec"] == 4.0
         assert payload["ratio"] == "1/1"

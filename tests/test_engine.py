@@ -476,3 +476,39 @@ class TestPacketOracles:
 
         with mock.patch("random.Random", Fixed):
             assert run_rg_mc(inst, 2, 0) == oracle_rg_mc(inst, 2, 0) == (gain, 0.0)
+
+
+class TestSharedCompile:
+    """The runs and the fact checks of one instance share one compile
+    (``offline._compiled``), and equal instances share it too."""
+
+    def test_one_compile_across_the_runs_of_an_instance(self):
+        inst = golden_chain(5)
+        offline._compiled.cache_clear()
+        with mock.patch.object(offline, "_compile", wraps=offline._compile) as compile_:
+            reports = (run_policy(inst, "mg-prime"), run_rg_exact(inst), check_facts(inst))
+            assert compile_.call_count == 1
+            twin = Instance.build((p.id, p.release, p.deadline, p.weight) for p in inst)
+            assert twin == inst and twin is not inst
+            assert (run_policy(twin, "mg-prime"), run_rg_exact(twin), check_facts(twin)) == reports
+            assert compile_.call_count == 1
+        # A fresh compile of the twin gives the same reports.
+        offline._compiled.cache_clear()
+        assert (run_policy(twin, "mg-prime"), run_rg_exact(twin), check_facts(twin)) == reports
+
+    def test_instances_in_a_row_each_get_their_own_compile(self):
+        # Many instances of one size in a row: a compile kept for another
+        # instance would give its runs another instance's packets.
+        offline._compiled.cache_clear()
+        instances = list(analysis.enumerate_two_bounded(2, 2, (1, 2, 3), max_packets=3))
+        with mock.patch.object(offline, "_compile", wraps=offline._compile) as compile_:
+            for inst in instances:
+                total, ids = oracle_mg_prime_run(inst)
+                report = run_policy(inst, "mg-prime")
+                assert (report.total_gain, [r.transmitted.id for r in report.per_step]) == (
+                    total,
+                    ids,
+                )
+                assert run_rg_exact(inst) == oracle_rg_expectation(inst)[:2]
+                assert check_facts(inst).passed
+        assert compile_.call_count == len(instances)

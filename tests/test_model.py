@@ -19,7 +19,14 @@ from oracles import (
 )
 
 from pktsched.engine import States, advance
-from pktsched.model import Instance, Packet, PacketError, Schedule, is_feasible_set
+from pktsched.model import (
+    Instance,
+    Packet,
+    PacketError,
+    Schedule,
+    as_weight,
+    is_feasible_set,
+)
 
 
 class TestPacketOrder:
@@ -150,6 +157,33 @@ class TestPacketValidation:
         with pytest.raises(PacketError) as caught:
             Instance.build([("a", 1, 2, 1), ("b", 2, 3, 1), row, ("d", 3, 4, 1)])
         assert caught.value.index == 2
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            (None, "not a rational number"),
+            ("1/0", "not a rational number"),
+            ("x", "not a rational number"),
+            (float("nan"), "not a rational number"),
+            (float("inf"), "not a rational number"),
+            (True, "not a rational number"),
+            (False, "not a rational number"),
+            (0, "non-positive weight"),
+            ("-1/2", "non-positive weight"),
+        ],
+    )
+    def test_a_bad_weight_is_a_packet_error(self, weight, message):
+        with pytest.raises(PacketError, match=f"packet b: .*{message}") as caught:
+            Instance.build([("a", 1, 2, 1), ("b", 1, 2, weight)])
+        assert caught.value.index == 1
+        # The one weight rule, which the command line's weight options use.
+        with pytest.raises(ValueError, match=message):
+            as_weight(weight)
+
+    @pytest.mark.parametrize("weight", [1, "3/2", 1.5, Fraction(7, 3)])
+    def test_a_weight_converts_to_its_fraction(self, weight):
+        assert Instance.build([("a", 1, 2, weight)]).packets[0].weight == Fraction(weight)
+        assert as_weight(weight) == Fraction(weight)
 
 
 class TestInstance:
@@ -328,6 +362,32 @@ class TestFollowsPriorityOrder:
         assert not follows_priority_order(Schedule(((1, b), (3, a))), 1)
         assert not follows_priority_order(Schedule(((2, b), (3, a))), 1)
         assert not follows_priority_order(Schedule(((1, b), (2, a))), 2)
+
+    @pytest.mark.parametrize(
+        "slots, start, expected",
+        [
+            pytest.param((), 1, True, id="empty"),
+            pytest.param((), 5, True, id="empty-late-start"),
+            # a and b are released at 1 and 2; c at 5.
+            pytest.param(((1, "a"), (2, "b")), 2, False, id="slot-before-start"),
+            pytest.param(((2, "a"),), 1, False, id="idle-while-released-at-start"),
+            pytest.param(((1, "a"), (3, "b")), 1, False, id="idle-while-released"),
+            pytest.param(((1, "a"), (2, "b"), (5, "c")), 1, True, id="legal-gap"),
+            pytest.param(((1, "a"), (2, "b"), (6, "c")), 1, False, id="gap-past-a-release"),
+            pytest.param(((1, "a"), (5, "c")), 1, True, id="legal-gap-one-member-left"),
+            pytest.param(((2, "b"), (5, "c")), 1, True, id="idle-before-the-first-release"),
+            pytest.param(((3, "b"), (5, "c")), 1, False, id="idle-after-a-release"),
+        ],
+    )
+    def test_start_gaps_and_idle_steps(self, slots, start, expected):
+        packets = {
+            "a": mk("a", 1, 3, 1, 0),
+            "b": mk("b", 2, 4, 2, 1),
+            "c": mk("c", 5, 7, 1, 2),
+        }
+        schedule = Schedule(tuple((step, packets[pid]) for step, pid in slots))
+        assert follows_priority_order(schedule, start) is expected
+        assert oracle_follows_priority_order(schedule, start) is expected
 
 
 class TestSchedule:
