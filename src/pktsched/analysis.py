@@ -49,10 +49,7 @@ def competitive_ratio(
     """Offline optimum divided by the policy's (expected) gain; 1 when the
     optimum is zero."""
     if policy == "rg":
-        expected, _, opt_value = _rg_exact(instance, cap)
-        if opt_value == 0:
-            return Fraction(1)
-        return opt_value / expected
+        return _rg_exact(instance, cap)[3]
     return run_policy(instance, policy).ratio
 
 
@@ -314,33 +311,32 @@ def adversary_search(
 
 
 def _explore_roots(policy, depth, branching, options, roots, max_nodes):
+    """The walk below the first-step options ``roots``, in pre-order and option
+    order up to ``max_nodes`` nodes, on an explicit stack so any depth fits."""
     best: tuple[int, int] | None = None  # the best ratio, as (numerator, denominator)
     best_path: tuple | None = None
     nodes = 0
     complete = True
     kernel = _SearchKernel(policy, options, depth, branching)
-
-    def explore(step, state, table, base, path, allowed):
-        nonlocal best, best_path, nodes, complete
-        indices = allowed if allowed is not None else range(len(options))
-        for oi in indices:
-            if max_nodes is not None and nodes >= max_nodes:
-                complete = False
-                return
-            nodes += 1
-            state2, table2, ratio = kernel.node(state, table, step, base, oi)
-            child = path + (oi,)
-            if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
-                best, best_path = ratio, child
-            if step < depth:
-                explore(step + 1, state2, table2, base + len(options[oi]), child, None)
-
-    try:
-        explore(1, kernel.start, kernel.table_start, 0, (), tuple(roots))
-    finally:
-        # ``explore`` is a closure that refers to itself, so the kernel's
-        # memos would live on until the cyclic garbage collector ran.
-        kernel.clear()
+    indices = range(len(options))
+    stack = [(kernel.start, kernel.table_start, 0, (), iter(roots))]
+    while stack:
+        state, table, base, path, children = stack[-1]
+        oi = next(children, None)
+        if oi is None:
+            stack.pop()
+            continue
+        if max_nodes is not None and nodes >= max_nodes:
+            complete = False
+            break
+        nodes += 1
+        step = len(path) + 1
+        state2, table2, ratio = kernel.node(state, table, step, base, oi)
+        child = path + (oi,)
+        if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
+            best, best_path = ratio, child
+        if step < depth:
+            stack.append((state2, table2, base + len(options[oi]), child, iter(indices)))
     return (None if best is None else Fraction(*best)), best_path, nodes, complete
 
 
@@ -415,10 +411,6 @@ class _SearchKernel:
         self.start = start(self.scale)
         self.memo: Transitions = {}
         self.arrivals: dict[tuple[int, int, int], frozenset[int]] = {}
-
-    def clear(self):
-        for memo in (self.memo, self.arrivals, self.shapes, self.tables, self.drained, self.steps):
-            memo.clear()
 
     def _intern(self, table):
         """The dict ``table`` as (shape id, offset)."""

@@ -35,45 +35,19 @@ from .engine import (
     run_policy,
     run_rg_mc,
 )
-from .model import Instance, InvariantError, PacketError, as_weight
+from .model import Instance, InvariantError, Packet, PacketError, as_weight
 from .offline import opt_schedule
 from .policies import POLICIES
 
 CAP_ENV_VAR = "SCHED_EXACT_CAP"
 
 
-# Python's default limit for converting between int and str: a rational
-# whose numerator or denominator had more digits could not be printed.
-MAX_DIGITS = 4300
-
-
-def parse_rational(value) -> Fraction:
-    """Parse a rational from "num/den", a plain number string, or a number.
-
-    JSON floats are read through their shortest decimal form, so 1.5 means
-    exactly 3/2.  A numerator or denominator of more than ``MAX_DIGITS``
-    digits is refused before it is built: an exponent such as "1e999999"
-    would otherwise allocate it.
-    """
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, float):
-        value = repr(value)
-    if isinstance(value, str):
-        mantissa, _, exponent = value.strip().lower().partition("e")
-        if exponent and len(mantissa) + abs(int(exponent)) > MAX_DIGITS:
-            raise ValueError(f"numerator or denominator of more than {MAX_DIGITS} digits")
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise ValueError(f"not a rational: {value!r}")
-
-
 def parse_weight(text: str, option: str) -> Fraction:
-    """A positive rational given on the command line as ``option``."""
+    """The weight given on the command line as ``option``."""
     try:
-        return as_weight(parse_rational(text))
-    except (ValueError, ZeroDivisionError) as err:
-        raise ValueError(f"invalid weight {text!r} in {option}: {err}") from None
+        return as_weight(text)
+    except ValueError as err:
+        raise ValueError(f"{err} in {option}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -84,8 +58,8 @@ def parse_instance(path: str) -> Instance:
     """Read a JSON Lines instance file; errors name the offending line.
 
     The reader checks only the format: one JSON object per line with the
-    four fields, and a rational weight.  ``Instance.build`` checks every
-    packet and instance rule, and its ``PacketError`` is mapped from the
+    four fields.  ``Instance.build`` checks every packet and instance rule,
+    the weight rule included, and its ``PacketError`` is mapped from the
     packet's arrival index back to its line.
     """
     specs = []
@@ -103,15 +77,12 @@ def parse_instance(path: str) -> Instance:
             if not isinstance(row, dict):
                 raise ValueError(f"expected an object, line {number}")
             try:
-                pid, release, deadline, weight_raw = row["id"], row["r"], row["d"], row["w"]
+                pid, release, deadline, weight = row["id"], row["r"], row["d"], row["w"]
             except KeyError as err:
                 raise ValueError(f"missing field {err.args[0]!r}, line {number}") from None
-            try:
-                weight = parse_rational(weight_raw)
-            except (ValueError, ZeroDivisionError) as err:
-                raise ValueError(
-                    f"invalid weight {weight_raw!r}, line {number}: {err}"
-                ) from None
+            if type(weight) is float:
+                # Read through its shortest decimal form: 1.5 means exactly 3/2.
+                weight = repr(weight)
             specs.append((pid, release, deadline, weight))
             lines.append(number)
     try:
@@ -120,20 +91,15 @@ def parse_instance(path: str) -> Instance:
         raise ValueError(f"{err}, line {lines[err.index]}") from None
 
 
+def _packet_row(p: Packet) -> dict:
+    """A packet as one instance-file object."""
+    return {"id": p.id, "r": p.release, "d": p.deadline, "w": format_rational(p.weight)}
+
+
 def write_instance(instance: Instance, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for packet in instance:
-            handle.write(
-                json.dumps(
-                    {
-                        "id": packet.id,
-                        "r": packet.release,
-                        "d": packet.deadline,
-                        "w": format_rational(packet.weight),
-                    }
-                )
-                + "\n"
-            )
+            handle.write(json.dumps(_packet_row(packet)) + "\n")
 
 
 def _rational_fields(name: str, value: Fraction) -> dict:
@@ -168,15 +134,7 @@ def search_result_json(result: SearchResult) -> dict:
         "policy": result.policy,
         "nodes": result.nodes,
         "complete": result.complete,
-        "witness": [
-            {
-                "id": p.id,
-                "r": p.release,
-                "d": p.deadline,
-                "w": format_rational(p.weight),
-            }
-            for p in result.witness
-        ],
+        "witness": [_packet_row(p) for p in result.witness],
     }
     payload.update(_rational_fields("ratio", result.ratio))
     return payload
@@ -286,8 +244,7 @@ def _cmd_ratio(args) -> int:
 
 def _cmd_expected(args) -> int:
     instance = _load(args, require_agreeable=True)
-    expected, leaves, opt_value = _rg_exact(instance, cap=_exact_cap())
-    ratio = Fraction(1) if opt_value == 0 else opt_value / expected
+    expected, leaves, opt_value, ratio = _rg_exact(instance, cap=_exact_cap())
     _print_ratio("expected gain", expected)
     _print_ratio("optimum", opt_value)
     _print_ratio("ratio", ratio)

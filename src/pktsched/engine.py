@@ -265,9 +265,14 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
     opt = _opt_weight(compiled, instance.first_release, instance.is_agreeable)
     if total > opt:
         raise InvariantError("online gain exceeded the offline optimum")
-    ratio = Fraction(1) if opt == 0 else Fraction(opt, total)
+    ratio = _ratio(opt, total)
     scale = compiled.scale
     return RunReport(policy, tuple(records), Fraction(total, scale), Fraction(opt, scale), ratio)
+
+
+def _ratio(opt: int, gain: int) -> Fraction:
+    """The competitive ratio: optimum over (expected) gain, 1 if the optimum is 0."""
+    return Fraction(1) if opt == 0 else Fraction(opt, gain)
 
 
 def run_rg_exact(
@@ -283,13 +288,14 @@ def run_rg_exact(
     summed over the steps where something is pending, passes ``cap``; each
     state costs at most one oblivious schedule.
     """
-    value, leaves, _ = _rg_exact(instance, cap)
+    value, leaves, _, _ = _rg_exact(instance, cap)
     return value, leaves
 
 
-def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction]:
-    """``run_rg_exact`` plus the offline optimum it checks the value against,
-    so that callers reporting both compute the optimum once."""
+def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction, Fraction]:
+    """``run_rg_exact`` plus the offline optimum it checks the value against
+    and the ratio of the two, so that callers reporting them compute the
+    optimum once."""
     compiled = _compiled(instance)
     arrivals, deadlines, weights = compiled.arrivals, compiled.deadlines, compiled.weights
     states = start(compiled.scale)
@@ -302,13 +308,13 @@ def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction]:
             )
         states = advance("rg", states, step, arrivals.get(step, ()), deadlines, weights)
     scale, denominator, final = states
-    value = Fraction(sum(weighted for _, weighted, _ in final.values()), denominator * scale)
+    gain = sum(weighted for _, weighted, _ in final.values())  # times denominator * scale
     leaves = sum(paths for _, _, paths in final.values())
-    opt = _opt_weight(compiled, instance.first_release, instance.is_agreeable)
-    opt_value = Fraction(opt, scale)
-    if value > opt_value:
+    opt = _opt_weight(compiled, instance.first_release, instance.is_agreeable) * denominator
+    if gain > opt:
         raise InvariantError("expected gain exceeded the offline optimum")
-    return value, leaves, opt_value
+    scale *= denominator
+    return Fraction(gain, scale), leaves, Fraction(opt, scale), _ratio(opt, gain)
 
 
 def _trial_seed(seed: int, trial: int) -> int:

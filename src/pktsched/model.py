@@ -29,19 +29,57 @@ class PacketError(ValueError):
         self.index = index
 
 
+# Python's default limit for converting between int and str: a weight or
+# a step with more digits could not be written.
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+
+
 def as_weight(value) -> Fraction:
-    """The weight rule: ``value`` as an exact positive rational, not a bool,
-    else ValueError.  A Fraction is kept as is (it is immutable), so packets
-    built from one menu share its weights."""
-    try:
-        weight = value if isinstance(value, Fraction) else Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        weight = None
-    if weight is None or type(value) is bool:
-        raise ValueError(f"weight {value!r} is not a rational number")
-    if weight <= 0:
-        raise ValueError(f"weight {weight} is a non-positive weight")
+    """The weight rule: ``value`` as an exact positive rational whose
+    numerator and denominator have at most ``MAX_DIGITS`` digits, else
+    ValueError.  ``value`` is a number, not a bool, or its text ("3/2",
+    "1.5", "2e3"); a float keeps its exact binary value.  Text is sized
+    before it is built, so "1e999999" allocates nothing, and the size is
+    checked before the sign, so no message prints an oversized number.  A
+    Fraction is kept as is (it is immutable), so packets built from one
+    menu share its weights."""
+    if isinstance(value, Fraction):
+        weight = value
+    else:
+        if isinstance(value, str) and _text_digits(value) > MAX_DIGITS:
+            raise ValueError(f"invalid weight: more than {MAX_DIGITS} digits")
+        try:
+            weight = None if type(value) is bool else Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            weight = None
+        if weight is None:
+            raise ValueError(f"invalid weight {value!r}: not a rational number")
+    numerator, denominator = weight.numerator, weight.denominator
+    if denominator >= _TOO_LONG or abs(numerator) >= _TOO_LONG:
+        raise ValueError(f"invalid weight: more than {MAX_DIGITS} digits")
+    if numerator <= 0:
+        raise ValueError(f"invalid weight {weight}: a non-positive weight")
     return weight
+
+
+def _text_digits(text: str) -> int:
+    """A bound on the digits of the numerator and of the denominator that
+    ``text`` would build: the digits on the longer side of its "/" plus the
+    size of its exponent."""
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = max(sum(map(str.isdigit, side)) for side in mantissa.split("/"))
+    try:
+        return digits + abs(int(exponent or 0))
+    except ValueError:  # not an integer, or one too long to read
+        return digits + len(exponent)
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or its size for an int too long to write."""
+    if isinstance(value, int) and abs(value) >= _TOO_LONG:
+        return f"an int of more than {MAX_DIGITS} digits"
+    return repr(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,14 +104,19 @@ class Packet:
         # Straight-line checks: this runs for every packet ever built.
         if type(self.id) is not str or not self.id:
             raise PacketError(
-                f"packet id must be a nonempty string, not {self.id!r}", self.arrival_index
+                f"packet id must be a nonempty string, not {_shown(self.id)}", self.arrival_index
             )
         # Exact type: a bool is an int subclass, and refused too.
         if type(self.release) is not int or type(self.deadline) is not int:
             raise PacketError(
                 f"packet {self.id}: release and deadline must be integer steps, "
-                f"not {self.release!r} and {self.deadline!r}; steps must be integers",
+                f"not {_shown(self.release)} and {_shown(self.deadline)}; steps must be integers",
                 self.arrival_index,
+            )
+        # Sized before any message prints a step.
+        if abs(self.release) >= _TOO_LONG or abs(self.deadline) >= _TOO_LONG:
+            raise PacketError(
+                f"packet {self.id}: a step of more than {MAX_DIGITS} digits", self.arrival_index
             )
         if self.release < 1:
             raise PacketError(

@@ -247,8 +247,7 @@ class ObliviousSchedule:
 
     ``earliest`` is the packet the schedule transmits first (the
     order-minimal non-dominated packet); ``heaviest`` is the order-minimal
-    packet of maximum weight.  ``dominated`` holds the pending packets left
-    out of the schedule.  The fields may be None only in artificially
+    packet of maximum weight.  The fields may be None only in artificially
     corrupted schedules built by test hooks.
     """
 
@@ -256,7 +255,6 @@ class ObliviousSchedule:
     start: int
     earliest: Packet | None
     heaviest: Packet | None
-    dominated: frozenset[Packet]
 
 
 def _ranked_step(
@@ -299,8 +297,7 @@ def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedul
     order = compiled.packets
     sequence, e, h = _ranked_step(compiled.deadlines, compiled.weights, range(len(order)), step)
     schedule = Schedule(tuple(enumerate(map(order.__getitem__, sequence), start=step)))
-    dominated = frozenset(pending).difference(schedule.packets)
-    return ObliviousSchedule(schedule, step, order[e], order[h], dominated)
+    return ObliviousSchedule(schedule, step, order[e], order[h])
 
 
 def conforming_clairvoyant(

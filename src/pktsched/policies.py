@@ -1,7 +1,8 @@
 """The online policies, exposed behind one stateless decision interface.
 
-Each policy sees only the current oblivious schedule and returns either a
-single packet or a two-point lottery.  All golden-ratio comparisons are
+Each policy sees only the current oblivious schedule, and ``decide``
+returns its outcomes as ``(packet, probability)`` pairs: one sure packet,
+or rg's two-point lottery.  All golden-ratio comparisons are
 decided exactly over rationals through the identity x <= phi  iff
 x*x <= x + 1 (valid for x >= 0, since phi is the positive root of
 x*x = x + 1); the golden ratio itself is never represented numerically.
@@ -12,9 +13,8 @@ to the packet ranks of its compiled runs as to packets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Sequence, TypeVar
 
 from .model import InvariantError, Packet, weight_scale
@@ -25,42 +25,6 @@ _T = TypeVar("_T")
 DETERMINISTIC_POLICIES = ("mg", "mg-prime", "greedy-weight", "edf-nondominated")
 RANDOMIZED_POLICIES = ("rg",)
 POLICIES = DETERMINISTIC_POLICIES + RANDOMIZED_POLICIES
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    """Either a deterministic packet choice or a probability-weighted pair."""
-
-    deterministic: Packet | None = None
-    lottery: tuple[tuple[Packet, Fraction], ...] | None = None
-
-    def __post_init__(self):
-        if (self.deterministic is None) == (self.lottery is None):
-            raise ValueError("exactly one of deterministic/lottery must be set")
-        if self.lottery is not None:
-            if not 1 <= len(self.lottery) <= 2:
-                raise ValueError("lottery must have one or two outcomes")
-            # In integers over the common denominator: each numerator lies
-            # in [0, scale] and together they sum to scale.
-            scale = lcm(*(q.denominator for _, q in self.lottery))
-            total = 0
-            for _, probability in self.lottery:
-                share = probability.numerator * (scale // probability.denominator)
-                if not 0 <= share <= scale:
-                    raise ValueError(f"probability {probability} outside [0, 1]")
-                total += share
-            if total != scale:
-                raise ValueError(
-                    f"lottery probabilities sum to {Fraction(total, scale)}, not 1"
-                )
-
-    @classmethod
-    def sure(cls, packet: Packet) -> "PolicyDecision":
-        return cls(deterministic=packet)
-
-    @classmethod
-    def mixed(cls, outcomes: tuple[tuple[Packet, Fraction], ...]) -> "PolicyDecision":
-        return cls(lottery=outcomes)
 
 
 def _within_golden(e: int, h: int) -> bool:
@@ -112,35 +76,23 @@ def _rg_lottery(w_e: int, w_h: int) -> tuple[int, int, int]:
     return w_h // g, w_e // g, (w_h - w_e) // g
 
 
-def rg_distribution(oblivious: ObliviousSchedule) -> PolicyDecision:
-    """Randomized choice: the earliest packet with probability w_e / w_h,
-    otherwise the heaviest."""
-    e, h = _require_pair(oblivious)
-    if e == h:
-        return PolicyDecision.sure(e)
-    denominator, p_e, p_h = _rg_lottery(
-        e.weight.numerator * h.weight.denominator, h.weight.numerator * e.weight.denominator
-    )
-    return PolicyDecision.mixed(((e, Fraction(p_e, denominator)), (h, Fraction(p_h, denominator))))
-
-
-def decide(policy: str, oblivious: ObliviousSchedule) -> PolicyDecision:
-    """Uniform entry point mapping a policy name to its decision on an
-    oblivious schedule's packets; a deterministic policy applies
-    ``_choose`` to their weights over the schedule's common denominator."""
-    if policy == "rg":
-        return rg_distribution(oblivious)
-    e, h = _require_pair(oblivious)
+def decide(policy: str, oblivious: ObliviousSchedule) -> tuple[tuple[Packet, Fraction], ...]:
+    """A policy's decision on an oblivious schedule, as ``(packet,
+    probability)`` outcomes: one, sure, for a deterministic policy and for
+    rg with one candidate, and rg's lottery of two otherwise.  The rules
+    read the packets' weights as integers over the schedule's common
+    denominator."""
+    e, h = oblivious.earliest, oblivious.heaviest
+    if e is None or h is None:
+        raise ValueError("policy decision requires a nonempty oblivious schedule")
     sequence = oblivious.schedule.sequence()
     scale = weight_scale(sequence)
 
     def weight(p: Packet) -> int:
         return p.weight.numerator * (scale // p.weight.denominator)
 
-    return PolicyDecision.sure(_choose(policy, e, h, sequence, weight))
-
-
-def _require_pair(oblivious: ObliviousSchedule) -> tuple[Packet, Packet]:
-    if not oblivious.schedule or oblivious.earliest is None or oblivious.heaviest is None:
-        raise ValueError("policy decision requires a nonempty oblivious schedule")
-    return oblivious.earliest, oblivious.heaviest
+    if policy == "rg" and e != h:
+        denominator, p_e, p_h = _rg_lottery(weight(e), weight(h))
+        return (e, Fraction(p_e, denominator)), (h, Fraction(p_h, denominator))
+    sent = e if policy == "rg" else _choose(policy, e, h, sequence, weight)
+    return ((sent, Fraction(1)),)

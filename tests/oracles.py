@@ -447,12 +447,7 @@ def oracle_advance(policy, states, step, arrivals):
         if not pending:
             put(pending, prob, weighted, paths)
             continue
-        decision = decide(policy, oblivious_schedule(pending, step))
-        if decision.deterministic is not None:
-            sent = decision.deterministic
-            put(carry_after(pending, sent, step), prob, weighted + prob * sent.weight, paths)
-            continue
-        for sent, q in decision.lottery:
+        for sent, q in decide(policy, oblivious_schedule(pending, step)):
             put(
                 carry_after(pending, sent, step),
                 prob * q,
@@ -490,7 +485,8 @@ def oracle_check_facts(instance: Instance, drop: tuple[int, int] | None = None):
                 checked = _oracle_drop(truth, drop[1])
             future = [p for p in instance.packets if p.release > step]
             steps.append(_oracle_check_step(pending, future, step, checked, truth))
-            carry = carry_after(pending, decide("mg-prime", truth).deterministic, step)
+            (sent, _), = decide("mg-prime", truth)
+            carry = carry_after(pending, sent, step)
         step += 1
     return steps
 
@@ -499,13 +495,9 @@ def _oracle_drop(oblivious, position):
     sequence = oblivious.schedule.sequence()
     victim = sequence[position % len(sequence)]
     kept = [p for p in sequence if p != victim]
-    dominated = oblivious.dominated | {victim}
     if not kept:
-        return ObliviousSchedule(Schedule(()), oblivious.start, None, None, dominated)
-    schedule = oblivious_schedule(kept, oblivious.start)
-    return ObliviousSchedule(
-        schedule.schedule, schedule.start, schedule.earliest, schedule.heaviest, dominated
-    )
+        return ObliviousSchedule(Schedule(()), oblivious.start, None, None)
+    return oblivious_schedule(kept, oblivious.start)
 
 
 def _oracle_check_step(pending, future, step, oblivious, truth) -> StepFacts:

@@ -10,7 +10,7 @@ from conftest import mk_instance
 
 from pktsched import analysis, cli, engine, offline
 from pktsched.analysis import golden_chain
-from pktsched.model import Instance, InvariantError
+from pktsched.model import MAX_DIGITS, Instance, InvariantError
 
 
 @st.composite
@@ -168,6 +168,22 @@ class TestInstanceFiles:
     @given(instances())
     def test_written_instance_reads_back_equal(self, tmp_path, inst):
         path = tmp_path / "written.jsonl"
+        cli.write_instance(inst, str(path))
+        assert cli.parse_instance(str(path)) == inst
+
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            pytest.param(10**MAX_DIGITS - 1, id="numerator"),
+            pytest.param(Fraction(1, 10**MAX_DIGITS - 1), id="denominator"),
+            pytest.param(Fraction(10**MAX_DIGITS - 1, 7), id="both"),
+            pytest.param("9" * MAX_DIGITS, id="digit-string"),
+            pytest.param(f"1e{MAX_DIGITS - 1}", id="exponent-string"),
+        ],
+    )
+    def test_weight_of_max_digits_reads_back_equal(self, tmp_path, weight):
+        inst = mk_instance(("a", 1, 2, weight), ("b", 1, 3, 1))
+        path = tmp_path / "long.jsonl"
         cli.write_instance(inst, str(path))
         assert cli.parse_instance(str(path)) == inst
 
@@ -386,6 +402,19 @@ class TestCommands:
         assert cli.main(argv + ["--out", str(out)]) == 1
         assert f"in {option}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_gen_refuses_weights_too_long_to_write(self, tmp_path, capsys):
+        out = tmp_path / "chain.jsonl"
+        argv = ["gen", "--family", "golden-chain", "--chain-length", "1500", "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"more than {MAX_DIGITS} digits" in err and "Exceeds the limit" not in err
+        assert not out.exists()
+
+    def test_deep_budgeted_search(self, capsys):
+        argv = ["search", "--policy", "mg-prime", "--depth", "1200", "--menu", "1,2"]
+        assert cli.main(argv + ["--max-nodes", "1100"]) == 0
+        assert "nodes explored = 1100 (PARTIAL (node budget hit))" in capsys.readouterr().out
 
     def test_usage_errors_exit_one(self, capsys):
         assert cli.main(["frobnicate"]) == 1

@@ -20,6 +20,7 @@ from oracles import (
 
 from pktsched.engine import States, advance
 from pktsched.model import (
+    MAX_DIGITS,
     Instance,
     Packet,
     PacketError,
@@ -106,6 +107,9 @@ class TestPacketHash:
         assert packet == mk("a", 1, 3, 2, 5) and repr(packet) == "Packet(a, r=1, d=3, w=2)"
 
 
+TOO_LONG = f"more than {MAX_DIGITS} digits"
+
+
 class TestPacketValidation:
     def test_rejects_empty_lifespan(self):
         with pytest.raises(ValueError, match="empty lifespan"):
@@ -151,12 +155,19 @@ class TestPacketValidation:
             ("c", 2, 3, 0),
             ("a", 2, 3, 1),  # the first row's id again
             ("c", 1, 3, 1),  # released before the row above it
+            ("c", 2, 10**MAX_DIGITS, 1),  # a deadline too long to write
+            ("c", 10**MAX_DIGITS, 3, 1),  # a release too long to write
+            ("c", -(10**MAX_DIGITS), 3, 1),
+            ("c", 2, -(10**MAX_DIGITS), 1),
+            ("c", 10**MAX_DIGITS, 3.0, 1),  # and not an integer step either
+            (10**MAX_DIGITS, 2, 3, 1),  # an id too long to write
         ],
     )
     def test_error_names_the_packet_by_arrival_index(self, row):
         with pytest.raises(PacketError) as caught:
             Instance.build([("a", 1, 2, 1), ("b", 2, 3, 1), row, ("d", 3, 4, 1)])
         assert caught.value.index == 2
+        assert "Exceeds the limit" not in str(caught.value)
 
     @pytest.mark.parametrize(
         "weight, message",
@@ -170,12 +181,21 @@ class TestPacketValidation:
             (False, "not a rational number"),
             (0, "non-positive weight"),
             ("-1/2", "non-positive weight"),
+            # Too long to write, in every form; the size is checked first.
+            pytest.param(f"1e{MAX_DIGITS}", TOO_LONG, id="exponent-string"),
+            pytest.param("1e999999", TOO_LONG, id="huge-exponent-string"),
+            pytest.param("7" * (MAX_DIGITS + 1), TOO_LONG, id="digit-string"),
+            pytest.param("1/" + "7" * (MAX_DIGITS + 1), TOO_LONG, id="denominator-string"),
+            pytest.param(10**MAX_DIGITS, TOO_LONG, id="int"),
+            pytest.param(-(10**MAX_DIGITS), TOO_LONG, id="negative-int"),
+            pytest.param(Fraction(1, 10**MAX_DIGITS), TOO_LONG, id="fraction-denominator"),
         ],
     )
     def test_a_bad_weight_is_a_packet_error(self, weight, message):
         with pytest.raises(PacketError, match=f"packet b: .*{message}") as caught:
             Instance.build([("a", 1, 2, 1), ("b", 1, 2, weight)])
         assert caught.value.index == 1
+        assert "Exceeds the limit" not in str(caught.value)
         # The one weight rule, which the command line's weight options use.
         with pytest.raises(ValueError, match=message):
             as_weight(weight)

@@ -219,14 +219,14 @@ class TestObliviousSchedule:
         ob = oblivious_schedule({a, b, c}, 1)
         assert ob.schedule.sequence() == (b, c)
         assert ob.earliest == b and ob.heaviest == b
-        assert ob.dominated == {a}
+        assert {a, b, c} - ob.schedule.packets == {a}
 
     def test_both_fit(self):
         a, b = mk("a", 1, 2, 1, 0), mk("b", 1, 3, 3, 1)
         ob = oblivious_schedule({a, b}, 1)
         assert ob.schedule.sequence() == (a, b)
         assert ob.earliest == a and ob.heaviest == b
-        assert ob.dominated == frozenset()
+        assert {a, b} - ob.schedule.packets == frozenset()
 
     def test_singleton(self):
         x = mk("x", 1, 5, 2)
@@ -249,7 +249,8 @@ class TestObliviousSchedule:
                 ob = oblivious_schedule(pending, 1)
                 seq, e, h, dom = oracle_oblivious(pending, 1)
                 assert ob.schedule.sequence() == seq
-                assert ob.earliest == e and ob.heaviest == h and ob.dominated == dom
+                assert ob.earliest == e and ob.heaviest == h
+                assert frozenset(pending) - ob.schedule.packets == dom
                 _, value = opt_schedule(pending, 1)
                 assert schedule_weight(ob.schedule) == value
                 assert value == brute_force_opt(pending, 1)
@@ -261,7 +262,8 @@ class TestObliviousSchedule:
         ob = oblivious_schedule(pending, step)
         seq, e, h, dom = oracle_oblivious(pending, step)
         assert ob.schedule.sequence() == seq
-        assert ob.earliest == e and ob.heaviest == h and ob.dominated == dom
+        assert ob.earliest == e and ob.heaviest == h
+        assert frozenset(pending) - ob.schedule.packets == dom
         _, value = opt_schedule(pending, step)
         assert schedule_weight(ob.schedule) == value == brute_force_opt(pending, step)
 
@@ -432,8 +434,6 @@ class TestConformingClairvoyant:
         from pktsched.offline import ObliviousSchedule
         from pktsched.model import Schedule
 
-        crippled = ObliviousSchedule(
-            Schedule(((1, a),)), 1, a, a, frozenset({b})
-        )
+        crippled = ObliviousSchedule(Schedule(((1, a),)), 1, a, a)
         with pytest.raises(InvariantError):
             conforming_clairvoyant([a, b], [], 1, crippled)

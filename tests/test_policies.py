@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk
 from oracles import oracle_golden_test, precedes
 
-from pktsched.offline import oblivious_schedule
-from pktsched.policies import PolicyDecision, _within_golden, decide, rg_distribution
+from pktsched.model import Schedule
+from pktsched.offline import ObliviousSchedule, oblivious_schedule
+from pktsched.policies import POLICIES, _rg_lottery, _within_golden, decide
 
 
 def pending_schedule(*packets):
@@ -17,7 +21,9 @@ def pending_schedule(*packets):
 
 def choose(policy, oblivious):
     """A deterministic policy's choice on an oblivious schedule."""
-    return decide(policy, oblivious).deterministic
+    ((sent, probability),) = decide(policy, oblivious)
+    assert probability == 1
+    return sent
 
 
 def random_positive(rng):
@@ -148,18 +154,15 @@ class TestMgPrimeChoose:
 class TestRgDistribution:
     def test_one_third_two_thirds(self):
         e, h = mk("e", 1, 2, 1, 0), mk("h", 1, 3, 3, 1)
-        decision = rg_distribution(pending_schedule(e, h))
-        assert decision.lottery == ((e, Fraction(1, 3)), (h, Fraction(2, 3)))
+        assert decide("rg", pending_schedule(e, h)) == ((e, Fraction(1, 3)), (h, Fraction(2, 3)))
 
     def test_collapses_when_same_packet(self):
         x = mk("x", 1, 2, 2)
-        decision = rg_distribution(pending_schedule(x))
-        assert decision.deterministic == x and decision.lottery is None
+        assert decide("rg", pending_schedule(x)) == ((x, Fraction(1)),)
 
     def test_even_split(self):
         e, h = mk("e", 1, 2, 1, 0), mk("h", 1, 3, 2, 1)
-        decision = rg_distribution(pending_schedule(e, h))
-        assert decision.lottery == ((e, Fraction(1, 2)), (h, Fraction(1, 2)))
+        assert decide("rg", pending_schedule(e, h)) == ((e, Fraction(1, 2)), (h, Fraction(1, 2)))
 
     def test_expected_gain_identity_and_bound(self):
         rng = random.Random(21)
@@ -191,36 +194,51 @@ class TestBaselinesAndRegistry:
     def test_decide_dispatch(self):
         e, h = mk("e", 1, 2, 1, 0), mk("h", 1, 3, 3, 1)
         ob = pending_schedule(e, h)
-        assert decide("mg", ob).deterministic == h
-        assert decide("mg-prime", ob).deterministic == h
-        assert decide("greedy-weight", ob).deterministic == h
-        assert decide("edf-nondominated", ob).deterministic == e
-        assert decide("rg", ob).lottery is not None
+        assert decide("mg", ob) == ((h, 1),)
+        assert decide("mg-prime", ob) == ((h, 1),)
+        assert decide("greedy-weight", ob) == ((h, 1),)
+        assert decide("edf-nondominated", ob) == ((e, 1),)
+        assert len(decide("rg", ob)) == 2
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_an_empty_schedule_is_refused(self, policy):
+        empty = ObliviousSchedule(Schedule(()), 1, None, None)
+        with pytest.raises(ValueError, match="nonempty oblivious schedule"):
+            decide(policy, empty)
 
 
-class TestPolicyDecision:
-    def test_exactly_one_side(self):
-        x = mk("x", 1, 2, 1)
-        with pytest.raises(ValueError, match="exactly one of deterministic/lottery"):
-            PolicyDecision(deterministic=x, lottery=((x, Fraction(1)),))
-        with pytest.raises(ValueError, match="exactly one of deterministic/lottery"):
-            PolicyDecision()
+class TestDecisionShape:
+    """``decide`` returns one or two ``(packet, probability)`` outcomes."""
 
-    def test_probabilities_validated(self):
-        a, b = mk("a", 1, 2, 1, 0), mk("b", 1, 3, 1, 1)
-        with pytest.raises(ValueError, match="lottery probabilities sum to 2/3, not 1"):
-            PolicyDecision(lottery=((a, Fraction(1, 3)), (b, Fraction(1, 3))))
-        with pytest.raises(ValueError, match="lottery probabilities sum to 5/6, not 1"):
-            PolicyDecision(lottery=((a, Fraction(1, 2)), (b, Fraction(1, 3))))
-        with pytest.raises(ValueError, match=r"probability 3/2 outside \[0, 1\]"):
-            PolicyDecision(lottery=((a, Fraction(3, 2)), (b, Fraction(-1, 2))))
-        with pytest.raises(ValueError, match=r"probability -1/6 outside \[0, 1\]"):
-            PolicyDecision(lottery=((a, Fraction(1, 2)), (b, Fraction(-1, 6))))
-
-    def test_one_or_two_outcomes(self):
-        a, b, c = mk("a", 1, 2, 1, 0), mk("b", 1, 3, 1, 1), mk("c", 1, 4, 1, 2)
-        third = Fraction(1, 3)
-        with pytest.raises(ValueError, match="lottery must have one or two outcomes"):
-            PolicyDecision(lottery=((a, third), (b, third), (c, third)))
-        with pytest.raises(ValueError, match="lottery must have one or two outcomes"):
-            PolicyDecision(lottery=())
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 4)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_outcomes_are_a_distribution_over_the_schedule(self, rows):
+        packets = [
+            mk(f"p{i}", 1, 1 + lifespan, Fraction(n, d), i)
+            for i, (lifespan, n, d) in enumerate(rows)
+        ]
+        ob = oblivious_schedule(packets, 1)
+        for policy in POLICIES:
+            outcomes = decide(policy, ob)
+            assert 1 <= len(outcomes) <= 2
+            assert all(p in ob.schedule.packets for p, _ in outcomes)
+            assert all(0 < q <= 1 for _, q in outcomes)
+            assert sum(q for _, q in outcomes) == 1
+            if policy != "rg":
+                assert outcomes[0][1] == 1 and len(outcomes) == 1
+        e, h = ob.earliest, ob.heaviest
+        if e == h:
+            assert decide("rg", ob) == ((e, 1),)
+        else:
+            scale = lcm(e.weight.denominator, h.weight.denominator)
+            denominator, p_e, p_h = _rg_lottery(int(e.weight * scale), int(h.weight * scale))
+            assert decide("rg", ob) == (
+                (e, Fraction(p_e, denominator)),
+                (h, Fraction(p_h, denominator)),
+            )
