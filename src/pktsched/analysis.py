@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 from .engine import (
@@ -36,7 +36,7 @@ from .engine import (
 )
 from .model import Instance, InvariantError, _follows_order, as_weight
 from .offline import _compiled, _conforming_slots, _ranked_step
-from .policies import _choose
+from .policies import _choose, _rg_lottery
 
 _T = TypeVar("_T")
 
@@ -257,9 +257,16 @@ def adversary_search(
     ratio, ties by witness).  Every explored node is evaluated as a complete
     instance (remaining packets drain), so results are monotone in depth.
     Every policy is scored by the exact expected gain of its state map,
-    which a deterministic policy keeps as a single state.  ``jobs``
-    parallelizes the exhaustive mode over first-step injections; the merge
-    order makes the result independent of scheduling.
+    which a deterministic policy keeps as a single state.  The witness is
+    the first best node in pre-order, children in option order.
+
+    An exhaustive search (no beam, and no ``max_nodes`` below the tree's
+    size) builds the tree's transposition DAG (``_dag_build``), solves it
+    from the best ratio met while building it (``_dag_solve``) and reports
+    the tree's node count.  A budgeted search walks the tree up to
+    ``max_nodes`` nodes; ``jobs`` splits that walk over first-step
+    injections, and the merge order makes the result independent of
+    scheduling.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -271,12 +278,21 @@ def adversary_search(
         raise ValueError("jobs must be >= 1")
     menu = tuple(sorted({as_weight(w) for w in menu}))
     options = two_bounded_step_options(menu, branching)
+    width = len(options)  # at least 2: every weight comes with both lifespans
+    # The tree has at least 2**depth nodes, more than a budget of fewer bits.
+    tree = None
+    if max_nodes is None or depth <= max_nodes.bit_length():
+        tree = (width ** (depth + 1) - width) // (width - 1)
     if beam_width is not None:
         if beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         best_ratio, best_path, nodes, complete = _beam_search(
             policy, depth, branching, options, beam_width, max_nodes
         )
+    elif tree is not None and (max_nodes is None or tree <= max_nodes):
+        best, dag = _dag_build(policy, depth, branching, options)
+        best_ratio, best_path = _dag_solve(dag, *best)
+        nodes, complete = tree, True
     elif jobs > 1:
         chunks = [tuple(range(len(options))[i::jobs]) for i in range(jobs)]
         chunks = [c for c in chunks if c]
@@ -373,6 +389,151 @@ def _beam_search(policy, depth, branching, options, beam_width, max_nodes):
     return (None if best is None else Fraction(*best)), best_path, nodes, complete
 
 
+def _dag_build(policy, depth, branching, options):
+    """The tree's transposition DAG, and the best ratio that the kernel
+    returned while it built it, as (numerator, denominator).
+
+    A node's future depends only on its step, its state map with each
+    carried set read as its sorted weights (every carried key expires at
+    the next step, and the policies read weights only) and its offline
+    table's shape, so nodes equal in those are one DAG node
+    (``_dag_key``), expanded once by ``_SearchKernel.node`` from one
+    representative: the first path that reaches it.  A tree node's ratio
+    is (A + a) / (B + b): the path's drained-optimum offset A and expected
+    gain B, each a sum of fixed (dA, dB) per DAG edge, over the node's
+    drained optimum a above the offset and drained expected gain b.  Gains
+    are integers in one unit for the whole search (``_gain_unit``), and A
+    and a are scaled by it, so every ratio is a quotient of two integers.
+
+    Only two levels of representatives are kept.  The DAG is (edges,
+    ends, fronts): per level above the last parents, per node, one
+    (child, dA, dB) per option; per level, per node, its (a, b), none for
+    the root; and per last-level parent, its children's (dA + a, dB + b,
+    option) pairs that no other pair beats in both, in option order,
+    since only such a pair can attain a best value."""
+    kernel = _SearchKernel(policy, options, depth, branching)
+    unit = _gain_unit(kernel, depth)
+    drained = kernel.drained
+    best = None
+    edges, ends = [], [()]
+    # Per node of the level: its representative state map, table, arrival
+    # base and expected gain B (A is the table's offset).
+    frontier = [(kernel.start, kernel.table_start, 0, 0)]
+    for step in range(1, depth + 1):
+        children: dict[tuple, int] = {}
+        reps, level_ends, rows = [], [], []
+        for state, table, base, gained in frontier:
+            offset = table[1]
+            row = []
+            for oi in range(len(options)):
+                state2, (sid, offset2), ratio = kernel.node(state, table, step, base, oi)
+                if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
+                    best = ratio
+                spread = unit // state2.denominator
+                x = (offset2 + drained[sid] - offset) * unit  # dA + a
+                y = ratio[1] * spread - gained  # dB + b
+                if step == depth:
+                    row.append((x, y, oi))
+                    continue
+                key = _dag_key(state2, sid, kernel.weights)
+                child = children.get(key)
+                if child is None:
+                    child = children[key] = len(reps)
+                    gained2 = sum(w for _, w, _ in state2.carried.values()) * spread
+                    reps.append((state2, (sid, offset2), base + len(options[oi]), gained2))
+                    level_ends.append((drained[sid] * unit, ratio[1] * spread - gained2))
+                a, b = level_ends[child]
+                row.append((child, x - a, y - b))
+            if step == depth:
+                front = []
+                for x, y, oi in sorted(row, key=lambda pair: (-pair[0], pair[1], pair[2])):
+                    if not front or y < front[-1][1]:
+                        front.append((x, y, oi))
+                rows.append(tuple(sorted(front, key=lambda pair: pair[2])))
+            else:
+                rows.append(tuple(row))
+        if step < depth:
+            edges.append(rows)
+            ends.append(level_ends)
+        frontier = reps
+        kernel.memo.clear()  # its entries are keyed by this step
+    return best, (edges, ends, rows)
+
+
+def _dag_solve(dag, p, q):
+    """The DAG's best ratio and the first path in pre-order that attains
+    it, by Dinkelbach's parametric method from the ratio p/q: a backward
+    pass gives each node the best q·A - p·B that its descendants add
+    (``_dag_values``), and the first path in pre-order that attains the
+    root's value (``_dag_descent``) gives the next ratio, until the root's
+    value is 0.  That path is then the tree walk's witness."""
+    while True:
+        gain, path, a, b = _dag_descent(*dag, _dag_values(*dag, p, q), p, q)
+        if gain == 0:
+            return Fraction(p, q), tuple(path)
+        p, q = a, b
+
+
+def _dag_key(states, sid, weights):
+    """The DAG node of a state map at some step with offline table shape
+    ``sid``: the shape, and the map's distribution over carried weight
+    tuples, equal tuples' probabilities added and divided by their gcd."""
+    merged: dict[tuple[int, ...], int] = {}
+    for carry, (prob, _, _) in states.carried.items():
+        kept = tuple(sorted(map(weights.__getitem__, carry)))
+        merged[kept] = merged.get(kept, 0) + prob
+    divisor = gcd(*merged.values())
+    return sid, frozenset((kept, prob // divisor) for kept, prob in merged.items())
+
+
+def _gain_unit(kernel, depth):
+    """A multiple of every state map's denominator within ``depth`` steps
+    of the kernel's search, so that every expected gain times the scale is
+    an integer in this unit: L**depth, L the least common multiple of rg's
+    lottery denominators over the menu, since each step multiplies a map's
+    denominator by at most L; 1 for a deterministic policy."""
+    if kernel.policy != "rg":
+        return 1
+    scaled = [w.numerator * (kernel.scale // w.denominator) for w in kernel.weight_rank]
+    lottery = lcm(*(_rg_lottery(e, h)[0] for e in scaled for h in scaled if e <= h))
+    return lottery**depth
+
+
+def _dag_values(edges, ends, fronts, p, q):
+    """Per level, per node: the best q·A - p·B that a path from the node
+    adds down to one of its descendants, in a backward pass."""
+    values = [[max(q * x - p * y for x, y, _ in front) for front in fronts]]
+    for rows, level_ends in zip(reversed(edges), reversed(ends)):
+        below = [max(q * a - p * b, v) for (a, b), v in zip(level_ends, values[-1])]
+        values.append([max(q * da - p * db + below[c] for c, da, db in row) for row in rows])
+    values.reverse()
+    return values
+
+
+def _dag_descent(edges, ends, fronts, values, p, q):
+    """The root's value, the first path in pre-order that attains it, and
+    the path's A and B.  The descent checks a child before its
+    descendants, and children in option order."""
+    target = values[0][0]
+    path, gained, a_sum, b_sum, node = [], 0, 0, 0, 0
+    for level, rows in enumerate(edges, start=1):
+        for oi, (child, da, db) in enumerate(rows[node]):
+            here = gained + q * da - p * db
+            a, b = ends[level][child]
+            if here + q * a - p * b == target:
+                return target, path + [oi], a_sum + da + a, b_sum + db + b
+            if here + values[level][child] == target:
+                path.append(oi)
+                gained, a_sum, b_sum, node = here, a_sum + da, b_sum + db, child
+                break
+        else:
+            raise InvariantError("no path attains the DAG's best value")
+    for x, y, oi in fronts[node]:
+        if gained + q * x - p * y == target:
+            return target, path + [oi], a_sum + x, b_sum + y
+    raise InvariantError("no path attains the DAG's best value")
+
+
 class _SearchKernel:
     """One search node's work, in integers: the policy's state map stepped
     by ``engine.advance`` with one transition memo, the offline table, and
@@ -405,7 +566,8 @@ class _SearchKernel:
         self.weight_rank = {w: len(menu) - 1 - i for i, w in enumerate(menu)}
         self.span, self.stride = depth + 3, depth * branching + 1  # D and A
         block = self.span * self.stride
-        self.deadlines = [key // self.stride % self.span for key in range(len(menu) * block)]
+        # One int object per deadline value, shared by all of its keys.
+        self.deadlines = [d for d in range(self.span) for _ in range(self.stride)] * len(menu)
         scaled = [w.numerator * (self.scale // w.denominator) for w in reversed(menu)]
         self.weights = [w for w in scaled for _ in range(block)]
         self.start = start(self.scale)

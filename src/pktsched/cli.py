@@ -35,7 +35,7 @@ from .engine import (
     run_policy,
     run_rg_mc,
 )
-from .model import Instance, InvariantError, Packet, PacketError, as_weight
+from .model import MAX_DIGITS, _TOO_LONG, Instance, InvariantError, Packet, PacketError, as_weight
 from .offline import opt_schedule
 from .policies import POLICIES
 
@@ -71,9 +71,8 @@ def parse_instance(path: str) -> Instance:
                 continue
             try:
                 row = json.loads(line)
-            except (ValueError, RecursionError) as err:
-                # RecursionError: nesting too deep for the decoder.
-                raise ValueError(f"invalid JSON, line {number}: {err}") from None
+            except (ValueError, RecursionError):
+                row = _reread(line, number)
             if not isinstance(row, dict):
                 raise ValueError(f"expected an object, line {number}")
             try:
@@ -89,6 +88,26 @@ def parse_instance(path: str) -> Instance:
         return Instance.build(specs)
     except PacketError as err:
         raise ValueError(f"{err}, line {lines[err.index]}") from None
+
+
+def _reread(line: str, number: int):
+    """Line ``number``, which ``json.loads`` refused, parsed with every
+    integer of more than ``MAX_DIGITS`` digits, which Python refuses to
+    convert, read as the smallest int of its sign that long, so that the
+    model refuses it in its own words.  A line that is still not JSON is a
+    format fault."""
+
+    def sized_int(text: str) -> int:
+        negative = text.startswith("-")
+        if len(text) - negative > MAX_DIGITS:
+            return -_TOO_LONG if negative else _TOO_LONG
+        return int(text)
+
+    try:
+        return json.loads(line, parse_int=sized_int)
+    except (ValueError, RecursionError) as err:
+        # RecursionError: nesting too deep for the decoder.
+        raise ValueError(f"invalid JSON, line {number}: {err}") from None
 
 
 def _packet_row(p: Packet) -> dict:

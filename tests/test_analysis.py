@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mk, mk_instance, random_agreeable
@@ -288,6 +288,14 @@ class TestAdversarySearch:
             exact = adversary_search("mg-prime", 2, MENU12, max_nodes=serial.nodes, jobs=jobs)
             assert exact == serial
 
+    @pytest.mark.parametrize(
+        "policy,ratio", [("rg", Fraction(90, 73)), ("mg-prime", Fraction(8, 5))]
+    )
+    def test_exhaustive_depth_four(self, policy, ratio):
+        result = adversary_search(policy, 4, (1, 2, 3, 5), jobs=1)
+        assert (result.ratio, result.nodes, result.complete) == (ratio, 3835260, True)
+        assert competitive_ratio(result.witness, policy) == ratio
+
     def test_randomized_never_beats_four_thirds(self):
         result = adversary_search("rg", 2, (Fraction(1), Fraction(2), Fraction(3)))
         assert 1 < result.ratio <= Fraction(4, 3)
@@ -321,6 +329,49 @@ def search_paths(draw):
     return options, depth, branching, path
 
 
+@st.composite
+def small_searches(draw):
+    """A menu of up to four fractional weights, a branching of 1-3 and a
+    depth of 1-3 whose tree the walk covers quickly."""
+    weights = st.fractions(min_value=Fraction(1, 4), max_value=8, max_denominator=4)
+    menu = draw(st.lists(weights, min_size=1, max_size=4, unique=True))
+    branching = draw(st.integers(1, 3))
+    width = len(two_bounded_step_options(menu, branching))
+    depth = draw(st.integers(1, max(d for d in (1, 2, 3) if d == 1 or width**d <= 3000)))
+    return menu, depth, branching
+
+
+class TestDagSearch:
+    """The exhaustive search over the transposition DAG against the tree
+    walk over every first-step option."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(small_searches(), st.sampled_from(POLICIES))
+    # Nodes that differ only in the offline table's shape.
+    @example(([Fraction(2), Fraction(3)], 3, 2), "mg-prime")
+    # Nodes that differ only in the probabilities of their carried sets: a
+    # 3-step rg witness through such a node, which no small tree holds.
+    @example(([Fraction(1), Fraction(2), Fraction(3), Fraction(8)], 3, 2), "rg")
+    def test_matches_the_tree_walk(self, drawn, policy):
+        menu, depth, branching = drawn
+        options = two_bounded_step_options(menu, branching)
+        roots = tuple(range(len(options)))
+        ratio, path, nodes, complete = analysis._explore_roots(
+            policy, depth, branching, options, roots, None
+        )
+        result = adversary_search(policy, depth, menu, branching)
+        assert (result.ratio, result.witness, result.nodes, result.complete) == (
+            ratio,
+            analysis._instance_from_path(options, path),
+            nodes,
+            complete,
+        )
+        # From 1, at most every ratio, Dinkelbach's method takes more than
+        # one pass on some draws, which the kernel's best ratio spares.
+        _, dag = analysis._dag_build(policy, depth, branching, options)
+        assert analysis._dag_solve(dag, 1, 1) == (ratio, path)
+
+
 class TestSearchKeys:
     """The search's key space: key = ((n_w - 1 - weight index) * D +
     deadline) * A + arrival index, with D = depth + 3 and A = depth *
@@ -350,6 +401,14 @@ class TestSearchKeys:
                 ]
             state, table, _ = kernel.node(state, table, step, base, oi)
             base += len(options[oi])
+
+    @pytest.mark.parametrize("weights,depth,branching", [(1, 1, 1), (2, 3, 2), (4, 5, 3)])
+    def test_deadline_list_holds_every_keys_deadline(self, weights, depth, branching):
+        menu = [Fraction(w) for w in range(1, weights + 1)]
+        options = two_bounded_step_options(menu, branching)
+        kernel = analysis._SearchKernel("rg", options, depth, branching)
+        span, stride = depth + 3, depth * branching + 1
+        assert kernel.deadlines == [key // stride % span for key in range(weights * span * stride)]
 
 
 def walk_drained_optima(kernel, options, path):

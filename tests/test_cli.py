@@ -150,6 +150,40 @@ class TestInstanceFiles:
         assert cli.main(["opt", "--instance", str(path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,sign,message",
+        [
+            ("r", "", "a step of more than"),
+            ("d", "", "a step of more than"),
+            ("d", "-", "a step of more than"),
+            ("w", "", "invalid weight: more than"),
+            ("w", "-", "invalid weight: more than"),
+            ("id", "", "not an int of more than"),
+        ],
+    )
+    def test_json_integer_too_long_to_convert_exits_one(
+        self, tmp_path, capsys, field, sign, message
+    ):
+        row = {"id": '"b"', "r": "1", "d": "3", "w": "1"}
+        row[field] = sign + "9" * (MAX_DIGITS + 700)
+        path = tmp_path / "long.jsonl"
+        path.write_text(
+            '{"id":"a","r":1,"d":2,"w":1}\n'
+            + "{" + ", ".join(f'"{key}": {text}' for key, text in row.items()) + "}\n"
+        )
+        assert cli.main(["opt", "--instance", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{message} {MAX_DIGITS} digits, line 2" in err
+        assert "Traceback" not in err and "Exceeds the limit" not in err
+
+    def test_json_integer_too_long_in_a_broken_line_names_the_json_fault(self, tmp_path):
+        path = tmp_path / "long.jsonl"
+        broken = '{"id":"b","r":1,"d":3,"w":' + "9" * 5000  # no closing brace
+        path.write_text('{"id":"a","r":1,"d":2,"w":1}\n' + broken + "\n")
+        with pytest.raises(ValueError, match="invalid JSON, line 2: Expecting") as err:
+            cli.parse_instance(str(path))
+        assert "Exceeds the limit" not in str(err.value)
+
     def test_duplicate_and_order_errors_name_lines(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         path.write_text(
