@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
@@ -263,10 +261,10 @@ def adversary_search(
     An exhaustive search (no beam, and no ``max_nodes`` below the tree's
     size) builds the tree's transposition DAG (``_dag_build``), solves it
     from the best ratio met while building it (``_dag_solve``) and reports
-    the tree's node count.  A budgeted search walks the tree up to
-    ``max_nodes`` nodes; ``jobs`` splits that walk over first-step
-    injections, and the merge order makes the result independent of
-    scheduling.
+    the tree's node count.  A budgeted search walks the tree in pre-order
+    up to ``max_nodes`` nodes.  The search runs in one process, so ``jobs``
+    (at least 1) has no effect; it stays for callers, perfbench among
+    them, that still pass it.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -293,51 +291,25 @@ def adversary_search(
         best, dag = _dag_build(policy, depth, branching, options)
         best_ratio, best_path = _dag_solve(dag, *best)
         nodes, complete = tree, True
-    elif jobs > 1:
-        chunks = [tuple(range(len(options))[i::jobs]) for i in range(jobs)]
-        chunks = [c for c in chunks if c]
-        # Every root's subtree has the same size, so a budget split in
-        # proportion to the roots covers each chunk when the total would.
-        ends = list(itertools.accumulate(map(len, chunks), initial=0))
-        cuts = [None if max_nodes is None else max_nodes * end // len(options) for end in ends]
-        budgets = [None if a is None else b - a for a, b in zip(cuts, cuts[1:])]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            explore = partial(_explore_roots, policy, depth, branching, options)
-            partials = list(pool.map(explore, chunks, budgets))
-        best_ratio, best_path = None, None
-        nodes = sum(p[2] for p in partials)
-        complete = all(p[3] for p in partials)
-        for ratio, path, _, _ in partials:
-            if ratio is None:
-                continue
-            if (
-                best_ratio is None
-                or ratio > best_ratio
-                or (ratio == best_ratio and path < best_path)
-            ):
-                best_ratio, best_path = ratio, path
     else:
         best_ratio, best_path, nodes, complete = _explore_roots(
-            policy, depth, branching, options, tuple(range(len(options))), max_nodes
+            policy, depth, branching, options, max_nodes
         )
-    if best_path is None:
-        raise RuntimeError("search explored no nodes; raise max_nodes")
     witness = _instance_from_path(options, best_path)
     return SearchResult(witness, policy, best_ratio, nodes, complete)
 
 
-def _explore_roots(policy, depth, branching, options, roots, max_nodes):
-    """The walk below the first-step options ``roots``, in pre-order and option
-    order up to ``max_nodes`` nodes, on an explicit stack so any depth fits."""
-    best: tuple[int, int] | None = None  # the best ratio, as (numerator, denominator)
-    best_path: tuple | None = None
+def _explore_roots(policy, depth, branching, options, max_nodes):
+    """The tree walk, in pre-order and option order up to ``max_nodes``
+    nodes, on an explicit stack so any depth fits."""
+    best = None  # the best ratio, as (numerator, denominator)
     nodes = 0
     complete = True
     kernel = _SearchKernel(policy, options, depth, branching)
     indices = range(len(options))
-    stack = [(kernel.start, kernel.table_start, 0, (), iter(roots))]
+    stack = [(kernel.start, kernel.table_start, (), iter(indices))]
     while stack:
-        state, table, base, path, children = stack[-1]
+        state, table, path, children = stack[-1]
         oi = next(children, None)
         if oi is None:
             stack.pop()
@@ -347,35 +319,34 @@ def _explore_roots(policy, depth, branching, options, roots, max_nodes):
             break
         nodes += 1
         step = len(path) + 1
-        state2, table2, ratio = kernel.node(state, table, step, base, oi)
+        state2, table2, ratio = kernel.node(state, table, step, oi)
         child = path + (oi,)
         if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
             best, best_path = ratio, child
         if step < depth:
-            stack.append((state2, table2, base + len(options[oi]), child, iter(indices)))
-    return (None if best is None else Fraction(*best)), best_path, nodes, complete
+            stack.append((state2, table2, child, iter(indices)))
+    return Fraction(*best), best_path, nodes, complete
 
 
 def _beam_search(policy, depth, branching, options, beam_width, max_nodes):
-    best: tuple[int, int] | None = None
-    best_path: tuple | None = None
+    best = None
     nodes = 0
     complete = True
     kernel = _SearchKernel(policy, options, depth, branching)
-    frontier = [(kernel.start, kernel.table_start, 0, ())]
+    frontier = [(kernel.start, kernel.table_start, ())]
     for step in range(1, depth + 1):
         scored = []
-        for state, table, base, path in frontier:
-            for oi, option in enumerate(options):
+        for state, table, path in frontier:
+            for oi in range(len(options)):
                 if max_nodes is not None and nodes >= max_nodes:
                     complete = False
                     break
                 nodes += 1
-                state2, table2, ratio = kernel.node(state, table, step, base, oi)
+                state2, table2, ratio = kernel.node(state, table, step, oi)
                 child = path + (oi,)
                 if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
                     best, best_path = ratio, child
-                scored.append((ratio, child, state2, table2, base + len(option)))
+                scored.append((ratio, child, state2, table2))
             if not complete:
                 break
         if not complete or not scored:
@@ -385,8 +356,8 @@ def _beam_search(policy, depth, branching, options, beam_width, max_nodes):
         # keys order the ratios exactly.
         bits = max(ratio[1].bit_length() for ratio, *_ in scored)
         scored.sort(key=lambda row: (-((row[0][0] << 2 * bits) // row[0][1]), row[1]))
-        frontier = [(s, t, b, p) for _, p, s, t, b in scored[:beam_width]]
-    return (None if best is None else Fraction(*best)), best_path, nodes, complete
+        frontier = [(s, t, p) for _, p, s, t in scored[:beam_width]]
+    return Fraction(*best), best_path, nodes, complete
 
 
 def _dag_build(policy, depth, branching, options):
@@ -416,17 +387,17 @@ def _dag_build(policy, depth, branching, options):
     drained = kernel.drained
     best = None
     edges, ends = [], [()]
-    # Per node of the level: its representative state map, table, arrival
-    # base and expected gain B (A is the table's offset).
-    frontier = [(kernel.start, kernel.table_start, 0, 0)]
+    # Per node of the level: its representative state map, table and
+    # expected gain B (A is the table's offset).
+    frontier = [(kernel.start, kernel.table_start, 0)]
     for step in range(1, depth + 1):
         children: dict[tuple, int] = {}
         reps, level_ends, rows = [], [], []
-        for state, table, base, gained in frontier:
+        for state, table, gained in frontier:
             offset = table[1]
             row = []
             for oi in range(len(options)):
-                state2, (sid, offset2), ratio = kernel.node(state, table, step, base, oi)
+                state2, (sid, offset2), ratio = kernel.node(state, table, step, oi)
                 if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
                     best = ratio
                 spread = unit // state2.denominator
@@ -440,7 +411,7 @@ def _dag_build(policy, depth, branching, options):
                 if child is None:
                     child = children[key] = len(reps)
                     gained2 = sum(w for _, w, _ in state2.carried.values()) * spread
-                    reps.append((state2, (sid, offset2), base + len(options[oi]), gained2))
+                    reps.append((state2, (sid, offset2), gained2))
                     level_ends.append((drained[sid] * unit, ratio[1] * spread - gained2))
                 a, b = level_ends[child]
                 row.append((child, x - a, y - b))
@@ -538,12 +509,16 @@ class _SearchKernel:
     """One search node's work, in integers: the policy's state map stepped
     by ``engine.advance`` with one transition memo, the offline table, and
     the ratio of their drained gains.  A packet is the key ((n_w - 1 -
-    weight index) * D + deadline) * A + arrival index, over the menu's n_w
-    weights ascending, with D = depth + 3 above every deadline and A =
-    depth * branching + 1 above every arrival index, so sorting keys gives
-    the greedy order.  ``deadlines`` and ``weights`` (times the options'
-    common denominator) list every key's; each option's keys are built
-    once per step and arrival base.
+    weight index) * D + deadline) * A + (2 - lifespan) * branching + k,
+    over the menu's n_w weights ascending, with D = depth + 3 above every
+    deadline, A = 2 * branching and k the packet's place in its option.
+    The only pending packets that share a deadline are the ones carried
+    from the step before (lifespan 2) and the step's lifespan-1 arrivals,
+    and the lifespan term puts the carried ones first, so a step's keys
+    are distinct and sorting them gives the greedy order, arrival order
+    breaking ties.  ``deadlines`` and ``weights`` (times the options'
+    common denominator) list every key's, n_w * D * A entries; each
+    option's keys are built once per step.
 
     A table is (shape id, offset): its items less their smallest value,
     interned in ``tables`` with the drained maximum in ``drained``, and
@@ -564,15 +539,16 @@ class _SearchKernel:
         self.table_start = self._intern({(): 0})
         menu = sorted({w for option in options for _, w in option})
         self.weight_rank = {w: len(menu) - 1 - i for i, w in enumerate(menu)}
-        self.span, self.stride = depth + 3, depth * branching + 1  # D and A
-        block = self.span * self.stride
+        self.branching = branching
+        self.span, self.slots = depth + 3, 2 * branching  # D and A
+        block = self.span * self.slots
         # One int object per deadline value, shared by all of its keys.
-        self.deadlines = [d for d in range(self.span) for _ in range(self.stride)] * len(menu)
+        self.deadlines = [d for d in range(self.span) for _ in range(self.slots)] * len(menu)
         scaled = [w.numerator * (self.scale // w.denominator) for w in reversed(menu)]
         self.weights = [w for w in scaled for _ in range(block)]
         self.start = start(self.scale)
         self.memo: Transitions = {}
-        self.arrivals: dict[tuple[int, int, int], frozenset[int]] = {}
+        self.arrivals: dict[tuple[int, int], frozenset[int]] = {}
 
     def _intern(self, table):
         """The dict ``table`` as (shape id, offset)."""
@@ -585,21 +561,22 @@ class _SearchKernel:
             self.drained.append(max(value + (c[-1] if c else 0) for c, value in shape))
         return sid, offset
 
-    def keys(self, step, base, oi):
-        """The keys of option ``oi`` arriving at ``step``, its packets
-        numbered from ``base``."""
-        arrivals = self.arrivals.get((oi, step, base))
+    def keys(self, step, oi):
+        """The keys of option ``oi`` arriving at ``step``."""
+        arrivals = self.arrivals.get((oi, step))
         if arrivals is None:
-            arrivals = self.arrivals[oi, step, base] = frozenset(
-                (self.weight_rank[weight] * self.span + step + lifespan) * self.stride + base + k
+            arrivals = self.arrivals[oi, step] = frozenset(
+                (self.weight_rank[weight] * self.span + step + lifespan) * self.slots
+                + (2 - lifespan) * self.branching
+                + k
                 for k, (lifespan, weight) in enumerate(self.options[oi])
             )
         return arrivals
 
-    def node(self, state, table, step, base, oi):
+    def node(self, state, table, step, oi):
         """The state map, offline table and ratio after option ``oi``
-        arrives at ``step``, its packets numbered from ``base``."""
-        keys = self.keys(step, base, oi)
+        arrives at ``step``."""
+        keys = self.keys(step, oi)
         state2 = advance(self.policy, state, step, keys, self.deadlines, self.weights, self.memo)
         sid, offset = table
         move = self.move_ids[oi]

@@ -303,7 +303,6 @@ def _cmd_search(args) -> int:
         branching=args.branching,
         beam_width=args.beam,
         max_nodes=args.max_nodes,
-        jobs=args.jobs,
     )
     status = "complete" if result.complete else "PARTIAL (node budget hit)"
     _print_ratio("best ratio", result.ratio)
@@ -398,7 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--branching", type=int, default=2)
     search.add_argument("--beam", type=int, default=None, help="beam width (default exhaustive)")
     search.add_argument("--max-nodes", dest="max_nodes", type=int, default=None)
-    search.add_argument("--jobs", type=int, default=1)
     search.add_argument("--witness-out", dest="witness_out")
     search.add_argument("--out")
     search.set_defaults(handler=_cmd_search)

@@ -1,5 +1,4 @@
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -226,13 +225,6 @@ class TestAdversarySearch:
         wide = adversary_search("mg-prime", 2, (Fraction(1), Fraction(2), Fraction(3)))
         assert small.ratio <= grown.ratio <= wide.ratio
 
-    def test_parallel_matches_serial(self):
-        serial = adversary_search("mg-prime", 2, MENU12, jobs=1)
-        parallel = adversary_search("mg-prime", 2, MENU12, jobs=2)
-        assert serial.ratio == parallel.ratio
-        assert serial.witness == parallel.witness
-        assert serial.nodes == parallel.nodes
-
     def test_wide_beam_matches_exhaustive(self):
         exhaustive = adversary_search("rg", 2, MENU12)
         beam = adversary_search("rg", 2, MENU12, beam_width=10_000)
@@ -274,19 +266,35 @@ class TestAdversarySearch:
         assert not result.complete
         assert result.nodes == 5
 
-    def test_node_budget_is_a_total_over_workers(self, monkeypatch):
-        real = adversary_search("mg-prime", 2, MENU12, max_nodes=5, jobs=2)
-        assert (real.nodes, real.complete) == (5, False)
-        # Threads in place of worker processes, so that jobs=3 starts none.
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", ThreadPoolExecutor)
-        serial = adversary_search("mg-prime", 2, MENU12)
+    def test_parallel_matches_serial(self):
+        # jobs starts no workers: jobs=2 is the serial search, on a budget too.
+        for max_nodes in (None, 1):
+            serial = adversary_search("mg-prime", 2, MENU12, max_nodes=max_nodes, jobs=1)
+            assert adversary_search("mg-prime", 2, MENU12, max_nodes=max_nodes, jobs=2) == serial
+
+    def test_node_budget_is_a_total_over_workers(self):
+        # One walk for any jobs, so the budget is exactly the nodes explored.
+        exhaustive = adversary_search("mg-prime", 2, MENU12)
         for jobs in (1, 2, 3):
-            for max_nodes in (1, 2, 5, 7, serial.nodes - 1):
+            for max_nodes in (1, 2, 5, 7, exhaustive.nodes - 1):
                 result = adversary_search("mg-prime", 2, MENU12, max_nodes=max_nodes, jobs=jobs)
                 assert (result.nodes, result.complete) == (max_nodes, False)
-            # A budget that covers the tree serially covers it in parallel.
-            exact = adversary_search("mg-prime", 2, MENU12, max_nodes=serial.nodes, jobs=jobs)
-            assert exact == serial
+            # A budget of the tree's size gives the exhaustive result.
+            exact = adversary_search("mg-prime", 2, MENU12, max_nodes=exhaustive.nodes, jobs=jobs)
+            assert exact == exhaustive
+
+    @pytest.mark.parametrize(
+        "policy,ratio,witness",
+        [
+            ("mg-prime", Fraction(3, 2), [(1, 2, 1), (2, 3, 2), (2, 4, 3), (3, 4, 3), (3, 5, 5)]),
+            ("rg", Fraction(100, 83), [(1, 2, 1), (2, 3, 1), (2, 4, 2), (3, 4, 2), (3, 5, 5)]),
+        ],
+    )
+    def test_budgeted_walk_answers(self, policy, ratio, witness):
+        # The first 1,000 nodes in pre-order, in one walk.
+        result = adversary_search(policy, 3, (1, 2, 3, 5), max_nodes=1000)
+        assert (result.ratio, result.nodes, result.complete) == (ratio, 1000, False)
+        assert [(p.release, p.deadline, p.weight) for p in result.witness] == witness
 
     @pytest.mark.parametrize(
         "policy,ratio", [("rg", Fraction(90, 73)), ("mg-prime", Fraction(8, 5))]
@@ -355,9 +363,8 @@ class TestDagSearch:
     def test_matches_the_tree_walk(self, drawn, policy):
         menu, depth, branching = drawn
         options = two_bounded_step_options(menu, branching)
-        roots = tuple(range(len(options)))
         ratio, path, nodes, complete = analysis._explore_roots(
-            policy, depth, branching, options, roots, None
+            policy, depth, branching, options, None
         )
         result = adversary_search(policy, depth, menu, branching)
         assert (result.ratio, result.witness, result.nodes, result.complete) == (
@@ -374,52 +381,55 @@ class TestDagSearch:
 
 class TestSearchKeys:
     """The search's key space: key = ((n_w - 1 - weight index) * D +
-    deadline) * A + arrival index, with D = depth + 3 and A = depth *
-    branching + 1."""
+    deadline) * A + (2 - lifespan) * branching + k, with D = depth + 3,
+    A = 2 * branching and k the packet's place in its option."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(search_paths(), st.sampled_from(POLICIES))
     def test_keys_sort_as_the_witness_packets(self, drawn, policy):
         options, depth, branching, path = drawn
-        stride = depth * branching + 1
+        slots = 2 * branching
         packets = analysis._instance_from_path(options, path).packets
+        # A packet by its (deadline, slot); at any step, the pending ones
+        # have distinct ones.
+        arrived = {}
         kernel = analysis._SearchKernel(policy, options, depth, branching)
-        state, table, base = kernel.start, kernel.table_start, 0
+        state, table = kernel.start, kernel.table_start
         for step, oi in enumerate(path, start=1):
-            arrivals = kernel.keys(step, base, oi)
-            assert sorted(k % stride for k in arrivals) == list(
-                range(base, base + len(options[oi]))
-            )
+            arrivals = kernel.keys(step, oi)
+            released = [p for p in packets if p.release == step]
+            assert len(arrivals) == len(released)
+            for k, (lifespan, _) in enumerate(options[oi]):
+                arrived[step + lifespan, (2 - lifespan) * branching + k] = released[k]
             for carry in state.carried:
                 keys = sorted(carry | arrivals)
-                pending = [packets[k % stride] for k in keys]
+                pending = [arrived[kernel.deadlines[k], k % slots] for k in keys]
                 assert all(p.release <= step < p.deadline for p in pending)
                 assert pending == _compile(pending).packets
                 assert [kernel.deadlines[k] for k in keys] == [p.deadline for p in pending]
                 assert [Fraction(kernel.weights[k], kernel.scale) for k in keys] == [
                     p.weight for p in pending
                 ]
-            state, table, _ = kernel.node(state, table, step, base, oi)
-            base += len(options[oi])
+            state, table, _ = kernel.node(state, table, step, oi)
 
     @pytest.mark.parametrize("weights,depth,branching", [(1, 1, 1), (2, 3, 2), (4, 5, 3)])
     def test_deadline_list_holds_every_keys_deadline(self, weights, depth, branching):
         menu = [Fraction(w) for w in range(1, weights + 1)]
         options = two_bounded_step_options(menu, branching)
         kernel = analysis._SearchKernel("rg", options, depth, branching)
-        span, stride = depth + 3, depth * branching + 1
-        assert kernel.deadlines == [key // stride % span for key in range(weights * span * stride)]
+        span, slots = depth + 3, 2 * branching
+        assert len(kernel.deadlines) == weights * span * slots
+        assert kernel.deadlines == [key // slots % span for key in range(weights * span * slots)]
 
 
 def walk_drained_optima(kernel, options, path):
     """The kernel's drained offline optimum, times the scale, at every node
     along ``path``."""
-    state, (shape, offset), base = kernel.start, kernel.table_start, 0
+    state, (shape, offset) = kernel.start, kernel.table_start
     optima = []
     for step, oi in enumerate(path, start=1):
-        state, (shape, offset), _ = kernel.node(state, (shape, offset), step, base, oi)
+        state, (shape, offset), _ = kernel.node(state, (shape, offset), step, oi)
         optima.append(kernel.drained[shape] + offset)
-        base += len(options[oi])
     return optima
 
 

@@ -414,9 +414,7 @@ class TestCommands:
         replay = cli.parse_instance(str(witness))
         assert len(replay) >= 1
 
-    @pytest.mark.parametrize(
-        "flag,value", [("--branching", "0"), ("--jobs", "0"), ("--jobs", "-3")]
-    )
+    @pytest.mark.parametrize("flag,value", [("--branching", "0")])
     def test_search_refuses_non_positive_counts(self, capsys, flag, value):
         argv = ["search", "--policy", "mg-prime", "--depth", "1", "--menu", "1,2", flag, value]
         assert cli.main(argv) == 1
