@@ -33,7 +33,14 @@ from .engine import (
     start,
 )
 from .model import Instance, InvariantError, _follows_order, as_weight
-from .offline import _compiled, _conforming_slots, _ranked_step
+from .offline import (
+    _Basis,
+    _basis_admit,
+    _basis_send,
+    _basis_view,
+    _compiled,
+    _conforming_slots,
+)
 from .policies import _choose, _rg_lottery
 
 _T = TypeVar("_T")
@@ -728,24 +735,25 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
         raise ValueError("fact checks require an agreeable instance")
     compiled = _compiled(instance)
     arrivals, expiring, weights = compiled.arrivals, compiled.expiring, compiled.weights
+    deadlines = compiled.deadlines
     report = FactsReport()
-    carry: frozenset[int] = frozenset()
+    basis = _Basis([], [], [])
     future = frozenset(range(len(compiled.packets)))  # the ranks not yet released
-    for step in busy_steps(instance, lambda: bool(carry)):
-        arrived = arrivals.get(step, ())
-        pending = carry.union(arrived)
-        future = future.difference(arrived)
-        sequence, e, h = _ranked_step(compiled.deadlines, weights, pending, step)
+    for step in busy_steps(arrivals, lambda: bool(basis.keys)):
+        arrived = arrivals.get(step)
+        if arrived:
+            future = future.difference(arrived)
+            _basis_admit(basis, arrived, step, deadlines)
+        sequence, e, h = _basis_view(basis, step, weights)
         checked = sequence
         if corrupt is not None:
             replacement = corrupt(step, tuple(sequence))
             if replacement is not None:
                 checked = replacement
-        report.steps.append(
-            _check_step(compiled, step, sorted(pending | future), checked, sequence)
-        )
+        candidates = sorted([*sequence, *basis.rest, *future])
+        report.steps.append(_check_step(compiled, step, candidates, checked, sequence))
         choice = _choose("mg-prime", e, h, sequence, weights.__getitem__)
-        carry = pending.difference(expiring.get(step + 1, ()), (choice,))
+        _basis_send(basis, choice, step, deadlines, expiring.get(step + 1, ()))
     return report
 
 

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .analysis import (
     FAMILIES,
@@ -344,7 +345,10 @@ def _cmd_check_facts(args) -> int:
     return 2
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and leaves it as it was, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="pktsched",
         description="Exact workbench for online packet scheduling with agreeable deadlines.",

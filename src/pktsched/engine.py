@@ -3,17 +3,23 @@
 Every mode steps the same rule, over integer keys.  A key stands for one
 packet; sorting keys gives the greedy order (weight descending, ties in
 the deadline-first order), and the key's deadline and weight, an integer
-over a common denominator, sit in lists indexed by key, so a pending set
-is a frozenset of ints.  An instance's keys are its packets' ranks, from
-its one shared compile (``offline._compiled``), which
-``analysis.check_facts`` steps as well; the adversarial search builds its
-own key space (``analysis._SearchKernel``).  At each step the arrivals
-join the carried pending set, ``offline._ranked_step`` sorts it and runs
-the slot greedy of the oblivious schedule over it, the policy rule reads
-the integer weights of the oblivious schedule's earliest and heaviest key,
-and the sent key and every key whose deadline has come are dropped.  A run
-checks its gain against the offline optimum of the compile it steps
+over a common denominator, sit in lists indexed by key.  An instance's
+keys are its packets' ranks, from its one shared compile
+(``offline._compiled``), which ``analysis.check_facts`` steps as well; the
+adversarial search builds its own key space (``analysis._SearchKernel``).
+At each step the arrivals join the pending set, the policy rule reads the
+integer weights of the oblivious schedule's earliest and heaviest key, and
+the sent key and every key whose deadline has come leave.  A run checks
+its gain against the offline optimum of the compile it steps
 (``offline._opt_weight``).
+
+The single-path runs, ``run_policy`` and each Monte Carlo trial (and
+``check_facts``), carry the oblivious schedule from step to step
+(``offline._Basis``): arrivals, the sent key and the lost slot change it
+by a few exchanges, and ``offline._basis_view`` reads it and checks it at
+every step.  Exact mode and the search branch instead: their pending
+sets are frozensets of keys, merged per step and memoised by the search,
+and ``offline._ranked_step`` solves each one afresh.
 
 ``advance`` takes that step for a distribution over carried sets,
 merging outcomes that carry the same set.  ``busy_steps`` lists the steps
@@ -35,9 +41,7 @@ Three execution modes:
   probability-weighted gain and the number of tree paths reaching it;
 * ``run_rg_mc``    - seeded Monte Carlo estimate for instances too large
   for exact mode; every draw compares a 64-bit uniform integer with the
-  exact rational threshold, so the lottery itself is bias-free.  Trials
-  that meet a pending set again at the same step take its earliest and
-  heaviest keys from a memo.
+  exact rational threshold, so the lottery itself is bias-free.
 """
 
 from __future__ import annotations
@@ -51,7 +55,15 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .model import Instance, InvariantError, Packet
-from .offline import _compiled, _opt_weight, _ranked_step
+from .offline import (
+    _Basis,
+    _basis_admit,
+    _basis_send,
+    _basis_view,
+    _compiled,
+    _opt_weight,
+    _ranked_step,
+)
 from .policies import DETERMINISTIC_POLICIES, _choose, _rg_lottery
 
 DEFAULT_EXACT_CAP = 1 << 20
@@ -118,12 +130,13 @@ class RunReport:
     ratio: Fraction
 
 
-def busy_steps(instance: Instance, carrying: Callable[[], bool]) -> Iterator[int]:
-    """The steps a run visits: each arrival step, and after a step the next
-    one while ``carrying()`` reports a nonempty carried set.  From an empty
-    carry the run jumps to the next arrival step, skipping the idle steps
-    in between, where nothing is pending."""
-    arrival_steps = iter(instance.arrivals_by_step)
+def busy_steps(arrivals: Iterable[int], carrying: Callable[[], bool]) -> Iterator[int]:
+    """The steps a run visits: each arrival step, in the increasing order
+    of ``arrivals``, and after a step the next one while ``carrying()``
+    reports a nonempty carried set.  From an empty carry the run jumps to
+    the next arrival step, skipping the idle steps in between, where
+    nothing is pending."""
+    arrival_steps = iter(arrivals)
     step = next(arrival_steps, None)
     while step is not None:
         yield step
@@ -237,15 +250,17 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
             "use run_rg_exact or run_rg_mc for rg"
         )
     compiled = _compiled(instance)
-    packets, weights, expiring = compiled.packets, compiled.weights, compiled.expiring
-    arrivals = compiled.arrivals
+    packets, deadlines, weights = compiled.packets, compiled.deadlines, compiled.weights
+    arrivals, expiring = compiled.arrivals, compiled.expiring
     ids = [p.id for p in packets]
-    carry: frozenset[int] = frozenset()
+    basis = _Basis([], [], [])
     records: list[StepRecord] = []
     total = 0  # times the scale
-    for step in busy_steps(instance, lambda: bool(carry)):
-        pending = carry.union(arrivals.get(step, ()))
-        sequence, e, h = _ranked_step(compiled.deadlines, weights, pending, step)
+    for step in busy_steps(arrivals, lambda: bool(basis.keys)):
+        arrived = arrivals.get(step)
+        if arrived:
+            _basis_admit(basis, arrived, step, deadlines)
+        sequence, e, h = _basis_view(basis, step, weights)
         choice = _choose(policy, e, h, sequence, weights.__getitem__)
         if choice not in sequence:
             raise InvariantError(f"policy {policy} chose outside the oblivious schedule")
@@ -261,8 +276,8 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
                 sent.weight,
             )
         )
-        carry = pending.difference(expiring.get(step + 1, ()), (choice,))
-    opt = _opt_weight(compiled, instance.first_release, instance.is_agreeable)
+        _basis_send(basis, choice, step, deadlines, expiring.get(step + 1, ()))
+    opt = _opt_weight(compiled, min(arrivals, default=1), instance.is_agreeable)
     if total > opt:
         raise InvariantError("online gain exceeded the offline optimum")
     ratio = _ratio(opt, total)
@@ -300,7 +315,7 @@ def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction, Fr
     arrivals, deadlines, weights = compiled.arrivals, compiled.deadlines, compiled.weights
     states = start(compiled.scale)
     spent = 0
-    for step in busy_steps(instance, lambda: any(states.carried)):
+    for step in busy_steps(arrivals, lambda: any(states.carried)):
         spent += len(states.carried)
         if spent > cap:
             raise ExactCapExceeded(
@@ -310,7 +325,7 @@ def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction, Fr
     scale, denominator, final = states
     gain = sum(weighted for _, weighted, _ in final.values())  # times denominator * scale
     leaves = sum(paths for _, _, paths in final.values())
-    opt = _opt_weight(compiled, instance.first_release, instance.is_agreeable) * denominator
+    opt = _opt_weight(compiled, min(arrivals, default=1), instance.is_agreeable) * denominator
     if gain > opt:
         raise InvariantError("expected gain exceeded the offline optimum")
     scale *= denominator
@@ -333,28 +348,24 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
     if trials < 1:
         raise ValueError("trials must be >= 1")
     compiled = _compiled(instance)
-    arrivals, expiring, weights = compiled.arrivals, compiled.expiring, compiled.weights
-    # (step, pending keys) -> the earliest and the heaviest key there.
-    memo: dict[tuple[int, frozenset[int]], tuple[int, int]] = {}
+    arrivals, expiring = compiled.arrivals, compiled.expiring
+    deadlines, weights = compiled.deadlines, compiled.weights
     totals: list[float] = []
     shift = 1 << 64
     for trial in range(trials):
         rng = random.Random(_trial_seed(seed, trial))
-        carry: frozenset[int] = frozenset()
+        basis = _Basis([], [], [])
         gain = 0  # times the scale
-        for step in busy_steps(instance, lambda: bool(carry)):
-            pending = carry.union(arrivals.get(step, ()))
-            key = (step, pending)
-            pair = memo.get(key)
-            if pair is None:
-                _, e, h = _ranked_step(compiled.deadlines, weights, pending, step)
-                pair = memo[key] = (e, h)
-            e, h = pair
+        for step in busy_steps(arrivals, lambda: bool(basis.keys)):
+            arrived = arrivals.get(step)
+            if arrived:
+                _basis_admit(basis, arrived, step, deadlines)
+            _, e, h = _basis_view(basis, step, weights)
             # The earliest with probability w_e / w_h: draw / 2^64 < w_e / w_h,
             # compared exactly in integers.  A sure choice draws nothing.
             chosen = e if e == h or rng.getrandbits(64) * weights[h] < weights[e] * shift else h
             gain += weights[chosen]
-            carry = pending.difference(expiring.get(step + 1, ()), (chosen,))
+            _basis_send(basis, chosen, step, deadlines, expiring.get(step + 1, ()))
         # int / int rounds correctly, so this is float(Fraction(gain, scale)).
         totals.append(gain / compiled.scale)
     mean = math.fsum(totals) / trials

@@ -24,8 +24,12 @@ The kept set is laid out in the deadline-first order, which on keys is
 Over a pending set, every key is released, and ``_ranked_step`` gives the
 *oblivious schedule* (optimal deadline-first-order schedule of the pending
 set, made canonical by the tie order) with its earliest and heaviest key.
-It serves every mode of the engine, the search, ``analysis.check_facts``
-and ``oblivious_schedule``.
+It serves exact mode, the search and ``oblivious_schedule``, whose
+pending sets branch.  A single path instead carries its oblivious
+schedule, the greedy basis of its pending set, from step to step
+(``_Basis``): the sent key, the lost slot and each arrival change it by
+at most one exchange, found by a bisection and a scan of slacks in C.
+The engine's single-path runs and ``analysis.check_facts`` step it.
 
 The *conforming clairvoyant schedule* is built here as well, by one core
 over keys (``_conforming_slots``): the greedy optimum over pending plus
@@ -38,7 +42,7 @@ chosen to outweigh every order-earlier oblivious member.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -66,7 +70,7 @@ class _Compiled(NamedTuple):
     gives their greedy order.  ``releases``, ``deadlines`` and ``weights``
     (integers over ``scale``) are indexed by key; ``arrivals`` and
     ``expiring`` map a step to the keys released at it and to the keys
-    whose deadline it is.
+    whose deadline it is, ``arrivals`` in step order.
     """
 
     packets: list[Packet]
@@ -102,7 +106,7 @@ def _compile(packets: Iterable[Packet]) -> _Compiled:
         [p.deadline for p in packets],
         list(map(scaled.__getitem__, ranked)),
         scale,
-        {step: tuple(ranks) for step, ranks in arrivals.items()},
+        {step: tuple(ranks) for step, ranks in sorted(arrivals.items())},
         {step: tuple(ranks) for step, ranks in expiring.items()},
     )
 
@@ -274,6 +278,119 @@ def _ranked_step(
     if not 0 < weights[e] <= weights[h]:
         raise InvariantError(f"earliest packet outweighs the heaviest at step {step}")
     return sequence, e, h
+
+
+class _Basis(NamedTuple):
+    """The oblivious schedule of a single path's pending set, carried from
+    step to step by exchanges instead of re-solved.
+
+    The sets of pending keys that fit from a step form a matroid, and the
+    oblivious schedule is its greedy basis B (``_ranked_step``).  B is
+    held in the deadline-first order, ``(deadline, key)``, in two parallel
+    lists, ``deadlines`` and ``keys``; ``rest`` holds the pending
+    non-members in key order, the greedy order.  B fits from step t iff
+    ``deadlines[j] - j > t`` at every position j, and position j is
+    *tight* at t when ``deadlines[j] - j == t + 1``: no key with a deadline
+    up to its own fits in beside B.  ``keys`` is the schedule's sequence,
+    so its first key is the earliest and its smallest the heaviest.  A
+    pending key alone always fits, so B is empty only when nothing is
+    pending.  ``_basis_admit``, ``_basis_view`` and ``_basis_send`` step it; they
+    read the per-key ``deadlines`` of the compile.
+    """
+
+    deadlines: list[int]
+    keys: list[int]
+    rest: list[int]
+
+
+def _basis_admit(basis: _Basis, arrivals: Iterable[int], step: int, deadlines: list[int]) -> None:
+    """Add the keys arriving at ``step`` to the carried ``basis``.
+
+    A key x joins B if B plus x still fits, that is, if no position whose
+    deadline is at least x's is tight.  Otherwise the circuit is x and
+    every member up to the first such tight position, and its last-ranked
+    key, the largest, goes to ``rest``."""
+    dls, keys, rest = basis
+    tight = step + 1
+    for x in arrivals:
+        d = deadlines[x]
+        if not dls or d > dls[-1]:  # no position at or after d
+            dls.append(d)
+            keys.append(x)
+            continue
+        low = bisect_left(dls, d)
+        if tight in map(sub, dls[low:], range(low, len(dls))):
+            end = list(map(sub, dls, range(len(dls)))).index(tight, low) + 1
+            y = max(keys[:end])
+            if y < x:
+                insort(rest, x)
+                continue
+            i = keys.index(y, 0, end)
+            del dls[i], keys[i]
+            insort(rest, y)
+            low = bisect_left(dls, d)
+        high = bisect_right(dls, d, low)
+        i = bisect_left(keys, x, low, high)
+        dls.insert(i, d)
+        keys.insert(i, x)
+
+
+def _basis_view(basis: _Basis, step: int, weights: list[int]) -> tuple[list[int], int, int]:
+    """The oblivious schedule the carried ``basis`` holds at ``step``, as
+    ``_ranked_step`` gives it: its keys in the deadline-first order (the
+    live list, to be read before the basis moves on), its earliest key and
+    its heaviest, under the same checks."""
+    dls, keys, _ = basis
+    if not all(map(gt, dls, count(step))):
+        raise InvariantError(f"oblivious schedule at step {step} misses a deadline")
+    e, h = keys[0], min(keys)
+    if not 0 < weights[e] <= weights[h]:
+        raise InvariantError(f"earliest packet outweighs the heaviest at step {step}")
+    return keys, e, h
+
+
+def _basis_send(
+    basis: _Basis, sent: int, step: int, deadlines: list[int], expiring: Iterable[int]
+) -> None:
+    """Carry ``basis`` from ``step`` to the next step once its member
+    ``sent`` went out; ``expiring`` are the keys whose deadline is the next
+    step.
+
+    The sent key leaves B, and the first-ranked non-member that fits takes
+    its place: one whose deadline lies after B's last tight position.  Then
+    the slot of ``step`` is lost: if B no longer fits, the circuit is every
+    member up to the first position that broke, and its last-ranked key
+    goes to ``rest``.  Only a position before the sent one can break,
+    unless a replacement joined.  B then holds no expired key, so expiry
+    only removes non-members."""
+    dls, keys, rest = basis
+    tight = step + 1
+    i = keys.index(sent)
+    del dls[i], keys[i]
+    if rest:
+        slack = list(map(sub, reversed(dls), range(len(dls) - 1, -1, -1)))
+        after = dls[-1 - slack.index(tight)] if tight in slack else 0
+        for r, x in enumerate(rest):
+            d = deadlines[x]
+            if d > after:
+                del rest[r]
+                low = bisect_left(dls, d)
+                j = bisect_left(keys, x, low, bisect_right(dls, d, low))
+                dls.insert(j, d)
+                keys.insert(j, x)
+                i = len(dls)
+                break
+    if i and tight in map(sub, dls[:i], range(i)):
+        end = list(map(sub, dls, range(i))).index(tight) + 1
+        y = max(keys[:end])
+        j = keys.index(y, 0, end)
+        del dls[j], keys[j]
+        insort(rest, y)
+    if rest:
+        for x in expiring:
+            j = bisect_left(rest, x)
+            if j < len(rest) and rest[j] == x:
+                del rest[j]
 
 
 def oblivious_schedule(pending: Iterable[Packet], step: int) -> ObliviousSchedule:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import mk_instance
 
 from pktsched import analysis, cli, engine, offline
-from pktsched.analysis import golden_chain
+from pktsched.analysis import GeneratorSpec, generate, golden_chain
 from pktsched.model import MAX_DIGITS, Instance, InvariantError
 
 
@@ -240,6 +240,27 @@ class TestInstanceFiles:
 
 
 class TestCommands:
+    def test_calls_in_a_row_share_one_parser(self, tmp_path, capsys):
+        path = str(tmp_path / "instance.jsonl")
+        spec = GeneratorSpec("agreeable-random", steps=12, max_per_step=3, deadline_spread=5)
+        cli.write_instance(generate(spec), path)
+        calls = [
+            ["run", "--policy", "rg", "--trials", "4", "--seed", "5", "--instance", path],
+            ["run", "--policy", "mg-prime", "--instance", path],
+            ["run", "--policy", "mg-prime", "--bogus", "--instance", path],
+            ["opt", "--instance", path],
+        ]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append((cli.main(argv), capsys.readouterr()))
+        cli._build_parser.cache_clear()
+        in_a_row = [(cli.main(argv), capsys.readouterr()) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        assert in_a_row == fresh
+        assert [code for code, _ in fresh] == [0, 0, 1, 0]
+        assert all(output.out for _, output in fresh[:2] + fresh[3:])
+
     def test_ratio_output_format(self, tiny, capsys):
         assert cli.main(["ratio", "--policy", "rg", "--instance", tiny]) == 0
         out = capsys.readouterr().out

@@ -384,40 +384,42 @@ class TestRunRgMc:
 
 class TestRankedSchedules:
     """The single-path runs and ``check_facts`` step over packet ranks,
-    their keys, through one core, ``offline._ranked_step``.  Every step of
-    each agrees with the public schedule and the oracle."""
+    their keys, through one carried core, whose per-step view is
+    ``offline._basis_view``.  Every step of each agrees with the public
+    schedule and the oracle."""
 
     @settings(max_examples=120, derandomize=True, database=None, deadline=None)
     @given(small_agreeable(), st.integers(0, 99))
     def test_every_step_matches_the_public_schedule_and_the_oracle(self, inst, seed):
-        ranked_core = offline._ranked_step
-        ranked = []
+        view_core = offline._basis_view
+        views = []
 
-        def record_ranked(deadlines, weights, pending, step):
-            result = ranked_core(deadlines, weights, pending, step)
-            ranked.append((pending, step, result))
-            return result
+        def record_view(basis, step, weights):
+            sequence, earliest, heaviest = view_core(basis, step, weights)
+            pending = frozenset([*basis.keys, *basis.rest])
+            views.append((pending, step, (list(sequence), earliest, heaviest)))
+            return sequence, earliest, heaviest
 
         calls = {}
-        with mock.patch.object(engine, "_ranked_step", record_ranked), mock.patch.object(
-            analysis, "_ranked_step", record_ranked
+        with mock.patch.object(engine, "_basis_view", record_view), mock.patch.object(
+            analysis, "_basis_view", record_view
         ):
             for policy in DETERMINISTIC_POLICIES:
-                before = len(ranked)
+                before = len(views)
                 steps = len(run_policy(inst, policy).per_step)
-                calls[policy] = len(ranked) - before
+                calls[policy] = len(views) - before
                 assert calls[policy] == steps
-            before = len(ranked)
+            before = len(views)
             run_rg_mc(inst, 3, seed)
-            calls["rg"] = len(ranked) - before
-            before = len(ranked)
+            calls["rg"] = len(views) - before
+            before = len(views)
             steps = len(check_facts(inst).steps)
-            calls["check_facts"] = len(ranked) - before
+            calls["check_facts"] = len(views) - before
             assert calls["check_facts"] == steps
         # Every caller went through its core, unless there is no step.
         assert all(n > 0 for n in calls.values()) == bool(inst.packets)
         packets = offline._compile(inst).packets
-        for pending, step, (sequence, earliest, heaviest) in ranked:
+        for pending, step, (sequence, earliest, heaviest) in views:
             pending = frozenset(packets[r] for r in pending)
             public = oblivious_schedule(pending, step)
             expected = oracle_oblivious(pending, step)

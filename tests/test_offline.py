@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mk, mk_instance, random_agreeable
@@ -19,10 +19,16 @@ from oracles import (
 )
 
 from pktsched import offline
+from pktsched.engine import busy_steps
 from pktsched.model import InvariantError, has_agreeable_deadlines, is_feasible_set
 from pktsched.offline import (
+    _Basis,
+    _basis_admit,
+    _basis_send,
+    _basis_view,
     _compile,
     _greedy_keys,
+    _ranked_step,
     conforming_clairvoyant,
     oblivious_schedule,
     opt_schedule,
@@ -286,6 +292,61 @@ class TestObliviousSchedule:
             assert schedule_weight(ob.schedule) == value
             assert value == brute_force_opt(pending, step)
             assert follows_priority_order(ob.schedule, step)
+
+
+@st.composite
+def carried_runs(draw):
+    """Up to 14 packets released over steps 1 to 12, with gaps, lifespans
+    1 to 6 (not necessarily agreeable) and weights n/d from a short menu,
+    so weights and deadlines tie; and the picks that choose each step's
+    sent member."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 12),  # release
+                st.integers(1, 6),  # lifespan
+                st.integers(1, 4),  # weight numerator
+                st.integers(1, 2),  # weight denominator
+            ),
+            max_size=14,
+        )
+    )
+    rows.sort(key=lambda row: row[0])
+    inst = mk_instance(
+        *((f"p{i}", r, r + span, Fraction(num, den)) for i, (r, span, num, den) in enumerate(rows))
+    )
+    return inst, draw(st.lists(st.integers(0, 13), min_size=1, max_size=20))
+
+
+class TestCarriedBasis:
+    """The carried basis (``offline._Basis``) against a full re-solve,
+    ``_ranked_step``, at every step of a run that sends any member."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(carried_runs())
+    # The member sent at step 1 spans a lighter key with a later deadline,
+    # which re-enters the basis and is all that is left at step 2.
+    @example((mk_instance(("e", 1, 2, 1), ("h", 1, 3, 3), ("x", 1, 3, 1)), [1]))
+    def test_every_step_matches_a_full_re_solve(self, case):
+        inst, picks = case
+        compiled = _compile(inst)
+        deadlines, weights, expiring = compiled.deadlines, compiled.weights, compiled.expiring
+        basis = _Basis([], [], [])
+        pending: set[int] = set()
+        steps = busy_steps(compiled.arrivals, lambda: bool(basis.keys))
+        for n, step in enumerate(steps):
+            arrived = compiled.arrivals.get(step, ())
+            pending.update(arrived)
+            _basis_admit(basis, arrived, step, deadlines)
+            sequence, e, h = _ranked_step(deadlines, weights, pending, step)
+            assert _basis_view(basis, step, weights) == (sequence, e, h)
+            assert basis.deadlines == [deadlines[k] for k in sequence]
+            assert basis.rest == sorted(pending.difference(sequence))
+            sent = sequence[picks[n % len(picks)] % len(sequence)]
+            _basis_send(basis, sent, step, deadlines, expiring.get(step + 1, ()))
+            pending.discard(sent)
+            pending.difference_update(expiring.get(step + 1, ()))
+        assert not pending and basis == ([], [], [])
 
 
 @st.composite
