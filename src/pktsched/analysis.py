@@ -39,7 +39,9 @@ from .offline import (
     _basis_send,
     _basis_view,
     _compiled,
-    _conforming_slots,
+    _conforming_layout,
+    _conforming_send,
+    _conforming_start,
 )
 from .policies import _choose, _rg_lottery
 
@@ -722,7 +724,10 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     The run steps the compiled instance as ``run_policy`` does: packets are
     their ranks in the greedy order, weights integers over the instance's
     common denominator, and the deadline-first order is ``(deadline,
-    rank)``.  A packet is looked up only to name it in a step's note.
+    rank)``.  The greedy optimum over pending plus future ranks, which the
+    conforming schedule lays out, is carried from step to step
+    (``offline._Conforming``) as the oblivious schedule is.  A packet is
+    looked up only to name it in a step's note.
 
     ``corrupt(step, sequence)`` is a mutation-testing hook: it gets the
     ranks of the step's oblivious schedule in the deadline-first order and
@@ -735,14 +740,14 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
         raise ValueError("fact checks require an agreeable instance")
     compiled = _compiled(instance)
     arrivals, expiring, weights = compiled.arrivals, compiled.expiring, compiled.weights
-    deadlines = compiled.deadlines
+    releases, deadlines = compiled.releases, compiled.deadlines
+    order = list(zip(deadlines, itertools.count())).__getitem__  # (deadline, rank)
     report = FactsReport()
     basis = _Basis([], [], [])
-    future = frozenset(range(len(compiled.packets)))  # the ranks not yet released
+    conforming = _conforming_start(compiled, next(iter(arrivals), 0))
     for step in busy_steps(arrivals, lambda: bool(basis.keys)):
         arrived = arrivals.get(step)
         if arrived:
-            future = future.difference(arrived)
             _basis_admit(basis, arrived, step, deadlines)
         sequence, e, h = _basis_view(basis, step, weights)
         checked = sequence
@@ -750,47 +755,40 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
             replacement = corrupt(step, tuple(sequence))
             if replacement is not None:
                 checked = replacement
-        candidates = sorted([*sequence, *basis.rest, *future])
-        report.steps.append(_check_step(compiled, step, candidates, checked, sequence))
+        report.steps.append(_check_step(compiled, step, conforming.keys, checked, sequence, order))
         choice = _choose("mg-prime", e, h, sequence, weights.__getitem__)
-        _basis_send(basis, choice, step, deadlines, expiring.get(step + 1, ()))
+        expired = expiring.get(step + 1, ())
+        _basis_send(basis, choice, step, deadlines, expired)
+        _conforming_send(conforming, choice, step, releases, deadlines, expired)
     return report
 
 
-def _check_step(compiled, step: int, candidates: list[int], checked, truth) -> StepFacts:
-    """The facts at one step over the ranks of ``compiled``: ``candidates``
-    are the pending and the future ranks in increasing order, ``checked``
-    the oblivious schedule handed to the checks and ``truth`` the true one,
-    both in the deadline-first order."""
+def _check_step(compiled, step: int, kept: list[int], checked, truth, order) -> StepFacts:
+    """The facts at one step over the ranks of ``compiled``: ``kept`` is
+    the greedy basis of the pending and the future ranks from ``step``,
+    ``checked`` the oblivious schedule handed to the checks and ``truth``
+    the true one, both in the deadline-first order, and ``order`` maps a
+    rank to its place in that order, ``(deadline, rank)``."""
     releases, deadlines, weights = compiled.releases, compiled.deadlines, compiled.weights
     results = dict.fromkeys(FACT_CHECKS, False)
     weight = weights.__getitem__
     results["oblivious_optimal"] = sum(map(weight, checked)) == sum(map(weight, truth))
     scheduled = set(checked)
     try:
-        conforming = _conforming_slots(compiled, candidates, step, scheduled)
+        conforming = _conforming_layout(compiled, kept, step, scheduled, order)
     except (InvariantError, ValueError) as err:
         return StepFacts(step, results, note=str(err))
     chosen = {k for _, k in conforming}
-
-    def order(k):
-        return deadlines[k], k
-
     results["conforming_built"] = _follows_order(conforming, step, releases.__getitem__, order)
     results["pending_within_oblivious"] = all(k in scheduled for k in chosen if releases[k] <= step)
     first = conforming[0][1]
+    heaviest, before = weights[first], order(first)
     results["first_packet_outweighs_earlier"] = all(
-        weights[k] < weights[first] for k in checked if order(k) < order(first)
+        weights[k] < heaviest for k in checked if order(k) < before
     )
     results["heavier_scheduled_monotone"] = heavier_scheduled_monotone(checked, chosen, weight)
     results["front_swap_feasible"] = _front_swap_feasible(
-        conforming,
-        chosen,
-        step,
-        checked[0] if checked else None,
-        min(checked, default=None),
-        releases,
-        deadlines,
+        conforming, chosen, step, checked, releases, deadlines
     )
     return StepFacts(step, results)
 
@@ -820,17 +818,18 @@ def _front_swap_feasible(
     conforming: list[tuple[int, int]],
     chosen: Container[int],
     step: int,
-    earliest: int | None,
-    heaviest: int | None,
+    checked: Sequence[int],
     releases: list[int],
     deadlines: list[int],
 ) -> bool:
-    """When the oblivious schedule's first rank is skipped, its heaviest
-    must be movable to the front of the conforming schedule."""
-    if earliest is None or heaviest is None:
+    """When the first rank of ``checked``, the oblivious schedule, is
+    skipped, its heaviest (its smallest rank) must be movable to the front
+    of the conforming schedule."""
+    if not checked:
         return False
-    if earliest in chosen:
+    if checked[0] in chosen:
         return True  # nothing to reorder
+    heaviest = min(checked)
     if heaviest not in chosen:
         return False
     sequence = [k for _, k in conforming]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, gt, itemgetter, le
 from typing import Iterable, Iterator, Mapping
 
 
@@ -330,22 +330,31 @@ def _edf_slots(members, start: int, release, key) -> list[tuple]:
     member's deadline.  A member is a packet or a key of a compiled
     instance (``offline._compile``).  Raises ValueError if a member misses
     its deadline, that is, if the set is not feasible from ``start``."""
-    waiting = sorted(((release(p), i, p) for i, p in enumerate(members)), reverse=True)
-    available: list[tuple] = []
-    slots = []
+    # The members in the order; equal keys keep their input order.
+    ranked = sorted(members, key=key)
+    releases = list(map(release, ranked))
+    # The walk idles only when nothing is released, so its busy steps
+    # follow from the releases alone.
+    steps = []
     step = start
-    while waiting or available:
-        if not available and waiting[-1][0] > step:
-            step = waiting[-1][0]
-        while waiting and waiting[-1][0] <= step:
-            _, i, p = waiting.pop()
-            heappush(available, (key(p), i, p))
-        order, _, member = heappop(available)
-        if order[0] <= step:
-            raise ValueError(f"packet set is not feasible from step {start}")
-        slots.append((step, member))
+    for r in sorted(releases):
+        if r > step:
+            step = r
+        steps.append(step)
         step += 1
-    return slots
+    if not all(map(le, releases, steps)):
+        # Some member is not released at its turn in the order.
+        waiting = sorted(range(len(ranked)), key=releases.__getitem__, reverse=True)
+        available: list[int] = []
+        order = []
+        for step in steps:
+            while waiting and releases[waiting[-1]] <= step:
+                heappush(available, waiting.pop())
+            order.append(ranked[heappop(available)])
+        ranked = order
+    if not all(map(gt, map(itemgetter(0), map(key, ranked)), steps)):
+        raise ValueError(f"packet set is not feasible from step {start}")
+    return list(zip(steps, ranked))
 
 
 def _follows_order(slots, start: int, release, key) -> bool:
@@ -355,6 +364,6 @@ def _follows_order(slots, start: int, release, key) -> bool:
     step sends the order-minimal available member, and idles only when
     none is available.  Members that miss their deadline there fail it."""
     try:
-        return list(slots) == _edf_slots([m for _, m in slots], start, release, key)
+        return list(slots) == _edf_slots(map(itemgetter(1), slots), start, release, key)
     except ValueError:
         return False

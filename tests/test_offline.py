@@ -27,6 +27,8 @@ from pktsched.offline import (
     _basis_send,
     _basis_view,
     _compile,
+    _conforming_send,
+    _conforming_start,
     _greedy_keys,
     _ranked_step,
     conforming_clairvoyant,
@@ -347,6 +349,102 @@ class TestCarriedBasis:
             pending.discard(sent)
             pending.difference_update(expiring.get(step + 1, ()))
         assert not pending and basis == ([], [], [])
+
+
+@st.composite
+def agreeable_runs(draw):
+    """Up to 14 agreeable packets released over steps 1 to 12, with gaps:
+    a packet's deadline is at least its release plus a lifespan of 1 to 6
+    and at least every deadline of an earlier release.  Weights are n/d
+    from a short menu, so weights and deadlines tie; the picks choose each
+    step's sent member of the oblivious schedule."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 12),  # release
+                st.integers(1, 6),  # lifespan
+                st.integers(1, 4),  # weight numerator
+                st.integers(1, 2),  # weight denominator
+            ),
+            max_size=14,
+        )
+    )
+    rows.sort(key=lambda row: row[0])
+    packets = []
+    floor = below = 0  # the latest deadline of the earlier releases
+    for i, (r, span, num, den) in enumerate(rows):
+        if i and r > rows[i - 1][0]:
+            floor = below
+        d = max(r + span, floor)
+        below = max(below, d)
+        packets.append((f"p{i}", r, d, Fraction(num, den)))
+    return mk_instance(*packets), draw(st.lists(st.integers(0, 13), min_size=1, max_size=20))
+
+
+class TestCarriedConforming:
+    """The carried conforming basis (``offline._Conforming``) against a
+    full re-solve, the key greedy over pending plus future keys, at every
+    step of a run that sends any member of the oblivious schedule."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(agreeable_runs())
+    # Idle steps 2 and 3 are jumped over.
+    @example((mk_instance(("a", 1, 2, 1), ("b", 4, 6, 2), ("c", 4, 5, 2)), [0]))
+    # Weight and deadline ties.
+    @example(
+        (
+            mk_instance(
+                ("a", 1, 3, 2), ("b", 1, 3, 2), ("c", 2, 4, 2), ("d", 2, 4, 2), ("e", 3, 4, 2)
+            ),
+            [0, 1],
+        )
+    )
+    # Fractional weights.
+    @example(
+        (
+            mk_instance(
+                ("a", 1, 3, Fraction(1, 2)),
+                ("b", 1, 2, Fraction(3, 2)),
+                ("c", 2, 4, Fraction(1, 3)),
+                ("d", 3, 4, Fraction(5, 2)),
+            ),
+            [1, 0],
+        )
+    )
+    # C is {f, b} at step 1, and the oblivious schedule's a is sent.
+    @example((mk_instance(("a", 1, 3, 1), ("b", 1, 3, 3), ("f", 2, 3, 5)), [1]))
+    # The future x is outside C at step 1 and replaces the sent b.
+    @example((mk_instance(("a", 1, 2, 9), ("b", 1, 3, 8), ("x", 2, 3, 1)), [1]))
+    def test_every_step_matches_a_full_re_solve(self, case):
+        inst, picks = case
+        compiled = _compile(inst)
+        releases, deadlines, weights = compiled.releases, compiled.deadlines, compiled.weights
+        conforming = _conforming_start(compiled, next(iter(compiled.arrivals), 0))
+        pending: set[int] = set()
+        future = set(range(len(compiled.packets)))
+        steps = busy_steps(compiled.arrivals, lambda: bool(pending))
+        for n, step in enumerate(steps):
+            arrived = compiled.arrivals.get(step, ())
+            pending.update(arrived)
+            future.difference_update(arrived)
+            kept = _greedy_keys(compiled, sorted(pending | future), step, True)
+            fifo, slots, dls, keys, rest = conforming
+            assert sorted(keys) == sorted(kept)
+            assert rest == sorted((pending | future).difference(kept))
+            assert fifo == sorted(fifo)
+            assert fifo == [(max(releases[k], step), deadlines[k]) for k in keys]
+            assert dls == [deadlines[k] for k in keys]
+            layout = []
+            for r, _ in fifo:
+                layout.append(max(layout[-1] + 1, r) if layout else r)
+            assert slots == layout and all(map(int.__lt__, slots, dls))
+            sequence, _, _ = _ranked_step(deadlines, weights, pending, step)
+            sent = sequence[picks[n % len(picks)] % len(sequence)]
+            expiring = compiled.expiring.get(step + 1, ())
+            _conforming_send(conforming, sent, step, releases, deadlines, expiring)
+            pending.discard(sent)
+            pending.difference_update(expiring)
+        assert not pending and not future and conforming == ([], [], [], [], [])
 
 
 @st.composite
