@@ -59,12 +59,16 @@ def parse_instance(path: str) -> Instance:
     """Read a JSON Lines instance file; errors name the offending line.
 
     The reader checks only the format: one JSON object per line with the
-    four fields.  ``Instance.build`` checks every packet and instance rule,
-    the weight rule included, and its ``PacketError`` is mapped from the
+    four fields.  It builds each distinct weight text once with the
+    model's rule (``as_weight``), so packets with equal text share one
+    ``Fraction``; a text the rule refuses is left as it is, for its packet
+    to refuse after the id and steps.  ``Instance.build`` checks every
+    packet and instance rule, and its ``PacketError`` is mapped from the
     packet's arrival index back to its line.
     """
     specs = []
     lines = []  # the line number of each packet, by arrival index
+    weights = {}  # weight text -> its Fraction, or the text itself if refused
     with open(path, encoding="utf-8") as handle:
         for number, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -83,6 +87,16 @@ def parse_instance(path: str) -> Instance:
             if type(weight) is float:
                 # Read through its shortest decimal form: 1.5 means exactly 3/2.
                 weight = repr(weight)
+            if type(weight) is str:
+                # Keyed by text only: a value key would let true pass as 1.
+                shared = weights.get(weight)
+                if shared is None:
+                    try:
+                        shared = as_weight(weight)
+                    except ValueError:
+                        shared = weight
+                    weights[weight] = shared
+                weight = shared
             specs.append((pid, release, deadline, weight))
             lines.append(number)
     try:

@@ -12,7 +12,9 @@ step or every pair instead of a heap walk or a single pass, the step
 kernel's state map in ``Fraction``s instead of integers over a common
 denominator, and single runs over packets instead of compiled ranks, with
 the Monte Carlo threshold as a ``Fraction``, and the structural fact
-checks over ``Packet``s and ``Schedule``s instead of compiled ranks.
+checks over ``Packet``s and ``Schedule``s instead of compiled ranks,
+and the instance reader handing every raw row to ``Instance.build``
+instead of building each distinct weight text once.
 ``at_most_golden`` is no
 oracle: it is the bound r*r <= r + 1 as the acceptance criterion states
 it, for the tests' bound checks.  Nor are ``edf_schedule`` and
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import decimal
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -38,6 +41,7 @@ from pktsched.model import (
     Instance,
     InvariantError,
     Packet,
+    PacketError,
     Schedule,
     _edf_slots,
     _follows_order,
@@ -577,3 +581,32 @@ def _oracle_front_swap_feasible(conforming, step, oblivious) -> bool:
             return False
         current = slot + 1
     return True
+
+
+def oracle_parse_instance(path) -> Instance:
+    """The instance reader without a weight memo, for files with no JSON
+    integer too long to convert: each line's raw row, a float weight as its
+    ``repr``, goes to ``Instance.build``, so every weight is built by its
+    own packet.  Same format checks and messages as ``cli.parse_instance``."""
+    specs, lines = [], []
+    with open(path, encoding="utf-8") as handle:
+        for number, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as err:
+                raise ValueError(f"invalid JSON, line {number}: {err}") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"expected an object, line {number}")
+            for field in ("id", "r", "d", "w"):
+                if field not in row:
+                    raise ValueError(f"missing field {field!r}, line {number}")
+            weight = repr(row["w"]) if type(row["w"]) is float else row["w"]
+            specs.append((row["id"], row["r"], row["d"], weight))
+            lines.append(number)
+    try:
+        return Instance.build(specs)
+    except PacketError as err:
+        raise ValueError(f"{err}, line {lines[err.index]}") from None

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import mk_instance
+from oracles import oracle_parse_instance
 
 from pktsched import analysis, cli, engine, offline
 from pktsched.analysis import GeneratorSpec, generate, golden_chain
@@ -80,6 +81,47 @@ def malformed_files(draw):
         else:
             lines.append(_line(*row))
     return "\n".join(lines) + "\n", number, kind
+
+
+# Weights for the reader's property test: valid texts, ints and floats,
+# then booleans, texts of more than MAX_DIGITS digits and junk.
+VALID_WEIGHTS = ("3/2", "1.5", "6/4", "2", "0.1", "2e3", 1, 3, 1.5, 0.1)
+WEIGHTS = VALID_WEIGHTS + (
+    True, False, "9" * (MAX_DIGITS + 1), "1/" + "7" * (MAX_DIGITS + 1),
+    f"1e{MAX_DIGITS + 1}", "x", "1/0", "-1/2", "0", -2, "", "nan", float("inf"), None, [1],
+)
+# Weights that are equal, or equal as Python values, but not one text.
+LOOK_ALIKES = ((1, True, "1", 1.0), (0, False, "0", 0.0), ("3/2", 1.5, "1.5", "6/4"))
+
+
+@st.composite
+def weighted_files(draw):
+    """The text of an instance file of 1-6 packet lines, blank lines
+    between them, each line perhaps made malformed.  The weights come
+    from a palette, so that they repeat: 1-3 drawn from WEIGHTS, or a
+    group of LOOK_ALIKES."""
+    weights = st.sampled_from(VALID_WEIGHTS) | st.sampled_from(WEIGHTS)
+    palette = st.sampled_from(
+        draw(st.lists(weights, min_size=1, max_size=3) | st.sampled_from(LOOK_ALIKES))
+    )
+    lines = []
+    release = 1
+    for i in range(draw(st.integers(1, 6))):
+        release += draw(st.integers(0, 1))
+        weight = draw(palette)
+        row = (f"p{i}", release, release + draw(st.integers(1, 3)), weight)
+        fault = draw(st.none() | st.sampled_from(sorted(MALFORMED)))
+        lines.append(_line(*row) if fault is None else MALFORMED[fault](row, "p0"))
+        lines.extend([""] * draw(st.integers(0, 1)))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(read, path):
+    """``read(path)``'s instance, or the message of its ValueError."""
+    try:
+        return read(path)
+    except ValueError as err:
+        return f"error: {err}"
 
 
 @pytest.fixture
@@ -232,6 +274,62 @@ class TestInstanceFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and re.search(rf"\bline {number}\b", err), (kind, err)
         assert "Traceback" not in err
+
+    def test_equal_weight_text_gives_one_shared_weight(self, tmp_path):
+        path = tmp_path / "shared.jsonl"
+        path.write_text(
+            '{"id":"a","r":1,"d":2,"w":"3/2"}\n'
+            '{"id":"b","r":1,"d":3,"w":1.5}\n'
+            '{"id":"c","r":2,"d":4,"w":"3/2"}\n'
+            '{"id":"d","r":2,"d":4,"w":1.5}\n'
+        )
+        a, b, c, d = cli.parse_instance(str(path))
+        assert a.weight is c.weight and b.weight is d.weight
+        assert a.weight == b.weight == Fraction(3, 2)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            pytest.param(
+                '{"id":"","r":1,"d":2,"w":"x"}\n',
+                "packet id must be a nonempty string, not '', line 1",
+                id="id-before-weight",
+            ),
+            pytest.param(
+                '{"id":"a","r":1,"d":2,"w":"1"}\n{"id":"b","r":1,"d":3,"w":"x"}\n'
+                '{"id":"c","r":2,"d":4,"w":"1"}\nnot json\n',
+                "invalid JSON, line 4",
+                id="format-before-weight",
+            ),
+            pytest.param(
+                '{"id":"a","r":1,"d":2,"w":"1"}\n{"id":"b","r":1,"d":3,"w":"1/0"}\n'
+                '{"id":"c","r":2,"d":4,"w":"1"}\n{"id":"d","r":2,"d":4,"w":"1"}\n'
+                '{"id":"e","r":2,"d":4,"w":"1/0"}\n',
+                "packet b: invalid weight '1/0': not a rational number, line 2",
+                id="first-of-equal-bad-texts",
+            ),
+            pytest.param(
+                '{"id":"a","r":1,"d":2,"w":1}\n{"id":"b","r":1,"d":3,"w":"1"}\n'
+                '{"id":"c","r":2,"d":4,"w":true}\n',
+                "packet c: invalid weight True: not a rational number, line 3",
+                id="true-after-one",
+            ),
+        ],
+    )
+    def test_weight_faults_keep_their_place(self, tmp_path, text, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            cli.parse_instance(str(path))
+        assert str(err.value).startswith(message)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(weighted_files())
+    def test_reader_matches_the_reader_without_a_weight_memo(self, tmp_path, text):
+        path = tmp_path / "weights.jsonl"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(cli.parse_instance, str(path)) == _outcome(oracle_parse_instance, str(path))
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "blank.jsonl"
