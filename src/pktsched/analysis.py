@@ -23,26 +23,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
-from .engine import (
-    DEFAULT_EXACT_CAP,
-    Transitions,
-    _rg_exact,
-    advance,
-    busy_steps,
-    run_policy,
-    start,
-)
+from .engine import DEFAULT_EXACT_CAP, Transitions, _rg_exact, advance, run_policy, start
 from .model import Instance, InvariantError, _follows_order, as_weight
-from .offline import (
-    _Basis,
-    _basis_admit,
-    _basis_send,
-    _basis_view,
-    _compiled,
-    _conforming_layout,
-    _conforming_send,
-    _conforming_start,
-)
+from .offline import _compiled, _conforming_layout, _conforming_send, _conforming_start, _walk
 from .policies import _choose, _rg_lottery
 
 _T = TypeVar("_T")
@@ -721,13 +704,14 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     implies scheduling j; and when the earliest packet is skipped, the
     heaviest can be moved to the front without breaking feasibility.
 
-    The run steps the compiled instance as ``run_policy`` does: packets are
-    their ranks in the greedy order, weights integers over the instance's
-    common denominator, and the deadline-first order is ``(deadline,
-    rank)``.  The greedy optimum over pending plus future ranks, which the
-    conforming schedule lays out, is carried from step to step
-    (``offline._Conforming``) as the oblivious schedule is.  A packet is
-    looked up only to name it in a step's note.
+    The run is the single-path walk that ``run_policy`` takes
+    (``offline._walk``), whose chooser checks each step before it sends
+    the mg-prime choice: packets are their ranks in the greedy order,
+    weights integers over the instance's common denominator, and the
+    deadline-first order is ``(deadline, rank)``.  The greedy optimum over
+    pending plus future ranks, which the conforming schedule lays out, is
+    carried from step to step (``offline._Conforming``) as the oblivious
+    schedule is.  A packet is looked up only to name it in a step's note.
 
     ``corrupt(step, sequence)`` is a mutation-testing hook: it gets the
     ranks of the step's oblivious schedule in the deadline-first order and
@@ -743,13 +727,9 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     releases, deadlines = compiled.releases, compiled.deadlines
     order = list(zip(deadlines, itertools.count())).__getitem__  # (deadline, rank)
     report = FactsReport()
-    basis = _Basis([], [], [])
     conforming = _conforming_start(compiled, next(iter(arrivals), 0))
-    for step in busy_steps(arrivals, lambda: bool(basis.keys)):
-        arrived = arrivals.get(step)
-        if arrived:
-            _basis_admit(basis, arrived, step, deadlines)
-        sequence, e, h = _basis_view(basis, step, weights)
+
+    def choose(step: int, sequence: list[int], e: int, h: int) -> int:
         checked = sequence
         if corrupt is not None:
             replacement = corrupt(step, tuple(sequence))
@@ -758,8 +738,10 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
         report.steps.append(_check_step(compiled, step, conforming.keys, checked, sequence, order))
         choice = _choose("mg-prime", e, h, sequence, weights.__getitem__)
         expired = expiring.get(step + 1, ())
-        _basis_send(basis, choice, step, deadlines, expired)
         _conforming_send(conforming, choice, step, releases, deadlines, expired)
+        return choice
+
+    _walk(compiled, choose)
     return report
 
 

@@ -13,17 +13,16 @@ the sent key and every key whose deadline has come leave.  A run checks
 its gain against the offline optimum of the compile it steps
 (``offline._opt_weight``).
 
-The single-path runs, ``run_policy`` and each Monte Carlo trial (and
-``check_facts``), carry the oblivious schedule from step to step
-(``offline._Basis``): arrivals, the sent key and the lost slot change it
-by a few exchanges, and ``offline._basis_view`` reads it and checks it at
-every step.  Exact mode and the search branch instead: their pending
-sets are frozensets of keys, merged per step and memoised by the search,
-and ``offline._ranked_step`` solves each one afresh.
+One walk, ``offline._walk``, steps every single path: ``run_policy``,
+each Monte Carlo trial and ``check_facts`` only choose the key to send
+from the oblivious schedule it carries.  Exact mode and the search branch
+instead: their pending sets are frozensets of keys, merged per step and
+memoised by the search, and ``offline._ranked_step`` solves each one
+afresh.
 
 ``advance`` takes that step for a distribution over carried sets,
-merging outcomes that carry the same set.  ``busy_steps`` lists the steps
-a run visits, skipping the idle ones where nothing is pending.  A
+merging outcomes that carry the same set.  ``offline.busy_steps`` lists
+the steps a run visits, skipping the idle ones where nothing is pending.  A
 transition memo (``Transitions``) lets search paths that meet a pending
 set again at the same step decide it once.
 
@@ -52,18 +51,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import Instance, InvariantError, Packet
-from .offline import (
-    _Basis,
-    _basis_admit,
-    _basis_send,
-    _basis_view,
-    _compiled,
-    _opt_weight,
-    _ranked_step,
-)
+from .offline import _compiled, _opt_weight, _ranked_step, _walk, busy_steps
 from .policies import DETERMINISTIC_POLICIES, _choose, _rg_lottery
 
 DEFAULT_EXACT_CAP = 1 << 20
@@ -128,22 +119,6 @@ class RunReport:
     total_gain: Fraction
     opt_value: Fraction
     ratio: Fraction
-
-
-def busy_steps(arrivals: Iterable[int], carrying: Callable[[], bool]) -> Iterator[int]:
-    """The steps a run visits: each arrival step, in the increasing order
-    of ``arrivals``, and after a step the next one while ``carrying()``
-    reports a nonempty carried set.  From an empty carry the run jumps to
-    the next arrival step, skipping the idle steps in between, where
-    nothing is pending."""
-    arrival_steps = iter(arrivals)
-    step = next(arrival_steps, None)
-    while step is not None:
-        yield step
-        if carrying():
-            step += 1
-        else:
-            step = next((s for s in arrival_steps if s > step), None)
 
 
 def _transition(
@@ -250,21 +225,14 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
             "use run_rg_exact or run_rg_mc for rg"
         )
     compiled = _compiled(instance)
-    packets, deadlines, weights = compiled.packets, compiled.deadlines, compiled.weights
-    arrivals, expiring = compiled.arrivals, compiled.expiring
+    packets, weights, arrivals = compiled.packets, compiled.weights, compiled.arrivals
     ids = [p.id for p in packets]
-    basis = _Basis([], [], [])
     records: list[StepRecord] = []
-    total = 0  # times the scale
-    for step in busy_steps(arrivals, lambda: bool(basis.keys)):
-        arrived = arrivals.get(step)
-        if arrived:
-            _basis_admit(basis, arrived, step, deadlines)
-        sequence, e, h = _basis_view(basis, step, weights)
+
+    def choose(step: int, sequence: list[int], e: int, h: int) -> int:
         choice = _choose(policy, e, h, sequence, weights.__getitem__)
         if choice not in sequence:
             raise InvariantError(f"policy {policy} chose outside the oblivious schedule")
-        total += weights[choice]
         sent = packets[choice]
         records.append(
             StepRecord(
@@ -276,7 +244,9 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
                 sent.weight,
             )
         )
-        _basis_send(basis, choice, step, deadlines, expiring.get(step + 1, ()))
+        return choice
+
+    total = _walk(compiled, choose)  # times the scale
     opt = _opt_weight(compiled, min(arrivals, default=1), instance.is_agreeable)
     if total > opt:
         raise InvariantError("online gain exceeded the offline optimum")
@@ -348,26 +318,19 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
     if trials < 1:
         raise ValueError("trials must be >= 1")
     compiled = _compiled(instance)
-    arrivals, expiring = compiled.arrivals, compiled.expiring
-    deadlines, weights = compiled.deadlines, compiled.weights
+    weights = compiled.weights
     totals: list[float] = []
     shift = 1 << 64
     for trial in range(trials):
-        rng = random.Random(_trial_seed(seed, trial))
-        basis = _Basis([], [], [])
-        gain = 0  # times the scale
-        for step in busy_steps(arrivals, lambda: bool(basis.keys)):
-            arrived = arrivals.get(step)
-            if arrived:
-                _basis_admit(basis, arrived, step, deadlines)
-            _, e, h = _basis_view(basis, step, weights)
-            # The earliest with probability w_e / w_h: draw / 2^64 < w_e / w_h,
-            # compared exactly in integers.  A sure choice draws nothing.
-            chosen = e if e == h or rng.getrandbits(64) * weights[h] < weights[e] * shift else h
-            gain += weights[chosen]
-            _basis_send(basis, chosen, step, deadlines, expiring.get(step + 1, ()))
+        draw = random.Random(_trial_seed(seed, trial)).getrandbits
+
+        # The earliest with probability w_e / w_h: draw / 2^64 < w_e / w_h,
+        # compared exactly in integers.  A sure choice draws nothing.
+        def choose(step: int, sequence: list[int], e: int, h: int) -> int:
+            return e if e == h or draw(64) * weights[h] < weights[e] * shift else h
+
         # int / int rounds correctly, so this is float(Fraction(gain, scale)).
-        totals.append(gain / compiled.scale)
+        totals.append(_walk(compiled, choose) / compiled.scale)
     mean = math.fsum(totals) / trials
     if trials == 1:
         return mean, 0.0

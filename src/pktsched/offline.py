@@ -29,7 +29,8 @@ pending sets branch.  A single path instead carries its oblivious
 schedule, the greedy basis of its pending set, from step to step
 (``_Basis``): the sent key, the lost slot and each arrival change it by
 at most one exchange, found by a bisection and a scan of slacks in C.
-The engine's single-path runs and ``analysis.check_facts`` step it.
+One walk, ``_walk``, steps it for every single path, the engine's runs
+and ``analysis.check_facts``, each of which only chooses the sent key.
 
 The *conforming clairvoyant schedule* is built here as well: its kept set
 C is the greedy optimum over pending plus future packets, whose pending
@@ -51,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
 from operator import eq, gt, itemgetter, sub
-from typing import Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
     Instance,
@@ -308,13 +309,53 @@ class _Basis(NamedTuple):
     up to its own fits in beside B.  ``keys`` is the schedule's sequence,
     so its first key is the earliest and its smallest the heaviest.  A
     pending key alone always fits, so B is empty only when nothing is
-    pending.  ``_basis_admit``, ``_basis_view`` and ``_basis_send`` step it; they
-    read the per-key ``deadlines`` of the compile.
+    pending.  ``_walk`` steps it by ``_basis_admit``, ``_basis_view``
+    and ``_basis_send``, which read the per-key lists of the compile.
     """
 
     deadlines: list[int]
     keys: list[int]
     rest: list[int]
+
+
+def busy_steps(arrivals: Iterable[int], carrying: Callable[[], bool]) -> Iterator[int]:
+    """The steps a run visits: each arrival step, in the increasing order
+    of ``arrivals``, and after a step the next one while ``carrying()``
+    reports a nonempty carried set.  From an empty carry the run jumps to
+    the next arrival step, skipping the idle steps in between, where
+    nothing is pending."""
+    arrival_steps = iter(arrivals)
+    step = next(arrival_steps, None)
+    while step is not None:
+        yield step
+        if carrying():
+            step += 1
+        else:
+            step = next((s for s in arrival_steps if s > step), None)
+
+
+def _walk(compiled: _Compiled, choose: Callable[[int, list[int], int, int], int]) -> int:
+    """Step one path of ``compiled`` with its carried oblivious schedule
+    and return the total weight sent, times the scale.
+
+    At each busy step the arrivals join the basis, and ``choose(step,
+    sequence, e, h)`` gets the schedule's keys in the deadline-first order
+    (the live list, to be read before it returns), its earliest key and its
+    heaviest, and returns the key to send, one of ``sequence``; the basis
+    then moves on."""
+    arrivals, expiring = compiled.arrivals, compiled.expiring
+    deadlines, weights = compiled.deadlines, compiled.weights
+    basis = _Basis([], [], [])
+    total = 0
+    for step in busy_steps(arrivals, lambda: bool(basis.keys)):
+        arrived = arrivals.get(step)
+        if arrived:
+            _basis_admit(basis, arrived, step, deadlines)
+        sequence, e, h = _basis_view(basis, step, weights)
+        sent = choose(step, sequence, e, h)
+        total += weights[sent]
+        _basis_send(basis, sent, step, deadlines, expiring.get(step + 1, ()))
+    return total
 
 
 def _basis_admit(basis: _Basis, arrivals: Iterable[int], step: int, deadlines: list[int]) -> None:

@@ -19,7 +19,7 @@ from oracles import (
     oracle_rg_mc,
 )
 
-from pktsched import analysis, engine, offline
+from pktsched import analysis, offline
 from pktsched.analysis import (
     GeneratorSpec,
     check_facts,
@@ -384,7 +384,7 @@ class TestRunRgMc:
 
 class TestRankedSchedules:
     """The single-path runs and ``check_facts`` step over packet ranks,
-    their keys, through one carried core, whose per-step view is
+    their keys, through one walk, ``offline._walk``, whose per-step view is
     ``offline._basis_view``.  Every step of each agrees with the public
     schedule and the oracle."""
 
@@ -401,9 +401,7 @@ class TestRankedSchedules:
             return sequence, earliest, heaviest
 
         calls = {}
-        with mock.patch.object(engine, "_basis_view", record_view), mock.patch.object(
-            analysis, "_basis_view", record_view
-        ):
+        with mock.patch.object(offline, "_basis_view", record_view):
             for policy in DETERMINISTIC_POLICIES:
                 before = len(views)
                 steps = len(run_policy(inst, policy).per_step)
