@@ -151,7 +151,7 @@ def run_report_json(report: RunReport) -> dict:
                 "earliest": record.earliest.id,
                 "heaviest": record.heaviest.id,
                 "transmitted": record.transmitted.id,
-                **_rational_fields("gain", record.gain),
+                **_rational_fields("gain", record.transmitted.weight),
             }
             for record in report.per_step
         ],
@@ -238,7 +238,7 @@ def _cmd_run(args) -> int:
     report = run_policy(instance, args.policy)
     lines = [
         f"step {record.step}: transmit {record.transmitted.id} "
-        f"(w={format_rational(record.gain)}) "
+        f"(w={format_rational(record.transmitted.weight)}) "
         f"[oblivious: {','.join(record.scheduled_ids)} | "
         f"earliest {record.earliest.id}, heaviest {record.heaviest.id}]"
         for record in report.per_step

@@ -100,14 +100,13 @@ class ExactCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What happened in one simulated step."""
+    """What happened in one simulated step; its gain is ``transmitted.weight``."""
 
     step: int
     scheduled_ids: tuple[str, ...]
     earliest: Packet
     heaviest: Packet
     transmitted: Packet
-    gain: Fraction
 
 
 @dataclass(frozen=True)
@@ -233,15 +232,9 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
         choice = _choose(policy, e, h, sequence, weights.__getitem__)
         if choice not in sequence:
             raise InvariantError(f"policy {policy} chose outside the oblivious schedule")
-        sent = packets[choice]
         records.append(
             StepRecord(
-                step,
-                tuple(map(ids.__getitem__, sequence)),
-                packets[e],
-                packets[h],
-                sent,
-                sent.weight,
+                step, tuple(map(ids.__getitem__, sequence)), packets[e], packets[h], packets[choice]
             )
         )
         return choice

@@ -37,11 +37,11 @@ C is the greedy optimum over pending plus future packets, whose pending
 part lies inside the oblivious schedule because both greedies share one
 order, and ``_conforming_layout`` lays C out with its first packet chosen
 to outweigh every order-earlier oblivious member.  ``conforming_clairvoyant``
-solves C afresh (``_conforming_slots``), the reference; a single path
-carries it (``_Conforming``), changed by the sent key, its replacement and
-the lost slot, each one exchange found by a bisection or by Hall's
-condition on C's slots.  ``analysis.check_facts`` steps it and still lays C
-out and checks it at every step (640 packets: 0.29 s, not 2.6 s).
+solves C afresh by ``_greedy_keys``, the reference; a single path carries
+it (``_Conforming``), changed by the sent key, its replacement and the
+lost slot, each one exchange found by a bisection or by Hall's condition
+on C's slots.  ``analysis.check_facts`` steps it and still lays C out
+and checks it at every step (640 packets: 0.29 s, not 2.6 s).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count, repeat
-from operator import eq, gt, itemgetter, sub
+from itertools import compress, count
+from operator import eq, gt, sub
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
@@ -158,27 +158,31 @@ def _fifo_slots(
     deadlines: Sequence[int],
 ) -> list[int]:
     """The weight greedy over the keys of an agreeable set, visited in
-    ``candidates``' order, into ``kept``, the five lists of a
+    ``candidates``' order, into ``kept``, the four lists of a
     ``_Conforming``: the kept keys join it in FIFO order and the others its
     ``rest``.  Returns the kept keys in visiting order.  ``releases`` and
     ``deadlines`` are indexed by key.
 
     With ``r' = max(release, start)``, the deadlines of an agreeable set
-    never decrease in ``(r', deadline)`` order, so earliest-deadline-first
-    sends the kept packets in that order: each takes ``max(previous slot +
-    1, r')``, and the set is feasible iff every slot lies before its
-    deadline.  A candidate takes its slot in that order and pushes back by
-    one only the run of kept packets whose slots follow on without a gap;
-    a failed probe changes nothing.  Kept packets with equal ``(r',
-    deadline)`` are interchangeable, so a candidate goes before them.
+    never decrease in the FIFO order, ``(r', deadline)``, and equal
+    deadlines go by r'; so earliest-deadline-first sends the kept packets
+    in that order: each takes ``max(previous slot + 1, r')``, and the set
+    is feasible iff every slot lies before its deadline.  A candidate takes
+    its slot in that order and pushes back by one only the run of kept
+    packets whose slots follow on without a gap; a failed probe changes
+    nothing.  Kept packets with equal ``(r', deadline)`` are
+    interchangeable, so a candidate goes before them.
     """
-    fifo, slots, dls, keys, rest = kept
+    slots, dls, keys, rest = kept
     visited: list[int] = []
     for k in candidates:
-        d = deadlines[k]
-        key = (max(releases[k], start), d)
-        i = bisect_left(fifo, key)
-        slot = key[0] if i == 0 else max(slots[i - 1] + 1, key[0])
+        d, r = deadlines[k], max(releases[k], start)
+        i = bisect_left(dls, d)
+        if r > start:
+            # Past the members of deadline d whose r' is below r, that is,
+            # whose release is: r' and release agree from r on.
+            i = bisect_left(keys, r, i, bisect_right(dls, d, i), key=releases.__getitem__)
+        slot = r if i == 0 else max(slots[i - 1] + 1, r)
         if slot >= d:
             rest.append(k)
             continue
@@ -186,7 +190,6 @@ def _fifo_slots(
         if end > i and min(map(sub, dls[i:end], slots[i:end])) < 2:
             rest.append(k)
             continue
-        fifo.insert(i, key)
         slots[i:end] = range(slot, slot + end - i + 1)
         dls.insert(i, d)
         keys.insert(i, k)
@@ -228,7 +231,7 @@ def _greedy_keys(
     if max(map(releases.__getitem__, candidates), default=start) <= start:
         return _latest_free_steps(candidates, start, deadlines)
     if agreeable:
-        return _fifo_slots(([], [], [], [], []), candidates, start, releases, deadlines)
+        return _fifo_slots(([], [], [], []), candidates, start, releases, deadlines)
     packets = compiled.packets
     kept: list[int] = []
     for k in candidates:
@@ -459,16 +462,16 @@ class _Conforming(NamedTuple):
 
     C is held as ``_fifo_slots`` keeps it: in order of the *FIFO key*
     ``(max(release, t), deadline)`` at step t, with each member's slot, in
-    the parallel lists ``fifo``, ``slots``, ``deadlines`` and ``keys``;
-    ``rest`` holds the non-members in key order.  A member is *tight* when
-    its slot is the last of its window, and from the first slot of its run
-    of consecutive slots to its deadline, members fill every slot: a
-    *tight interval*.  By Hall's condition a key fits beside C iff its
-    window lies inside no tight interval.  Arrivals leave pending plus
-    future as it is, so only ``_conforming_send`` moves C.
+    the parallel lists ``slots``, ``deadlines`` and ``keys``; ``rest`` holds
+    the non-members in key order.  A FIFO key is read off the release and
+    the step, so a new step keeps the order and rewrites nothing.  A member
+    is *tight* when its slot is the last of its window, and from the first
+    slot of its run of consecutive slots to its deadline, members fill
+    every slot: a *tight interval*.  By Hall's condition a key fits beside
+    C iff its window lies inside no tight interval.  Arrivals leave pending
+    plus future as it is, so only ``_conforming_send`` moves C.
     """
 
-    fifo: list[tuple[int, int]]
     slots: list[int]
     deadlines: list[int]
     keys: list[int]
@@ -477,7 +480,7 @@ class _Conforming(NamedTuple):
 
 def _conforming_start(compiled: _Compiled, step: int) -> _Conforming:
     """C over every key of ``compiled`` from ``step``."""
-    conforming = _Conforming([], [], [], [], [])
+    conforming = _Conforming([], [], [], [])
     candidates = range(len(compiled.releases))
     _fifo_slots(conforming, candidates, step, compiled.releases, compiled.deadlines)
     return conforming
@@ -500,21 +503,21 @@ def _conforming_send(
     this slot serves, first-ranked, and contract it.  If C plus e does not
     fit, the circuit is e and the members up to the first tight one of the
     run at ``step``; its last-ranked member leaves and the ones before it
-    move one slot on.  The pending prefix's FIFO keys become ``(step + 1,
-    deadline)``.  C then holds no expired key."""
-    fifo, slots, dls, keys, rest = conforming
+    move one slot on.  C then holds no expired key."""
+    slots, dls, keys, rest = conforming
     r = bisect_left(rest, sent)
     if r < len(rest) and rest[r] == sent:
         del rest[r]
     else:
         i = keys.index(sent)  # in the pending prefix
         slot = slots[i]
-        del fifo[i], slots[i], dls[i], keys[i]
-        if i < len(slots) and slots[i] == slot + 1 and fifo[i][0] <= slot:
+        del slots[i], dls[i], keys[i]
+        if i < len(slots) and slots[i] == slot + 1 and releases[keys[i]] <= slot:
             # The run that followed it moves back by one, up to its first
-            # member that waits for its release.
+            # member that waits for its release (its slots are after the
+            # step, so a slot is r' exactly when it is the release).
             end = _run_end(slots, i, slot + 1)
-            released = map(itemgetter(0), fifo[i:end])
+            released = map(releases.__getitem__, keys[i:end])
             end = next(compress(count(i), map(eq, released, slots[i:end])), end)
             slots[i:end] = range(slot, slot + end - i)
         if rest:
@@ -526,12 +529,9 @@ def _conforming_send(
             end = slack.index(1) + 1
             y = max(keys[:end])
             end = keys.index(y, 0, end)
-            del fifo[end], slots[end], dls[end], keys[end]
+            del slots[end], dls[end], keys[end]
             insort(rest, y)
         slots[:end] = range(step + 1, step + 1 + end)
-    pending = bisect_left(fifo, (step + 1,))
-    if pending:
-        fifo[:pending] = zip(repeat(step + 1), dls[:pending])
     if rest:
         _discard(rest, expiring)
 
@@ -542,7 +542,7 @@ def _conforming_replace(
     """Add to C, which just lost a member at ``step``, the first-ranked
     non-member whose window lies inside none of C's tight intervals, if
     any; it takes its slot as ``_fifo_slots`` gives a candidate one."""
-    _, slots, dls, _, rest = conforming
+    slots, dls, _, rest = conforming
     # The tight intervals, disjoint and in order; slot minus position is
     # constant on a run of consecutive slots and rises from run to run.
     offsets = list(map(sub, slots, range(len(slots))))
@@ -556,9 +556,8 @@ def _conforming_replace(
             starts.append(start)
             ends.append(dls[j])
     for r, x in enumerate(rest):
-        key = (max(releases[x], step), deadlines[x])
-        h = bisect_right(starts, key[0])
-        if h and key[1] <= ends[h - 1]:
+        h = bisect_right(starts, max(releases[x], step))
+        if h and deadlines[x] <= ends[h - 1]:
             continue
         del rest[r]
         _fifo_slots(conforming, (x,), step, releases, deadlines)
@@ -610,8 +609,8 @@ def conforming_clairvoyant(
     the earlier packets of the union is not spanned by the earlier pending
     ones either.  So the pending part already lies inside a true oblivious
     schedule; a pending packet outside ``oblivious`` raises InvariantError.
-    The packets are compiled and built by the core over keys,
-    ``_conforming_slots``.
+    The packets are compiled, and the greedy over their keys
+    (``_greedy_keys``) is laid out by ``_conforming_layout``.
     """
     pending = list(pending)
     future = list(future)
@@ -628,30 +627,12 @@ def conforming_clairvoyant(
         raise ValueError("conforming schedules require agreeable deadlines")
     scheduled = oblivious.schedule.packets
     compiled = _compile(scheduled.union(universe))
-    order = compiled.packets
+    order, deadlines = compiled.packets, compiled.deadlines
     rank = {p: k for k, p in enumerate(order)}
-    slots = _conforming_slots(
-        compiled,
-        sorted(map(rank.__getitem__, universe)),
-        step,
-        set(map(rank.__getitem__, scheduled)),
-    )
+    kept = _greedy_keys(compiled, sorted(map(rank.__getitem__, universe)), step, True)
+    oblivious_keys = set(map(rank.__getitem__, scheduled))
+    slots = _conforming_layout(compiled, kept, step, oblivious_keys, lambda k: (deadlines[k], k))
     return Schedule(tuple((t, order[k]) for t, k in slots))
-
-
-def _conforming_slots(
-    compiled: _Compiled, candidates: list[int], step: int, oblivious: Collection[int]
-) -> list[tuple[int, int]]:
-    """The conforming clairvoyant schedule over keys of ``compiled``, as
-    ``(step, key)`` slots in step order, solved afresh.
-
-    ``candidates`` are the keys of the pending and the future packets in
-    increasing order, the greedy order, and together agreeable;
-    ``oblivious`` holds the keys of the oblivious schedule.
-    """
-    deadlines = compiled.deadlines
-    kept = _greedy_keys(compiled, candidates, step, True)
-    return _conforming_layout(compiled, kept, step, oblivious, lambda k: (deadlines[k], k))
 
 
 def _conforming_layout(
@@ -662,8 +643,8 @@ def _conforming_layout(
     order: Callable[[int], tuple[int, int]],
 ) -> list[tuple[int, int]]:
     """The conforming clairvoyant schedule of ``kept``, the greedy basis of
-    the pending and the future keys from ``step`` (``_conforming_slots``
-    solves it, ``_Conforming`` carries it), as ``(step, key)`` slots in
+    the pending and the future keys from ``step`` (``_greedy_keys`` solves
+    it, ``_Conforming`` carries it), as ``(step, key)`` slots in
     step order.  Among equal deadlines, key order is the deadline-first
     order, so ``order`` maps a key to ``(deadline, key)``."""
     releases, weights = compiled.releases, compiled.weights

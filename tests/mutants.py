@@ -1,0 +1,211 @@
+"""The mutation gate: each mutant is one exact-text edit of the program that
+the tests it names must fail.
+
+    python tests/mutants.py
+
+For each mutant the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory, applies the edit there,
+runs pytest on the mutant's node ids and prints KILLED (a test failed) or
+SURVIVED (every test passed).  The checkout itself is never edited.  It exits 1 if a mutant survives, if the inert mutant (a comment
+edit, which no test can see) does not, if pytest reports anything but
+passed or failed tests, or if a mutant's old text does not occur exactly
+once in its file: a refactor must re-express a mutant, not lose it.
+Without a ``test_`` prefix this file is not collected by pytest; in the
+mutants' runs it is loaded as a pytest plugin, which turns off hypothesis's
+shrinking, since a verdict needs a failure, not the smallest one.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+OFFLINE = "src/pktsched/offline.py"
+CARRIED_BASIS = ("tests/test_offline.py::TestCarriedBasis",)
+CARRIED_CONFORMING = ("tests/test_offline.py::TestCarriedConforming",)
+WALK = ("tests/test_engine.py::TestRunPolicy", "tests/test_analysis.py")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    survives: bool = False  # only the inert mutant
+
+
+MUTANTS = (
+    # The carried oblivious schedule, offline._Basis.
+    Mutant(
+        "basis: first-ranked circuit member dropped on arrival",
+        OFFLINE,
+        "index(tight, low) + 1\n            y = max(keys[:end])",
+        "index(tight, low) + 1\n            y = min(keys[:end])",
+        CARRIED_BASIS,
+    ),
+    Mutant(
+        "basis: first-ranked circuit member dropped on the lost slot",
+        OFFLINE,
+        "range(i))).index(tight) + 1\n        y = max(keys[:end])",
+        "range(i))).index(tight) + 1\n        y = min(keys[:end])",
+        CARRIED_BASIS,
+    ),
+    Mutant(
+        "basis: replacement skipped",
+        OFFLINE,
+        "    if rest:\n        slack = list(",
+        "    if False:\n        slack = list(",
+        CARRIED_BASIS,
+    ),
+    Mutant(
+        "basis: lost slot ignored",
+        OFFLINE,
+        "    if i and tight in map(sub, dls[:i], range(i)):",
+        "    if False:",
+        CARRIED_BASIS,
+    ),
+    Mutant(
+        "basis: lost-slot scan cut to the prefix after a replacement",
+        OFFLINE,
+        "                i = len(dls)\n",
+        "",
+        CARRIED_BASIS,
+    ),
+    # The carried conforming basis, offline._Conforming.
+    Mutant(
+        "conforming: first-ranked circuit member dropped",
+        OFFLINE,
+        "slack.index(1) + 1\n            y = max(keys[:end])",
+        "slack.index(1) + 1\n            y = min(keys[:end])",
+        CARRIED_CONFORMING,
+    ),
+    Mutant(
+        "conforming: replacement skipped",
+        OFFLINE,
+        "        if rest:\n            _conforming_replace(",
+        "        if False:\n            _conforming_replace(",
+        CARRIED_CONFORMING,
+    ),
+    Mutant(
+        "conforming: lost slot ignored",
+        OFFLINE,
+        "    if slots and slots[0] == step:",
+        "    if False:",
+        CARRIED_CONFORMING,
+    ),
+    Mutant(
+        "conforming: r' placement among equal deadlines skipped",
+        OFFLINE,
+        "        if r > start:\n            # Past the members",
+        "        if False:\n            # Past the members",
+        CARRIED_CONFORMING,
+    ),
+    Mutant(
+        "conforming: a member released at the sent slot does not move up",
+        OFFLINE,
+        "releases[keys[i]] <= slot",
+        "releases[keys[i]] < slot",
+        CARRIED_CONFORMING,
+    ),
+    Mutant(
+        "conforming: the waiting scan reads the next member's release",
+        OFFLINE,
+        "map(releases.__getitem__, keys[i:end])",
+        "map(releases.__getitem__, keys[i + 1:end + 1])",
+        CARRIED_CONFORMING,
+    ),
+    # The single-path walk, offline._walk.
+    Mutant(
+        "walk: expiry read at the step instead of the next",
+        OFFLINE,
+        "deadlines, expiring.get(step + 1, ()))",
+        "deadlines, expiring.get(step, ()))",
+        WALK,
+    ),
+    Mutant(
+        "walk: the total adds the earliest key's weight",
+        OFFLINE,
+        "        total += weights[sent]",
+        "        total += weights[e]",
+        WALK,
+    ),
+    Mutant(
+        "walk: the earliest key overrides the chooser beyond two keys",
+        OFFLINE,
+        "        sent = choose(step, sequence, e, h)",
+        "        sent = choose(step, sequence, e, h) if len(sequence) <= 2 else e",
+        WALK,
+    ),
+    Mutant(
+        "inert: a comment reworded",
+        OFFLINE,
+        "# Stable on the greedy order: the deadline-first order.",
+        "# Stable on the greedy order, which is the deadline-first order.",
+        CARRIED_CONFORMING,
+        survives=True,
+    ),
+)
+
+
+def run(mutant: Mutant) -> tuple[str, bool]:
+    """Apply ``mutant`` to a fresh copy and run its tests; returns the
+    verdict and whether it is the expected one."""
+    text = (ROOT / mutant.path).read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        return f"OLD TEXT FOUND {found} TIMES", False
+    with tempfile.TemporaryDirectory(prefix="pktsched-mutant-") as tmp:
+        copy = Path(tmp)
+        for tree in ("src", "tests"):
+            shutil.copytree(
+                ROOT / tree, copy / tree, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis")
+            )
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        (copy / mutant.path).write_text(text.replace(mutant.old, mutant.new))
+        path = os.pathsep.join(("src", "tests"))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+        options = ["-x", "-q", "-p", "no:cacheprovider", "-p", "mutants"]
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", *options, *mutant.tests],
+            cwd=copy,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+    if done.returncode == 0:
+        return "SURVIVED", mutant.survives
+    if done.returncode == 1:
+        return "KILLED", not mutant.survives
+    return f"PYTEST EXIT {done.returncode}", False
+
+
+def pytest_configure(config) -> None:
+    """In a mutant's run: hypothesis stops at a failing example unshrunk."""
+    from hypothesis import Phase, settings
+
+    settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    settings.load_profile("mutants")
+
+
+def main() -> int:
+    failed = 0
+    for mutant in MUTANTS:
+        began = time.perf_counter()
+        verdict, expected = run(mutant)
+        mark = "" if expected else "  <-- unexpected"
+        print(f"{verdict:9} {time.perf_counter() - began:5.1f} s  {mutant.name}{mark}", flush=True)
+        failed += not expected
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants as expected")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

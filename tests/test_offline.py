@@ -415,6 +415,16 @@ class TestCarriedConforming:
     @example((mk_instance(("a", 1, 3, 1), ("b", 1, 3, 3), ("f", 2, 3, 5)), [1]))
     # The future x is outside C at step 1 and replaces the sent b.
     @example((mk_instance(("a", 1, 2, 9), ("b", 1, 3, 8), ("x", 2, 3, 1)), [1]))
+    # Future keys share deadline 5 with the pending a and with each other,
+    # released at 2 and 3: b and f go after c, which was released before.
+    @example(
+        (
+            mk_instance(
+                ("a", 1, 5, 1), ("c", 2, 5, 5), ("e", 2, 5, 2), ("b", 3, 5, 4), ("f", 3, 5, 3)
+            ),
+            [0],
+        )
+    )
     def test_every_step_matches_a_full_re_solve(self, case):
         inst, picks = case
         compiled = _compile(inst)
@@ -428,11 +438,11 @@ class TestCarriedConforming:
             pending.update(arrived)
             future.difference_update(arrived)
             kept = _greedy_keys(compiled, sorted(pending | future), step, True)
-            fifo, slots, dls, keys, rest = conforming
+            slots, dls, keys, rest = conforming
             assert sorted(keys) == sorted(kept)
             assert rest == sorted((pending | future).difference(kept))
+            fifo = [(max(releases[k], step), deadlines[k]) for k in keys]
             assert fifo == sorted(fifo)
-            assert fifo == [(max(releases[k], step), deadlines[k]) for k in keys]
             assert dls == [deadlines[k] for k in keys]
             layout = []
             for r, _ in fifo:
@@ -444,7 +454,7 @@ class TestCarriedConforming:
             _conforming_send(conforming, sent, step, releases, deadlines, expiring)
             pending.discard(sent)
             pending.difference_update(expiring)
-        assert not pending and not future and conforming == ([], [], [], [], [])
+        assert not pending and not future and conforming == ([], [], [], [])
 
 
 @st.composite
