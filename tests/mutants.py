@@ -30,7 +30,17 @@ ROOT = Path(__file__).resolve().parent.parent
 OFFLINE = "src/pktsched/offline.py"
 CARRIED_BASIS = ("tests/test_offline.py::TestCarriedBasis",)
 CARRIED_CONFORMING = ("tests/test_offline.py::TestCarriedConforming",)
+SOLVE = (
+    "tests/test_offline.py::TestOptSchedule",
+    "tests/test_offline.py::TestCarriedConforming",
+    "tests/test_offline.py::TestConformingClairvoyant",
+)
 WALK = ("tests/test_engine.py::TestRunPolicy", "tests/test_analysis.py")
+CLI = "src/pktsched/cli.py"
+WEIGHT_MEMO = (
+    "tests/test_cli.py::TestInstanceFiles::test_weight_faults_keep_their_place",
+    "tests/test_cli.py::TestInstanceFiles::test_reader_matches_the_reader_without_a_weight_memo",
+)
 
 
 class Mutant(NamedTuple):
@@ -104,8 +114,8 @@ MUTANTS = (
     Mutant(
         "conforming: r' placement among equal deadlines skipped",
         OFFLINE,
-        "        if r > start:\n            # Past the members",
-        "        if False:\n            # Past the members",
+        "    if r > step:\n        # Past the members",
+        "    if False:\n        # Past the members",
         CARRIED_CONFORMING,
     ),
     Mutant(
@@ -121,6 +131,42 @@ MUTANTS = (
         "map(releases.__getitem__, keys[i:end])",
         "map(releases.__getitem__, keys[i + 1:end + 1])",
         CARRIED_CONFORMING,
+    ),
+    # The agreeable optimum's exchange pass, offline._fifo_solve.
+    Mutant(
+        "solve: first-ranked circuit member leaves",
+        OFFLINE,
+        "            y = max(keys[p:])",
+        "            y = min(keys[p:])",
+        SOLVE,
+    ),
+    Mutant(
+        "solve: the circuit taken from the first pin",
+        OFFLINE,
+        "            p = pinned[-1]",
+        "            p = pinned[0]",
+        SOLVE,
+    ),
+    Mutant(
+        "solve: the pin scan after a drop starts one r' too high",
+        OFFLINE,
+        "bisect_left(firsts, slots[i], i)",
+        "bisect_left(firsts, slots[i] + 1, i)",
+        SOLVE,
+    ),
+    Mutant(
+        "solve: no new pins recorded after a drop",
+        OFFLINE,
+        "                pinned.extend(compress(count(i), map(eq, firsts[i:], slots[i:])))\n",
+        "",
+        SOLVE,
+    ),
+    Mutant(
+        "solve: the leaver's slot dropped instead of the run moving back",
+        OFFLINE,
+        "del keys[i], firsts[i], slots[-1]",
+        "del keys[i], firsts[i], slots[i]",
+        SOLVE,
     ),
     # The single-path walk, offline._walk.
     Mutant(
@@ -143,6 +189,28 @@ MUTANTS = (
         "        sent = choose(step, sequence, e, h)",
         "        sent = choose(step, sequence, e, h) if len(sequence) <= 2 else e",
         WALK,
+    ),
+    # The instance reader's weight memo, cli.parse_instance.
+    Mutant(
+        "reader: the memo keyed by value, booleans included",
+        CLI,
+        "            if type(weight) is str:",
+        "            if type(weight) in (str, int, bool):",
+        WEIGHT_MEMO,
+    ),
+    Mutant(
+        "reader: as_weight's error raised by the reader",
+        CLI,
+        "                    except ValueError:\n                        shared = weight",
+        "                    except ValueError:\n                        raise",
+        WEIGHT_MEMO,
+    ),
+    Mutant(
+        "reader: a refused text mapped to an accepted weight",
+        CLI,
+        "                        shared = weight",
+        "                        shared = Fraction(1)",
+        WEIGHT_MEMO,
     ),
     Mutant(
         "inert: a comment reworded",

@@ -27,8 +27,11 @@ from pktsched.offline import (
     _basis_send,
     _basis_view,
     _compile,
+    _Conforming,
+    _conforming_replace,
     _conforming_send,
     _conforming_start,
+    _fifo_solve,
     _greedy_keys,
     _ranked_step,
     conforming_clairvoyant,
@@ -194,6 +197,55 @@ class TestOptSchedule:
         sched, value = opt_schedule(packets, start)
         assert value == brute_force_opt(packets, start)
         assert follows_priority_order(sched, start)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(agreeable_around_start())
+    # Equal (r', deadline) ties, two of four dropped.
+    @example(
+        ([mk("a", 1, 3, 1, 0), mk("b", 1, 3, 2, 1), mk("c", 1, 3, 3, 2), mk("d", 1, 3, 2, 3)], 1)
+    )
+    # The start is above the first release, and o has expired by it.
+    @example(
+        (
+            [
+                mk("a", 1, 4, 1, 0),
+                mk("o", 1, 3, 5, 1),
+                mk("b", 2, 4, 3, 2),
+                mk("c", 2, 5, 2, 3),
+                mk("e", 4, 6, 1, 4),
+            ],
+            3,
+        )
+    )
+    # y is pinned at slot 3 behind a gap and leaves the circuit b closes;
+    # x moves back to slot 3 and is pinned, so the circuit z closes starts
+    # at x, not at a.
+    @example(
+        (
+            [
+                mk("a", 1, 2, 2, 0),
+                mk("y", 3, 5, 1, 1),
+                mk("b", 3, 5, 4, 2),
+                mk("x", 3, 5, 3, 3),
+                mk("z", 4, 5, 3, 4),
+            ],
+            1,
+        )
+    )
+    def test_fifo_solve_lays_out_the_simulated_greedy_set(self, case):
+        packets, start = case
+        compiled = _compile(packets)
+        releases, deadlines = compiled.releases, compiled.deadlines
+        rank = {p: k for k, p in enumerate(compiled.packets)}
+        kept = [rank[p] for p in oracle_greedy_set(packets, start)]
+        keys = sorted(kept, key=lambda k: (max(releases[k], start), deadlines[k], -k))
+        slots = []
+        for k in keys:
+            r = max(releases[k], start)
+            slots.append(max(slots[-1] + 1, r) if slots else r)
+        rest = sorted(set(range(len(packets))).difference(kept))
+        solved = _fifo_solve(range(len(packets)), start, releases, deadlines)
+        assert solved == (slots, [deadlines[k] for k in keys], keys, rest)
 
     def test_agreeable_input_skips_the_simulation(self, monkeypatch):
         calls = []
@@ -455,6 +507,15 @@ class TestCarriedConforming:
             pending.discard(sent)
             pending.difference_update(expiring)
         assert not pending and not future and conforming == ([], [], [], [])
+
+
+    def test_a_replacement_that_misses_a_deadline_raises(self):
+        # C's slots are one step late, as if the lost slot had been ignored:
+        # b fits beside them by Hall's condition but pushes c to its deadline.
+        compiled = _compile(mk_instance(("a", 1, 3, 3), ("c", 1, 4, 2), ("b", 1, 4, 1)))
+        conforming = _Conforming([2, 3], [3, 4], [0, 1], [2])
+        with pytest.raises(InvariantError, match="replacement at step 1 misses a deadline"):
+            _conforming_replace(conforming, 1, compiled.releases, compiled.deadlines)
 
 
 @st.composite
