@@ -25,7 +25,7 @@ from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 from .engine import DEFAULT_EXACT_CAP, Transitions, _rg_exact, advance, run_policy, start
 from .model import Instance, InvariantError, _follows_order, as_weight
-from .offline import _compiled, _conforming_layout, _conforming_send, _conforming_start, _walk
+from .offline import _Conforming, _conforming_layout, _conforming_send, _solved, _walk
 from .policies import _choose, _rg_lottery
 
 _T = TypeVar("_T")
@@ -722,12 +722,12 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     """
     if not instance.is_agreeable:
         raise ValueError("fact checks require an agreeable instance")
-    compiled = _compiled(instance)
-    arrivals, expiring, weights = compiled.arrivals, compiled.expiring, compiled.weights
+    compiled, _, solved = _solved(instance)
+    expiring, weights = compiled.expiring, compiled.weights
     releases, deadlines = compiled.releases, compiled.deadlines
     order = list(zip(deadlines, itertools.count())).__getitem__  # (deadline, rank)
     report = FactsReport()
-    conforming = _conforming_start(compiled, next(iter(arrivals), 0))
+    conforming = _Conforming(*map(list.copy, solved))  # C's moves leave the cache as it is
 
     def choose(step: int, sequence: list[int], e: int, h: int) -> int:
         checked = sequence

@@ -41,6 +41,7 @@ from .offline import opt_schedule
 from .policies import POLICIES
 
 CAP_ENV_VAR = "SCHED_EXACT_CAP"
+_scan = json.JSONDecoder().scan_once
 
 
 def parse_weight(text: str, option: str) -> Fraction:
@@ -74,9 +75,11 @@ def parse_instance(path: str) -> Instance:
             line = raw.strip()
             if not line:
                 continue
-            try:
-                row = json.loads(line)
-            except (ValueError, RecursionError):
+            try:  # the C scanner, which must read the whole line
+                row, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = None
+            if end != len(line):
                 row = _reread(line, number)
             if not isinstance(row, dict):
                 raise ValueError(f"expected an object, line {number}")
@@ -106,9 +109,9 @@ def parse_instance(path: str) -> Instance:
 
 
 def _reread(line: str, number: int):
-    """Line ``number``, which ``json.loads`` refused, parsed with every
-    integer of more than ``MAX_DIGITS`` digits, which Python refuses to
-    convert, read as the smallest int of its sign that long, so that the
+    """Line ``number``, which the scanner did not read whole, parsed with
+    every integer of more than ``MAX_DIGITS`` digits, which Python refuses
+    to convert, read as the smallest int of its sign that long, so that the
     model refuses it in its own words.  A line that is still not JSON is a
     format fault."""
 

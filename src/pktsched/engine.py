@@ -4,14 +4,13 @@ Every mode steps the same rule, over integer keys.  A key stands for one
 packet; sorting keys gives the greedy order (weight descending, ties in
 the deadline-first order), and the key's deadline and weight, an integer
 over a common denominator, sit in lists indexed by key.  An instance's
-keys are its packets' ranks, from its one shared compile
-(``offline._compiled``), which ``analysis.check_facts`` steps as well; the
-adversarial search builds its own key space (``analysis._SearchKernel``).
-At each step the arrivals join the pending set, the policy rule reads the
-integer weights of the oblivious schedule's earliest and heaviest key, and
-the sent key and every key whose deadline has come leave.  A run checks
-its gain against the offline optimum of the compile it steps
-(``offline._opt_weight``).
+keys are its packets' ranks, from its compile; the adversarial search
+builds its own key space (``analysis._SearchKernel``).  At each step the
+arrivals join the pending set, the policy rule reads the integer weights
+of the oblivious schedule's earliest and heaviest key, and the sent key
+and every key whose deadline has come leave.  A run checks its gain
+against the offline optimum, which one shared solve per instance gives
+with the compile (``offline._solved``), for ``analysis.check_facts`` too.
 
 One walk, ``offline._walk``, steps every single path: ``run_policy``,
 each Monte Carlo trial and ``check_facts`` only choose the key to send
@@ -54,7 +53,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import Instance, InvariantError, Packet
-from .offline import _compiled, _opt_weight, _ranked_step, _walk, busy_steps
+from .offline import _compile, _ranked_step, _solved, _walk, busy_steps
 from .policies import DETERMINISTIC_POLICIES, _choose, _rg_lottery
 
 DEFAULT_EXACT_CAP = 1 << 20
@@ -223,8 +222,8 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
             f"run_policy needs a deterministic policy, not {policy!r}; "
             "use run_rg_exact or run_rg_mc for rg"
         )
-    compiled = _compiled(instance)
-    packets, weights, arrivals = compiled.packets, compiled.weights, compiled.arrivals
+    compiled, opt, _ = _solved(instance)
+    packets, weights = compiled.packets, compiled.weights
     ids = [p.id for p in packets]
     records: list[StepRecord] = []
 
@@ -240,7 +239,6 @@ def run_policy(instance: Instance, policy: str) -> RunReport:
         return choice
 
     total = _walk(compiled, choose)  # times the scale
-    opt = _opt_weight(compiled, min(arrivals, default=1), instance.is_agreeable)
     if total > opt:
         raise InvariantError("online gain exceeded the offline optimum")
     ratio = _ratio(opt, total)
@@ -274,7 +272,7 @@ def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction, Fr
     """``run_rg_exact`` plus the offline optimum it checks the value against
     and the ratio of the two, so that callers reporting them compute the
     optimum once."""
-    compiled = _compiled(instance)
+    compiled, opt, _ = _solved(instance)
     arrivals, deadlines, weights = compiled.arrivals, compiled.deadlines, compiled.weights
     states = start(compiled.scale)
     spent = 0
@@ -288,7 +286,7 @@ def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction, Fr
     scale, denominator, final = states
     gain = sum(weighted for _, weighted, _ in final.values())  # times denominator * scale
     leaves = sum(paths for _, _, paths in final.values())
-    opt = _opt_weight(compiled, min(arrivals, default=1), instance.is_agreeable) * denominator
+    opt *= denominator
     if gain > opt:
         raise InvariantError("expected gain exceeded the offline optimum")
     scale *= denominator
@@ -310,7 +308,7 @@ def run_rg_mc(instance: Instance, trials: int, seed: int) -> tuple[float, float]
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    compiled = _compiled(instance)
+    compiled = _compile(instance)
     weights = compiled.weights
     totals: list[float] = []
     shift = 1 << 64

@@ -170,7 +170,7 @@ class Packet:
 
 def weight_scale(packets: Iterable[Packet]) -> int:
     """The common denominator of the packets' weights."""
-    return lcm(*(p.weight.denominator for p in packets))
+    return lcm(*[p.weight.denominator for p in packets])
 
 
 def has_agreeable_deadlines(packets: Iterable[Packet]) -> bool:

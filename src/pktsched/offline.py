@@ -7,7 +7,7 @@ kept set stays feasible.  ``_compile`` ranks a packet set in that order
 once: a packet's key is its rank, so sorting keys gives the greedy order,
 and the keys' releases, deadlines and weights (integers over a common
 denominator) sit in lists indexed by key.  The engine's runs and the fact
-checks of one instance share one compile, ``_compiled``.
+checks of one instance share one compile and one optimum, ``_solved``.
 
 One greedy over keys, ``_greedy_keys``, gives the offline optimum over
 pending plus future packets, and three exact feasibility tests back it,
@@ -20,7 +20,7 @@ slots (5,038 packets: 5 ms, not 0.3 s); otherwise ``is_feasible_set``
 simulates earliest-deadline-first with release times.
 The kept set is laid out in the deadline-first order, which on keys is
 ``(deadline, key)``.  ``opt_schedule`` is a compile and that greedy;
-``_opt_weight`` is the optimum's value from a compile a run already holds.
+``_solved`` keeps an instance's compile and optimum, solved once.
 
 Over a pending set, every key is released, and ``_ranked_step`` gives the
 *oblivious schedule* (optimal deadline-first-order schedule of the pending
@@ -29,7 +29,7 @@ It serves exact mode, the search and ``oblivious_schedule``, whose
 pending sets branch.  A single path instead carries its oblivious
 schedule, the greedy basis of its pending set, from step to step
 (``_Basis``): the sent key, the lost slot and each arrival change it by
-at most one exchange, found by a bisection and a scan of slacks in C.
+at most one exchange, found by a bisection and a scan that skips by slack.
 One walk, ``_walk``, steps it for every single path, the engine's runs
 and ``analysis.check_facts``, each of which only chooses the sent key.
 
@@ -83,8 +83,8 @@ class _Compiled(NamedTuple):
     deadlines: list[int]
     weights: list[int]
     scale: int
-    arrivals: dict[int, tuple[int, ...]]
-    expiring: dict[int, tuple[int, ...]]
+    arrivals: dict[int, list[int]]
+    expiring: dict[int, list[int]]
 
 
 def _compile(packets: Iterable[Packet]) -> _Compiled:
@@ -94,34 +94,42 @@ def _compile(packets: Iterable[Packet]) -> _Compiled:
     exactly as the Fractions do, without Fraction arithmetic."""
     packets = list(packets)
     scale = weight_scale(packets)
-    scaled = [p.weight.numerator * (scale // p.weight.denominator) for p in packets]
+    if scale == 1:
+        scaled = [p.weight.numerator for p in packets]
+    else:
+        scaled = [p.weight.numerator * (scale // p.weight.denominator) for p in packets]
     ranked = sorted(
         range(len(packets)),
         key=lambda i: (-scaled[i], packets[i].deadline, packets[i].arrival_index),
     )
     packets = list(map(packets.__getitem__, ranked))
+    releases = [p.release for p in packets]
+    deadlines = [p.deadline for p in packets]
     arrivals: dict[int, list[int]] = {}
+    for release, rank in sorted(zip(releases, count())):
+        arrivals.setdefault(release, []).append(rank)
     expiring: dict[int, list[int]] = {}
-    for rank, p in enumerate(packets):
-        arrivals.setdefault(p.release, []).append(rank)
-        expiring.setdefault(p.deadline, []).append(rank)
-    return _Compiled(
-        packets,
-        [p.release for p in packets],
-        [p.deadline for p in packets],
-        list(map(scaled.__getitem__, ranked)),
-        scale,
-        {step: tuple(ranks) for step, ranks in sorted(arrivals.items())},
-        {step: tuple(ranks) for step, ranks in expiring.items()},
-    )
+    for rank, deadline in enumerate(deadlines):
+        expiring.setdefault(deadline, []).append(rank)
+    weights = list(map(scaled.__getitem__, ranked))
+    return _Compiled(packets, releases, deadlines, weights, scale, arrivals, expiring)
 
 
 @lru_cache(maxsize=1)
-def _compiled(instance: Instance) -> _Compiled:
-    """``_compile`` of a frozen instance, kept for the last one, so the runs
-    and fact checks of one instance (or of equal ones) share one compile,
-    which they only read."""
-    return _compile(instance)
+def _solved(instance: Instance) -> tuple[_Compiled, int, _Conforming | None]:
+    """The compile of a frozen instance, its offline optimum's value from
+    the first arrival step (over the scale) and, for agreeable deadlines,
+    the greedy set that gives it, as ``_fifo_solve`` lays it out.  Kept for
+    the last instance, so the runs and the fact checks of one instance (or
+    of equal ones) share one compile and one solve, which they only read."""
+    compiled = _compile(instance)
+    everything, start = range(len(compiled.packets)), next(iter(compiled.arrivals), 1)
+    if instance.is_agreeable:
+        solved = _fifo_solve(everything, start, compiled.releases, compiled.deadlines)
+        kept = solved.keys
+    else:
+        solved, kept = None, _greedy_keys(compiled, everything, start, False)
+    return compiled, sum(map(compiled.weights.__getitem__, kept)), solved
 
 
 def _latest_free_steps(
@@ -238,14 +246,6 @@ def _greedy_keys(
         if is_feasible_set(map(packets.__getitem__, [*kept, k]), start):
             kept.append(k)
     return kept
-
-
-def _opt_weight(compiled: _Compiled, start: int, agreeable: bool) -> int:
-    """The offline optimum's value over every packet of ``compiled`` from
-    ``start``, as an integer over ``compiled.scale``; ``agreeable`` says
-    whether the packets' deadlines are."""
-    kept = _greedy_keys(compiled, range(len(compiled.packets)), start, agreeable)
-    return sum(map(compiled.weights.__getitem__, kept))
 
 
 def opt_schedule(packets: Iterable[Packet], start: int) -> tuple[Schedule, Fraction]:
@@ -377,8 +377,8 @@ def _basis_admit(basis: _Basis, arrivals: Iterable[int], step: int, deadlines: l
             keys.append(x)
             continue
         low = bisect_left(dls, d)
-        if tight in map(sub, dls[low:], range(low, len(dls))):
-            end = list(map(sub, dls, range(len(dls)))).index(tight, low) + 1
+        end = _first_tight(dls, tight, low, len(dls)) + 1
+        if end <= len(dls):
             y = max(keys[:end])
             if y < x:
                 insort(rest, x)
@@ -425,9 +425,10 @@ def _basis_send(
     tight = step + 1
     i = keys.index(sent)
     del dls[i], keys[i]
+    # The positions from i on gained a step of slack: none of them is tight.
     if rest:
-        slack = list(map(sub, reversed(dls), range(len(dls) - 1, -1, -1)))
-        after = dls[-1 - slack.index(tight)] if tight in slack else 0
+        slack = list(map(sub, reversed(dls[:i]), range(i - 1, -1, -1)))
+        after = dls[i - 1 - slack.index(tight)] if tight in slack else 0
         for r, x in enumerate(rest):
             d = deadlines[x]
             if d > after:
@@ -438,14 +439,26 @@ def _basis_send(
                 keys.insert(j, x)
                 i = len(dls)
                 break
-    if i and tight in map(sub, dls[:i], range(i)):
-        end = list(map(sub, dls, range(i))).index(tight) + 1
+    end = _first_tight(dls, tight, 0, i) + 1
+    if end <= i:
         y = max(keys[:end])
         j = keys.index(y, 0, end)
         del dls[j], keys[j]
         insort(rest, y)
     if rest:
         _discard(rest, expiring)
+
+
+def _first_tight(dls: list[int], tight: int, j: int, end: int) -> int:
+    """The first position p in ``[j, end)`` with ``dls[p] - p == tight``,
+    else ``end``.  The deadlines never fall, so ``dls[p] - p`` falls by at
+    most one per position, and the scan jumps ahead by the slack it sees."""
+    while j < end:
+        slack = dls[j] - j - tight
+        if not slack:
+            return j
+        j += slack if slack > 0 else 1
+    return end
 
 
 def _discard(rest: list[int], keys: Iterable[int]) -> None:
@@ -476,11 +489,6 @@ class _Conforming(NamedTuple):
     deadlines: list[int]
     keys: list[int]
     rest: list[int]
-
-
-def _conforming_start(compiled: _Compiled, step: int) -> _Conforming:
-    """C over every key of ``compiled`` from ``step``."""
-    return _fifo_solve(range(len(compiled.releases)), step, compiled.releases, compiled.deadlines)
 
 
 def _conforming_send(

@@ -36,6 +36,8 @@ SOLVE = (
     "tests/test_offline.py::TestConformingClairvoyant",
 )
 WALK = ("tests/test_engine.py::TestRunPolicy", "tests/test_analysis.py")
+SHARED_SOLVE = ("tests/test_engine.py::TestSharedSolve",)
+ANALYSIS = "src/pktsched/analysis.py"
 CLI = "src/pktsched/cli.py"
 WEIGHT_MEMO = (
     "tests/test_cli.py::TestInstanceFiles::test_weight_faults_keep_their_place",
@@ -57,15 +59,15 @@ MUTANTS = (
     Mutant(
         "basis: first-ranked circuit member dropped on arrival",
         OFFLINE,
-        "index(tight, low) + 1\n            y = max(keys[:end])",
-        "index(tight, low) + 1\n            y = min(keys[:end])",
+        "if end <= len(dls):\n            y = max(keys[:end])",
+        "if end <= len(dls):\n            y = min(keys[:end])",
         CARRIED_BASIS,
     ),
     Mutant(
         "basis: first-ranked circuit member dropped on the lost slot",
         OFFLINE,
-        "range(i))).index(tight) + 1\n        y = max(keys[:end])",
-        "range(i))).index(tight) + 1\n        y = min(keys[:end])",
+        "    if end <= i:\n        y = max(keys[:end])",
+        "    if end <= i:\n        y = min(keys[:end])",
         CARRIED_BASIS,
     ),
     Mutant(
@@ -78,7 +80,7 @@ MUTANTS = (
     Mutant(
         "basis: lost slot ignored",
         OFFLINE,
-        "    if i and tight in map(sub, dls[:i], range(i)):",
+        "    if end <= i:",
         "    if False:",
         CARRIED_BASIS,
     ),
@@ -87,6 +89,13 @@ MUTANTS = (
         OFFLINE,
         "                i = len(dls)\n",
         "",
+        CARRIED_BASIS,
+    ),
+    Mutant(
+        "basis: the tight scan jumps one position past its slack",
+        OFFLINE,
+        "j += slack if slack > 0 else 1",
+        "j += slack + 1 if slack > 0 else 1",
         CARRIED_BASIS,
     ),
     # The carried conforming basis, offline._Conforming.
@@ -189,6 +198,46 @@ MUTANTS = (
         "        sent = choose(step, sequence, e, h)",
         "        sent = choose(step, sequence, e, h) if len(sequence) <= 2 else e",
         WALK,
+    ),
+    # The start solve that an instance's runs and fact checks share,
+    # offline._solved.  Solving from step 1 instead of the first arrival
+    # step gives the same lists (every key has r' = max(release, start) =
+    # release either way), so only the solve's start argument shows it.
+    Mutant(
+        "shared solve: check_facts moves the cached lists, not a copy",
+        ANALYSIS,
+        "_Conforming(*map(list.copy, solved))",
+        "_Conforming(*solved)",
+        SHARED_SOLVE,
+    ),
+    Mutant(
+        "shared solve: taken from step 1, not the first arrival step",
+        OFFLINE,
+        "everything, start = range(len(compiled.packets)), next(iter(compiled.arrivals), 1)",
+        "everything, start = range(len(compiled.packets)), 1",
+        SHARED_SOLVE,
+    ),
+    Mutant(
+        "shared solve: taken from the step after the first arrival",
+        OFFLINE,
+        "everything, start = range(len(compiled.packets)), next(iter(compiled.arrivals), 1)",
+        "everything, start = range(len(compiled.packets)), next(iter(compiled.arrivals)) + 1",
+        SHARED_SOLVE,
+    ),
+    Mutant(
+        "shared solve: non-agreeable instances take the FIFO pass",
+        OFFLINE,
+        "    if instance.is_agreeable:\n        solved = _fifo_solve(",
+        "    if True:\n        solved = _fifo_solve(",
+        SHARED_SOLVE,
+    ),
+    # The instance reader's C scanner, cli.parse_instance.
+    Mutant(
+        "reader: a line the scanner read only in part accepted",
+        CLI,
+        "            if end != len(line):",
+        "            if end is None:",
+        ("tests/test_cli.py::TestInstanceFiles::test_json_faults_keep_the_decoder_message",),
     ),
     # The instance reader's weight memo, cli.parse_instance.
     Mutant(

@@ -226,6 +226,27 @@ class TestInstanceFiles:
             cli.parse_instance(str(path))
         assert "Exceeds the limit" not in str(err.value)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param('{"id":"b","r":1,"d":3,"w":"1"} x', id="trailing-text"),
+            pytest.param('{"id":"b","r":1,"d":3,"w":"1"}{}', id="second-object"),
+            pytest.param('{"id":"b","r":1,"d":3,"w":"1"', id="unclosed"),
+            pytest.param('\ufeff{"id":"b","r":1,"d":3,"w":"1"}', id="byte-order-mark"),
+        ],
+    )
+    def test_json_faults_keep_the_decoder_message(self, tmp_path, line):
+        # The reader's scanner reads the line's first value only; a line
+        # it does not read whole takes the reader's fallback, whose message
+        # is the one ``json.loads`` gives.
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id":"a","r":1,"d":2,"w":"1"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as fault:
+            json.loads(line)
+        with pytest.raises(ValueError) as err:
+            cli.parse_instance(str(path))
+        assert str(err.value) == f"invalid JSON, line 2: {fault.value}"
+
     def test_duplicate_and_order_errors_name_lines(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         path.write_text(
@@ -472,15 +493,18 @@ class TestCommands:
 
             return counted
 
-        # The runs take the optimum from the compile they step, through
-        # ``_opt_weight``.  A module that does not import a name today gets
-        # it anyway, so any call made through it later counts too.
+        # The runs take the optimum from the instance's one start solve
+        # (``offline._solved``), a ``_fifo_solve`` from the first arrival
+        # step, since c arrives after it.  A module that does not import
+        # ``opt_schedule`` today gets it anyway, so any call made through
+        # it later counts too.
+        monkeypatch.setattr(offline, "_fifo_solve", counting(offline._fifo_solve))
         for module in (engine, analysis, cli):
-            for name in ("_opt_weight", "opt_schedule"):
-                counted = counting(getattr(offline, name))
-                monkeypatch.setattr(module, name, counted, raising=False)
+            counted = counting(offline.opt_schedule)
+            monkeypatch.setattr(module, "opt_schedule", counted, raising=False)
+        offline._solved.cache_clear()  # an equal instance may be kept
         assert cli.main(argv + ["--instance", tiny]) == 0
-        assert calls == ["_opt_weight"]
+        assert calls == ["_fifo_solve"]
 
     def test_gen_then_ratio_pipeline(self, tmp_path, capsys):
         out = tmp_path / "gen.jsonl"

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import as_fractions, key_space, mk_instance, random_agreeable
@@ -480,11 +480,11 @@ class TestPacketOracles:
 
 class TestSharedCompile:
     """The runs and the fact checks of one instance share one compile
-    (``offline._compiled``), and equal instances share it too."""
+    (``offline._solved``), and equal instances share it too."""
 
     def test_one_compile_across_the_runs_of_an_instance(self):
         inst = golden_chain(5)
-        offline._compiled.cache_clear()
+        offline._solved.cache_clear()
         with mock.patch.object(offline, "_compile", wraps=offline._compile) as compile_:
             reports = (run_policy(inst, "mg-prime"), run_rg_exact(inst), check_facts(inst))
             assert compile_.call_count == 1
@@ -493,13 +493,13 @@ class TestSharedCompile:
             assert (run_policy(twin, "mg-prime"), run_rg_exact(twin), check_facts(twin)) == reports
             assert compile_.call_count == 1
         # A fresh compile of the twin gives the same reports.
-        offline._compiled.cache_clear()
+        offline._solved.cache_clear()
         assert (run_policy(twin, "mg-prime"), run_rg_exact(twin), check_facts(twin)) == reports
 
     def test_instances_in_a_row_each_get_their_own_compile(self):
         # Many instances of one size in a row: a compile kept for another
         # instance would give its runs another instance's packets.
-        offline._compiled.cache_clear()
+        offline._solved.cache_clear()
         instances = list(analysis.enumerate_two_bounded(2, 2, (1, 2, 3), max_packets=3))
         with mock.patch.object(offline, "_compile", wraps=offline._compile) as compile_:
             for inst in instances:
@@ -512,3 +512,54 @@ class TestSharedCompile:
                 assert run_rg_exact(inst) == oracle_rg_expectation(inst)[:2]
                 assert check_facts(inst).passed
         assert compile_.call_count == len(instances)
+
+
+class TestSharedSolve:
+    """The runs and the fact checks of an agreeable instance share one
+    start solve (``offline._solved``): the greedy optimum over every key
+    from the first arrival step, which the runs read and ``check_facts``
+    copies."""
+
+    # The first arrival is at step 2, and c and d arrive later.
+    LATER = (("a", 2, 3, 1), ("b", 2, 4, 2), ("c", 3, 4, 2), ("d", 5, 7, 3))
+
+    def test_one_start_solve_across_the_runs_of_an_instance(self):
+        inst = mk_instance(*self.LATER)
+        offline._solved.cache_clear()
+        with mock.patch.object(offline, "_fifo_solve", wraps=offline._fifo_solve) as solve:
+            mc = run_rg_mc(inst, 3, 7)
+            assert solve.call_count == 0  # Monte Carlo needs no optimum
+            reports = (run_policy(inst, "mg-prime"), run_rg_exact(inst), check_facts(inst))
+            assert solve.call_count == 1
+            assert solve.call_args.args[1] == 2  # from the first arrival step
+        assert reports[2].passed and mc == oracle_rg_mc(inst, 3, 7)
+        assert reports[0].opt_value == brute_force_opt(inst.packets, 2) == 7
+
+    def test_the_shared_solve_is_never_changed(self):
+        inst = mk_instance(*self.LATER)
+        offline._solved.cache_clear()
+        facts = check_facts(inst)
+        compiled, opt, solved = offline._solved(inst)
+        kept = tuple(map(list.copy, solved))
+        assert check_facts(inst) == facts
+        assert run_policy(inst, "mg-prime").opt_value == opt == 7
+        assert offline._solved(inst) == (compiled, opt, kept)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(small_agreeable(), small_non_agreeable()))
+    # Every packet is released at the first arrival step, 2: the fresh
+    # greedy takes the latest free steps, the start solve the FIFO pass.
+    @example(mk_instance(("a", 2, 3, 1), ("b", 2, 4, 3), ("c", 2, 4, 2), ("d", 2, 4, 1)))
+    # Not agreeable: b, released later, has the earlier deadline.
+    @example(mk_instance(("a", 1, 5, 1), ("b", 2, 3, 2), ("c", 2, 3, 3)))
+    def test_the_shared_optimum_is_the_optimum(self, inst):
+        offline._solved.cache_clear()
+        compiled, opt, solved = offline._solved(inst)
+        assert (solved is None) == (not inst.is_agreeable)
+        first = inst.first_release
+        assert Fraction(opt, compiled.scale) == brute_force_opt(inst.packets, first)
+        everything = range(len(inst))
+        fresh = offline._greedy_keys(compiled, everything, first, inst.is_agreeable)
+        assert opt == sum(map(compiled.weights.__getitem__, fresh))
+        if solved is not None:
+            assert sorted(solved.keys) == fresh  # one greedy basis

@@ -30,7 +30,6 @@ from pktsched.offline import (
     _Conforming,
     _conforming_replace,
     _conforming_send,
-    _conforming_start,
     _fifo_solve,
     _greedy_keys,
     _ranked_step,
@@ -481,7 +480,8 @@ class TestCarriedConforming:
         inst, picks = case
         compiled = _compile(inst)
         releases, deadlines, weights = compiled.releases, compiled.deadlines, compiled.weights
-        conforming = _conforming_start(compiled, next(iter(compiled.arrivals), 0))
+        start = next(iter(compiled.arrivals), 0)
+        conforming = _fifo_solve(range(len(compiled.packets)), start, releases, deadlines)
         pending: set[int] = set()
         future = set(range(len(compiled.packets)))
         steps = busy_steps(compiled.arrivals, lambda: bool(pending))
