@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 from .engine import DEFAULT_EXACT_CAP, Transitions, _rg_exact, advance, run_policy, start
-from .model import Instance, InvariantError, _follows_order, as_weight
+from .model import Instance, InvariantError, as_weight
 from .offline import _Conforming, _conforming_layout, _conforming_send, _solved, _walk
 from .policies import _choose, _rg_lottery
 
@@ -266,7 +266,6 @@ def adversary_search(
         raise ValueError("branching must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    menu = tuple(sorted({as_weight(w) for w in menu}))
     options = two_bounded_step_options(menu, branching)
     width = len(options)  # at least 2: every weight comes with both lifespans
     # The tree has at least 2**depth nodes, more than a budget of fewer bits.
@@ -712,6 +711,7 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     pending plus future ranks, which the conforming schedule lays out, is
     carried from step to step (``offline._Conforming``) as the oblivious
     schedule is.  A packet is looked up only to name it in a step's note.
+    ``_check_step`` decides each fact once, two of them by laying C out.
 
     ``corrupt(step, sequence)`` is a mutation-testing hook: it gets the
     ranks of the step's oblivious schedule in the deadline-first order and
@@ -750,20 +750,26 @@ def _check_step(compiled, step: int, kept: list[int], checked, truth, order) -> 
     the greedy basis of the pending and the future ranks from ``step``,
     ``checked`` the oblivious schedule handed to the checks and ``truth``
     the true one, both in the deadline-first order, and ``order`` maps a
-    rank to its place in that order, ``(deadline, rank)``."""
+    rank to its place in that order, ``(deadline, rank)``.
+
+    ``_conforming_layout`` lays C out once.  It raises, giving a note, for
+    a released rank of C outside ``checked``, and its first-slot
+    substitute is in ``checked``, so ``pending_within_oblivious`` holds
+    when it returns.  The substitute comes before the rank it replaces in
+    the order, so the layout is the deadline-first one of its own ranks,
+    ``conforming_built``, iff the first slot's rank is pending at ``step``."""
     releases, deadlines, weights = compiled.releases, compiled.deadlines, compiled.weights
     results = dict.fromkeys(FACT_CHECKS, False)
     weight = weights.__getitem__
     results["oblivious_optimal"] = sum(map(weight, checked)) == sum(map(weight, truth))
-    scheduled = set(checked)
     try:
-        conforming = _conforming_layout(compiled, kept, step, scheduled, order)
+        conforming = _conforming_layout(compiled, kept, step, set(checked), order)
     except (InvariantError, ValueError) as err:
         return StepFacts(step, results, note=str(err))
     chosen = {k for _, k in conforming}
-    results["conforming_built"] = _follows_order(conforming, step, releases.__getitem__, order)
-    results["pending_within_oblivious"] = all(k in scheduled for k in chosen if releases[k] <= step)
     first = conforming[0][1]
+    results["conforming_built"] = releases[first] <= step < deadlines[first]
+    results["pending_within_oblivious"] = True
     heaviest, before = weights[first], order(first)
     results["first_packet_outweighs_earlier"] = all(
         weights[k] < heaviest for k in checked if order(k) < before

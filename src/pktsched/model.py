@@ -356,14 +356,3 @@ def _edf_slots(members, start: int, release, key) -> list[tuple]:
         raise ValueError(f"packet set is not feasible from step {start}")
     return list(zip(steps, ranked))
 
-
-def _follows_order(slots, start: int, release, key) -> bool:
-    """Check that ``(step, member)`` slots in step order are the
-    deadline-first-order schedule of their members from ``start``, as
-    ``_edf_slots`` lays it out with the same ``release`` and ``key``: each
-    step sends the order-minimal available member, and idles only when
-    none is available.  Members that miss their deadline there fail it."""
-    try:
-        return list(slots) == _edf_slots(map(itemgetter(1), slots), start, release, key)
-    except ValueError:
-        return False

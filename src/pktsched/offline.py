@@ -16,8 +16,8 @@ kept keys hold distinct steps (each the latest free one inside its window);
 else, when the deadlines are agreeable, the kept keys go out in release
 order, each at the earliest step it can, and one pass in that order keeps
 the greedy basis by matroid exchanges, each circuit a run of consecutive
-slots (5,038 packets: 5 ms, not 0.3 s); otherwise ``is_feasible_set``
-simulates earliest-deadline-first with release times.
+slots; otherwise ``is_feasible_set`` simulates earliest-deadline-first
+with release times.
 The kept set is laid out in the deadline-first order, which on keys is
 ``(deadline, key)``.  ``opt_schedule`` is a compile and that greedy;
 ``_solved`` keeps an instance's compile and optimum, solved once.
@@ -41,8 +41,8 @@ to outweigh every order-earlier oblivious member.  ``conforming_clairvoyant``
 solves C afresh by ``_greedy_keys``, the reference; a single path carries
 it (``_Conforming``), changed by the sent key, its replacement and the
 lost slot, each one exchange found by a bisection or by Hall's condition
-on C's slots.  ``analysis.check_facts`` steps it and still lays C out
-and checks it at every step (640 packets: 0.29 s, not 2.6 s).
+on C's slots.  ``analysis.check_facts`` steps it and lays C out once
+at every step.
 """
 
 from __future__ import annotations

@@ -38,6 +38,10 @@ SOLVE = (
 WALK = ("tests/test_engine.py::TestRunPolicy", "tests/test_analysis.py")
 SHARED_SOLVE = ("tests/test_engine.py::TestSharedSolve",)
 ANALYSIS = "src/pktsched/analysis.py"
+FACTS = (
+    "tests/test_analysis.py::TestCheckFacts",
+    "tests/test_offline.py::TestConformingClairvoyant",
+)
 CLI = "src/pktsched/cli.py"
 WEIGHT_MEMO = (
     "tests/test_cli.py::TestInstanceFiles::test_weight_faults_keep_their_place",
@@ -230,6 +234,43 @@ MUTANTS = (
         "    if instance.is_agreeable:\n        solved = _fifo_solve(",
         "    if True:\n        solved = _fifo_solve(",
         SHARED_SOLVE,
+    ),
+    # The conforming layout and the fact checks, offline._conforming_layout
+    # and analysis._check_step.
+    Mutant(
+        "layout: the largest equal-weight substitute",
+        OFFLINE,
+        "substitute = min((k for k in oblivious",
+        "substitute = max((k for k in oblivious",
+        FACTS,
+    ),
+    Mutant(
+        "layout: keyed (deadline, -rank)",
+        OFFLINE,
+        "slots = _edf_slots(kept, step, releases.__getitem__, order)",
+        "slots = _edf_slots(kept, step, releases.__getitem__, lambda k: (order(k)[0], -k))",
+        FACTS,
+    ),
+    Mutant(
+        "facts: the conforming order always holds",
+        ANALYSIS,
+        'results["conforming_built"] = releases[first] <= step < deadlines[first]',
+        'results["conforming_built"] = True',
+        FACTS,
+    ),
+    Mutant(
+        "facts: the first slot's window includes its deadline",
+        ANALYSIS,
+        "releases[first] <= step < deadlines[first]",
+        "releases[first] <= step <= deadlines[first]",
+        FACTS,
+    ),
+    Mutant(
+        "facts: the first slot's window excludes its release",
+        ANALYSIS,
+        "releases[first] <= step < deadlines[first]",
+        "releases[first] < step < deadlines[first]",
+        FACTS,
     ),
     # The instance reader's C scanner, cli.parse_instance.
     Mutant(

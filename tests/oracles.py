@@ -7,8 +7,9 @@ deadline-first simulation, the greedy set by a full simulation per
 candidate instead of an incremental slot probe, the canonical pending-set
 schedule by subset enumeration instead of incremental greedy, golden-ratio
 comparisons by 60-digit decimal arithmetic instead of the integer
-quadratic, and the order checks of the fact checker by comparing every
-step or every pair instead of a heap walk or a single pass, the step
+quadratic, the deadline-first order check by listing every step's
+available packets instead of comparing with the model's layout, the
+monotone fact by comparing every pair instead of a single pass, the step
 kernel's state map in ``Fraction``s instead of integers over a common
 denominator, and single runs over packets instead of compiled ranks, with
 the Monte Carlo threshold as a ``Fraction``, and the structural fact
@@ -18,11 +19,14 @@ instead of building each distinct weight text once.
 ``at_most_golden`` is no
 oracle: it is the bound r*r <= r + 1 as the acceptance criterion states
 it, for the tests' bound checks.  Nor are ``edf_schedule`` and
-``follows_priority_order``: they lay out and check ``Packet`` schedules
-through the model's deadline-first walk over members, for the tests and the
-reference fact checks.  Nor are ``order_key``, ``precedes``,
-``schedule_weight`` and ``slot_at``: the deadline-first packet order and
-two ``Schedule`` readings, which only the tests and oracles need.
+``follows_priority_order``: they lay out ``Packet`` schedules with the
+model's deadline-first walk, ``_edf_slots``, and compare a schedule with
+that layout of its own packets, for the tests and the reference fact
+checks, which decide ``conforming_built`` by that whole re-layout where
+``check_facts`` tests only the first slot's window.  Nor are
+``order_key``, ``precedes``, ``schedule_weight`` and ``slot_at``: the
+deadline-first packet order and two ``Schedule`` readings, which only the
+tests and oracles need.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from pktsched.model import (
     PacketError,
     Schedule,
     _edf_slots,
-    _follows_order,
     is_feasible_set,
     weight_scale,
 )
@@ -259,7 +262,10 @@ def follows_priority_order(schedule: Schedule, start: int) -> bool:
     ``start``."""
     slots = schedule.slots
     key = _scaled_order_key(weight_scale(p for _, p in slots))
-    return _follows_order(slots, start, _release, key)
+    try:
+        return list(slots) == _edf_slots((p for _, p in slots), start, _release, key)
+    except ValueError:  # a packet misses its deadline in the layout
+        return False
 
 
 def oracle_heavier_scheduled_monotone(scheduled, chosen) -> bool:

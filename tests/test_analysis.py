@@ -520,6 +520,23 @@ class TestCheckFacts:
         with pytest.raises(ValueError, match="agreeable"):
             check_facts(inst)
 
+    def test_an_expired_substitute_fails_the_conforming_order_without_a_note(self):
+        # Ranks: s1p0 is 0 and s2p0 is 1.  At step 2 the hook appends the
+        # expired rank 0, an equal-weight oblivious member ranked before
+        # s2p0, so the layout puts it in the first slot, past its deadline.
+        inst = mk_instance(("s1p0", 1, 2, 1), ("s2p0", 2, 3, 1))
+        report = check_facts(inst, lambda step, seq: seq + (0,) if step == 2 else None)
+        entry = report.steps[1]
+        assert (entry.step, entry.note) == (2, None)
+        assert entry.results == {
+            "oblivious_optimal": False,
+            "conforming_built": False,
+            "pending_within_oblivious": True,
+            "first_packet_outweighs_earlier": True,
+            "heavier_scheduled_monotone": True,
+            "front_swap_feasible": False,
+        }
+
     def test_corrupted_schedule_detected(self):
         inst = three_packet_instance()
         clean = run_policy(inst, "mg-prime")
