@@ -9,18 +9,18 @@ and the keys' releases, deadlines and weights (integers over a common
 denominator) sit in lists indexed by key.  The engine's runs and the fact
 checks of one instance share one compile and one optimum, ``_solved``.
 
-One greedy over keys, ``_greedy_keys``, gives the offline optimum over
-pending plus future packets, and three exact feasibility tests back it,
-chosen by the input: when every candidate is released by the start, the
-kept keys hold distinct steps (each the latest free one inside its window);
-else, when the deadlines are agreeable, the kept keys go out in release
-order, each at the earliest step it can, and one pass in that order keeps
-the greedy basis by matroid exchanges, each circuit a run of consecutive
-slots; otherwise ``is_feasible_set`` simulates earliest-deadline-first
-with release times.
-The kept set is laid out in the deadline-first order, which on keys is
-``(deadline, key)``.  ``opt_schedule`` is a compile and that greedy;
-``_solved`` keeps an instance's compile and optimum, solved once.
+The offline optimum over pending plus future packets has two paths.
+When the deadlines never fall in release order from the start (agreeable
+deadlines, or every key released by it), the kept keys go out in that
+order, each at the earliest step it can, and one pass in that order,
+``_fifo_solve``, keeps the greedy basis by matroid exchanges, each circuit
+a run of consecutive slots.  The pass checks that order itself and gives
+up at the first falling deadline; then ``_probed_keys`` keeps each key
+whose packet passes ``is_feasible_set``, an earliest-deadline-first
+simulation with release times, beside the kept ones.  The kept set is
+laid out in the deadline-first order, which on keys is ``(deadline,
+key)``.  ``opt_schedule`` is a compile and that optimum; ``_solved``
+keeps an instance's compile and optimum, solved once.
 
 Over a pending set, every key is released, and ``_ranked_step`` gives the
 *oblivious schedule* (optimal deadline-first-order schedule of the pending
@@ -38,7 +38,7 @@ C is the greedy optimum over pending plus future packets, whose pending
 part lies inside the oblivious schedule because both greedies share one
 order, and ``_conforming_layout`` lays C out with its first packet chosen
 to outweigh every order-earlier oblivious member.  ``conforming_clairvoyant``
-solves C afresh by ``_greedy_keys``, the reference; a single path carries
+solves C afresh by ``_fifo_solve``, the reference; a single path carries
 it (``_Conforming``), changed by the sent key, its replacement and the
 lost slot, each one exchange found by a bisection or by Hall's condition
 on C's slots.  ``analysis.check_facts`` steps it and lays C out once
@@ -118,17 +118,15 @@ def _compile(packets: Iterable[Packet]) -> _Compiled:
 @lru_cache(maxsize=1)
 def _solved(instance: Instance) -> tuple[_Compiled, int, _Conforming | None]:
     """The compile of a frozen instance, its offline optimum's value from
-    the first arrival step (over the scale) and, for agreeable deadlines,
-    the greedy set that gives it, as ``_fifo_solve`` lays it out.  Kept for
-    the last instance, so the runs and the fact checks of one instance (or
-    of equal ones) share one compile and one solve, which they only read."""
+    the first arrival step (over the scale) and the greedy set that gives
+    it as ``_fifo_solve`` lays it out, None for deadlines that are not
+    agreeable.  Kept for the last instance, so the runs and the fact checks
+    of one instance (or of equal ones) share one compile and one solve,
+    which they only read."""
     compiled = _compile(instance)
     everything, start = range(len(compiled.packets)), next(iter(compiled.arrivals), 1)
-    if instance.is_agreeable:
-        solved = _fifo_solve(everything, start, compiled.releases, compiled.deadlines)
-        kept = solved.keys
-    else:
-        solved, kept = None, _greedy_keys(compiled, everything, start, False)
+    solved = _fifo_solve(everything, start, compiled.releases, compiled.deadlines)
+    kept = solved.keys if solved else _probed_keys(compiled.packets, start)
     return compiled, sum(map(compiled.weights.__getitem__, kept)), solved
 
 
@@ -161,16 +159,17 @@ def _latest_free_steps(
 
 def _fifo_solve(
     candidates: Iterable[int], start: int, releases: Sequence[int], deadlines: Sequence[int]
-) -> _Conforming:
-    """The weight greedy over the keys ``candidates`` of an agreeable set
-    from ``start``, as the four lists of a ``_Conforming``; ``releases``
-    and ``deadlines`` are indexed by key.
+) -> _Conforming | None:
+    """The weight greedy over the keys ``candidates`` from ``start``, as
+    the four lists of a ``_Conforming``, or None if a deadline falls in the
+    FIFO order ``(r', deadline)``, ``r' = max(release, start)``: the keys
+    are not agreeable from ``start``.  ``releases`` and ``deadlines`` are
+    indexed by key.
 
-    An agreeable set's deadlines never fall in the FIFO order ``(r',
-    deadline)``, ``r' = max(release, start)``, so its kept keys go out in
-    that order, each at ``max(previous slot + 1, r')``.  Keys are visited
-    in that order, ties by descending key, so each goes last, and the
-    greedy basis is kept by exchanges: a key that misses its deadline
+    Where the deadlines never fall in the FIFO order, the kept keys go out
+    in that order, each at ``max(previous slot + 1, r')``.  Keys are
+    visited in that order, ties by descending key, so each goes last, and
+    the greedy basis is kept by exchanges: a key that misses its deadline
     closes a circuit with the members from the last *pinned* one (whose
     slot is its r') on, and its last-ranked key leaves.  No member after
     it waits for its release or has r' below the pinned one's, so each
@@ -181,8 +180,12 @@ def _fifo_solve(
     firsts: list[int] = []  # the members' r', which never falls
     pinned: list[int] = []  # the positions whose slot is their r', rising
     rest: list[int] = []
+    floor = 0
     for k in sorted(candidates, key=lambda k: (max(releases[k], start), deadlines[k], -k)):
         d, r = deadlines[k], max(releases[k], start)
+        if d < floor:
+            return None
+        floor = d
         if r >= d:
             rest.append(k)
             continue
@@ -220,29 +223,13 @@ def _run_end(slots: list[int], i: int, slot: int) -> int:
     return bisect_right(range(len(slots)), slot - i, i, key=lambda j: slots[j] - j)
 
 
-def _greedy_keys(
-    compiled: _Compiled, candidates: Sequence[int], start: int, agreeable: bool
-) -> list[int]:
-    """Maximum-weight subset of ``candidates`` feasible from ``start``, by
-    the weight greedy over keys of ``compiled`` in increasing order.
-
-    Returns the kept keys in increasing order, so over a pending set the
-    first one is the order-minimal key of maximum weight.  The input picks
-    one of three exact feasibility tests: when every candidate is released
-    by ``start`` the kept set takes distinct latest free steps
-    (``_latest_free_steps``); else, when the caller knows the candidates
-    to be ``agreeable``, one pass in release order keeps the greedy basis
-    by exchanges (``_fifo_solve``); otherwise each candidate's packet is
-    probed with the kept ones by the release-aware ``is_feasible_set``.
-    """
-    releases, deadlines = compiled.releases, compiled.deadlines
-    if max(map(releases.__getitem__, candidates), default=start) <= start:
-        return _latest_free_steps(candidates, start, deadlines)
-    if agreeable:
-        return sorted(_fifo_solve(candidates, start, releases, deadlines).keys)
-    packets = compiled.packets
+def _probed_keys(packets: Sequence[Packet], start: int) -> list[int]:
+    """The weight greedy over every key of the compiled ``packets`` from
+    ``start``, where ``_fifo_solve`` does not apply: a key is kept iff its
+    packet and the kept ones pass ``is_feasible_set``, which simulates
+    earliest-deadline-first with release times."""
     kept: list[int] = []
-    for k in candidates:
+    for k in range(len(packets)):
         if is_feasible_set(map(packets.__getitem__, [*kept, k]), start):
             kept.append(k)
     return kept
@@ -257,7 +244,8 @@ def opt_schedule(packets: Iterable[Packet], start: int) -> tuple[Schedule, Fract
     """
     compiled = _compile(packets)
     order, deadlines = compiled.packets, compiled.deadlines
-    kept = _greedy_keys(compiled, range(len(order)), start, has_agreeable_deadlines(order))
+    solved = _fifo_solve(range(len(order)), start, compiled.releases, deadlines)
+    kept = solved.keys if solved else _probed_keys(order, start)
     slots = _edf_slots(kept, start, compiled.releases.__getitem__, lambda k: (deadlines[k], k))
     value = Fraction(sum(map(compiled.weights.__getitem__, kept)), compiled.scale)
     return Schedule(tuple((t, order[k]) for t, k in slots)), value
@@ -632,7 +620,7 @@ def conforming_clairvoyant(
     ones either.  So the pending part already lies inside a true oblivious
     schedule; a pending packet outside ``oblivious`` raises InvariantError.
     The packets are compiled, and the greedy over their keys
-    (``_greedy_keys``) is laid out by ``_conforming_layout``.
+    (``_fifo_solve``) is laid out by ``_conforming_layout``.
     """
     pending = list(pending)
     future = list(future)
@@ -651,7 +639,7 @@ def conforming_clairvoyant(
     compiled = _compile(scheduled.union(universe))
     order, deadlines = compiled.packets, compiled.deadlines
     rank = {p: k for k, p in enumerate(order)}
-    kept = _greedy_keys(compiled, sorted(map(rank.__getitem__, universe)), step, True)
+    kept = _fifo_solve(map(rank.__getitem__, universe), step, compiled.releases, deadlines).keys
     oblivious_keys = set(map(rank.__getitem__, scheduled))
     slots = _conforming_layout(compiled, kept, step, oblivious_keys, lambda k: (deadlines[k], k))
     return Schedule(tuple((t, order[k]) for t, k in slots))
@@ -665,7 +653,7 @@ def _conforming_layout(
     order: Callable[[int], tuple[int, int]],
 ) -> list[tuple[int, int]]:
     """The conforming clairvoyant schedule of ``kept``, the greedy basis of
-    the pending and the future keys from ``step`` (``_greedy_keys`` solves
+    the pending and the future keys from ``step`` (``_fifo_solve`` solves
     it, ``_Conforming`` carries it), as ``(step, key)`` slots in
     step order.  Among equal deadlines, key order is the deadline-first
     order, so ``order`` maps a key to ``(deadline, key)``."""

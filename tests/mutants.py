@@ -43,6 +43,9 @@ FACTS = (
     "tests/test_offline.py::TestConformingClairvoyant",
 )
 CLI = "src/pktsched/cli.py"
+POLICIES = "src/pktsched/policies.py"
+ENGINE = "src/pktsched/engine.py"
+MODEL = "src/pktsched/model.py"
 WEIGHT_MEMO = (
     "tests/test_cli.py::TestInstanceFiles::test_weight_faults_keep_their_place",
     "tests/test_cli.py::TestInstanceFiles::test_reader_matches_the_reader_without_a_weight_memo",
@@ -229,10 +232,10 @@ MUTANTS = (
         SHARED_SOLVE,
     ),
     Mutant(
-        "shared solve: non-agreeable instances take the FIFO pass",
+        "shared solve: the FIFO pass accepts a falling deadline",
         OFFLINE,
-        "    if instance.is_agreeable:\n        solved = _fifo_solve(",
-        "    if True:\n        solved = _fifo_solve(",
+        "        if d < floor:",
+        "        if False:",
         SHARED_SOLVE,
     ),
     # The conforming layout and the fact checks, offline._conforming_layout
@@ -301,6 +304,52 @@ MUTANTS = (
         "                        shared = weight",
         "                        shared = Fraction(1)",
         WEIGHT_MEMO,
+    ),
+    # The policies' rules, policies._rg_lottery and policies._choose.
+    Mutant(
+        "policies: rg's lottery numerators swapped",
+        POLICIES,
+        "return w_h // g, w_e // g, (w_h - w_e) // g",
+        "return w_h // g, (w_h - w_e) // g, w_e // g",
+        ("tests/test_policies.py::TestRgDistribution",),
+    ),
+    Mutant(
+        "policies: mg's candidate needs no weight above phi * w_e",
+        POLICIES,
+        "if not _within_golden(w_e, w_p) and _within_golden(w_p, w_h):",
+        "if _within_golden(w_p, w_h):",
+        ("tests/test_policies.py::TestMgChoose",),
+    ),
+    # The exact expectation's state merge and the Monte Carlo streams.
+    Mutant(
+        "engine: merged outcomes keep one path count",
+        ENGINE,
+        "entry[2] + paths)",
+        "entry[2])",
+        ("tests/test_engine.py::TestRunRgExact",),
+    ),
+    Mutant(
+        "engine: a trial's seed text reversed",
+        ENGINE,
+        'f"{seed}:{trial}"',
+        'f"{trial}:{seed}"',
+        ("tests/test_engine.py::TestRunRgMc",),
+    ),
+    # The weight rule and the agreeable test, model.as_weight and
+    # model.has_agreeable_deadlines.
+    Mutant(
+        "model: a bool accepted as a weight",
+        MODEL,
+        "weight = None if type(value) is bool else Fraction(value)",
+        "weight = Fraction(value)",
+        ("tests/test_model.py::TestPacketValidation",),
+    ),
+    Mutant(
+        "model: an equal deadline of a later release breaks agreeability",
+        MODEL,
+        "        if packet.deadline < floor:",
+        "        if packet.deadline <= floor:",
+        ("tests/test_model.py::TestInstance",),
     ),
     Mutant(
         "inert: a comment reworded",

@@ -11,6 +11,7 @@ from oracles import (
     brute_force_opt,
     oracle_advance,
     oracle_edf_nondominated_run,
+    oracle_greedy_set,
     oracle_greedy_weight_run,
     oracle_mg_prime_run,
     oracle_mg_run,
@@ -547,8 +548,8 @@ class TestSharedSolve:
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.one_of(small_agreeable(), small_non_agreeable()))
-    # Every packet is released at the first arrival step, 2: the fresh
-    # greedy takes the latest free steps, the start solve the FIFO pass.
+    # Every packet is released at the first arrival step, 2: the start
+    # solve takes the FIFO pass, whose order is then the deadline order.
     @example(mk_instance(("a", 2, 3, 1), ("b", 2, 4, 3), ("c", 2, 4, 2), ("d", 2, 4, 1)))
     # Not agreeable: b, released later, has the earlier deadline.
     @example(mk_instance(("a", 1, 5, 1), ("b", 2, 3, 2), ("c", 2, 3, 3)))
@@ -558,8 +559,8 @@ class TestSharedSolve:
         assert (solved is None) == (not inst.is_agreeable)
         first = inst.first_release
         assert Fraction(opt, compiled.scale) == brute_force_opt(inst.packets, first)
-        everything = range(len(inst))
-        fresh = offline._greedy_keys(compiled, everything, first, inst.is_agreeable)
+        rank = {p: k for k, p in enumerate(compiled.packets)}
+        fresh = sorted(rank[p] for p in oracle_greedy_set(inst.packets, first))
         assert opt == sum(map(compiled.weights.__getitem__, fresh))
         if solved is not None:
             assert sorted(solved.keys) == fresh  # one greedy basis

@@ -31,7 +31,6 @@ from pktsched.offline import (
     _conforming_replace,
     _conforming_send,
     _fifo_solve,
-    _greedy_keys,
     _ranked_step,
     conforming_clairvoyant,
     oblivious_schedule,
@@ -191,7 +190,8 @@ class TestOptSchedule:
         packets, start = case
         assert has_agreeable_deadlines(packets)
         compiled = _compile(packets)
-        kept = _greedy_keys(compiled, range(len(packets)), start, True)
+        solved = _fifo_solve(range(len(packets)), start, compiled.releases, compiled.deadlines)
+        kept = sorted(solved.keys)
         assert [compiled.packets[k] for k in kept] == oracle_greedy_set(packets, start)
         sched, value = opt_schedule(packets, start)
         assert value == brute_force_opt(packets, start)
@@ -245,6 +245,24 @@ class TestOptSchedule:
         rest = sorted(set(range(len(packets))).difference(kept))
         solved = _fifo_solve(range(len(packets)), start, releases, deadlines)
         assert solved == (slots, [deadlines[k] for k in keys], keys, rest)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(packets_around_start())
+    # Not agreeable by release, but both are pending at the start: the
+    # exchange pass applies.
+    @example(([mk("a", 1, 5, 1, 0), mk("b", 2, 3, 2, 1), mk("c", 2, 4, 3, 2)], 2))
+    # b falls below a from the start on: the pass gives up.
+    @example(([mk("a", 1, 5, 1, 0), mk("b", 3, 4, 2, 1)], 2))
+    def test_fifo_solve_applies_exactly_where_deadlines_never_fall(self, case):
+        packets, start = case
+        compiled = _compile(packets)
+        solved = _fifo_solve(range(len(packets)), start, compiled.releases, compiled.deadlines)
+        fifo = sorted((max(p.release, start), p.deadline) for p in packets)
+        falls = any(a[1] > b[1] for a, b in zip(fifo, fifo[1:]))
+        assert (solved is None) == falls
+        if solved is not None:
+            kept = [compiled.packets[k] for k in sorted(solved.keys)]
+            assert kept == oracle_greedy_set(packets, start)
 
     def test_agreeable_input_skips_the_simulation(self, monkeypatch):
         calls = []
@@ -434,8 +452,9 @@ def agreeable_runs(draw):
 
 class TestCarriedConforming:
     """The carried conforming basis (``offline._Conforming``) against a
-    full re-solve, the key greedy over pending plus future keys, at every
-    step of a run that sends any member of the oblivious schedule."""
+    full re-solve, the weight greedy with a feasibility probe per candidate
+    over pending plus future packets, at every step of a run that sends any
+    member of the oblivious schedule."""
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(agreeable_runs())
@@ -482,6 +501,7 @@ class TestCarriedConforming:
         releases, deadlines, weights = compiled.releases, compiled.deadlines, compiled.weights
         start = next(iter(compiled.arrivals), 0)
         conforming = _fifo_solve(range(len(compiled.packets)), start, releases, deadlines)
+        rank = {p: k for k, p in enumerate(compiled.packets)}
         pending: set[int] = set()
         future = set(range(len(compiled.packets)))
         steps = busy_steps(compiled.arrivals, lambda: bool(pending))
@@ -489,7 +509,8 @@ class TestCarriedConforming:
             arrived = compiled.arrivals.get(step, ())
             pending.update(arrived)
             future.difference_update(arrived)
-            kept = _greedy_keys(compiled, sorted(pending | future), step, True)
+            candidates = [compiled.packets[k] for k in pending | future]
+            kept = [rank[p] for p in oracle_greedy_set(candidates, step)]
             slots, dls, keys, rest = conforming
             assert sorted(keys) == sorted(kept)
             assert rest == sorted((pending | future).difference(kept))

@@ -106,6 +106,13 @@ class TestMgChoose:
         h = mk("h", 1, 4, 3, 2)
         assert choose("mg", pending_schedule(e, f, h)) == f
 
+    def test_skips_a_member_within_golden_of_the_earliest(self):
+        # f is within phi of the heaviest but not above phi times e.
+        e = mk("e", 1, 2, 1, 0)
+        f = mk("f", 1, 3, Fraction(3, 2), 1)
+        h = mk("h", 1, 4, 2, 2)
+        assert choose("mg", pending_schedule(e, f, h)) == h
+
     def test_singleton(self):
         x = mk("x", 1, 2, 1)
         assert choose("mg", pending_schedule(x)) == x
