@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
-from .engine import DEFAULT_EXACT_CAP, Transitions, _rg_exact, advance, run_policy, start
+from .engine import DEFAULT_EXACT_CAP, _rg_exact, _transition, advance, run_policy, start
 from .model import Instance, InvariantError, as_weight
 from .offline import _Conforming, _conforming_layout, _conforming_send, _solved, _walk
 from .policies import _choose, _rg_lottery
@@ -352,20 +352,27 @@ def _beam_search(policy, depth, branching, options, beam_width, max_nodes):
 
 
 def _dag_build(policy, depth, branching, options):
-    """The tree's transposition DAG, and the best ratio that the kernel
-    returned while it built it, as (numerator, denominator).
+    """The tree's transposition DAG, and the best ratio among its nodes,
+    as (numerator, denominator).
 
     A node's future depends only on its step, its state map with each
     carried set read as its sorted weights (every carried key expires at
     the next step, and the policies read weights only) and its offline
     table's shape, so nodes equal in those are one DAG node
-    (``_dag_key``), expanded once by ``_SearchKernel.node`` from one
-    representative: the first path that reaches it.  A tree node's ratio
-    is (A + a) / (B + b): the path's drained-optimum offset A and expected
-    gain B, each a sum of fixed (dA, dB) per DAG edge, over the node's
-    drained optimum a above the offset and drained expected gain b.  Gains
-    are integers in one unit for the whole search (``_gain_unit``), and A
-    and a are scaled by it, so every ratio is a quotient of two integers.
+    (``_dag_key``), expanded once from one representative: the first path
+    that reaches it.  A tree node's ratio is (A + a) / (B + b): the path's
+    drained-optimum offset A and expected gain B, each a sum of fixed
+    (dA, dB) per DAG edge, over the node's drained optimum a above the
+    offset and drained expected gain b.  Gains are integers in one unit
+    for the whole search, L**depth (``_gain_lcm``), and A and a are
+    scaled by it, so every ratio is a quotient of two integers.
+
+    ``_SearchKernel.node`` steps each child above the last level.  The
+    last level steps no state map: per option, a leaf's dA + a is the
+    offset's change plus the child shape's drained maximum, a row per
+    parent shape, and its dB + b the sum, over the parent's carried sets,
+    of the set's probability times its row of ``_SearchKernel.gains``,
+    times the unit over L and the map's denominator.
 
     Only two levels of representatives are kept.  The DAG is (edges,
     ends, fronts): per level above the last parents, per node, one
@@ -374,29 +381,26 @@ def _dag_build(policy, depth, branching, options):
     option) pairs that no other pair beats in both, in option order,
     since only such a pair can attain a best value."""
     kernel = _SearchKernel(policy, options, depth, branching)
-    unit = _gain_unit(kernel, depth)
+    lottery = _gain_lcm(kernel)
+    unit = lottery**depth
     drained = kernel.drained
+    indices = range(len(options))
     best = None
     edges, ends = [], [()]
     # Per node of the level: its representative state map, table and
     # expected gain B (A is the table's offset).
     frontier = [(kernel.start, kernel.table_start, 0)]
-    for step in range(1, depth + 1):
+    for step in range(1, depth):
         children: dict[tuple, int] = {}
         reps, level_ends, rows = [], [], []
         for state, table, gained in frontier:
             offset = table[1]
             row = []
-            for oi in range(len(options)):
+            for oi in indices:
                 state2, (sid, offset2), ratio = kernel.node(state, table, step, oi)
                 if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
                     best = ratio
                 spread = unit // state2.denominator
-                x = (offset2 + drained[sid] - offset) * unit  # dA + a
-                y = ratio[1] * spread - gained  # dB + b
-                if step == depth:
-                    row.append((x, y, oi))
-                    continue
                 key = _dag_key(state2, sid, kernel.weights)
                 child = children.get(key)
                 if child is None:
@@ -405,21 +409,38 @@ def _dag_build(policy, depth, branching, options):
                     reps.append((state2, (sid, offset2), gained2))
                     level_ends.append((drained[sid] * unit, ratio[1] * spread - gained2))
                 a, b = level_ends[child]
-                row.append((child, x - a, y - b))
-            if step == depth:
-                front = []
-                for x, y, oi in sorted(row, key=lambda pair: (-pair[0], pair[1], pair[2])):
-                    if not front or y < front[-1][1]:
-                        front.append((x, y, oi))
-                rows.append(tuple(sorted(front, key=lambda pair: pair[2])))
-            else:
-                rows.append(tuple(row))
-        if step < depth:
-            edges.append(rows)
-            ends.append(level_ends)
+                x = (offset2 + drained[sid] - offset) * unit  # dA + a
+                row.append((child, x - a, ratio[1] * spread - gained - b))
+            rows.append(tuple(row))
+        edges.append(rows)
+        ends.append(level_ends)
         frontier = reps
         kernel.memo.clear()  # its entries are keyed by this step
-    return best, (edges, ends, rows)
+    fronts, optima, gains = [], {}, {}
+    frontier.reverse()
+    while frontier:  # each parent's state map goes once it is scored
+        state, (sid, offset), gained = frontier.pop()
+        xs = optima.get(sid)
+        if xs is None:
+            steps = map(kernel.table_step, itertools.repeat(sid), indices)
+            xs = optima[sid] = [(delta + drained[child]) * unit for child, delta in steps]
+        ys, spread = [0] * len(options), unit // state.denominator // lottery
+        for carry, (prob, _, _) in state.carried.items():
+            row = gains.get(carry)
+            if row is None:
+                row = gains[carry] = kernel.gains(carry, depth, lottery)
+            ys = [y + prob * spread * h for y, h in zip(ys, row)]
+        if not gained and not all(ys):
+            raise InvariantError("policy gained nothing on a nonempty injection")
+        front = []
+        for x, y, oi in sorted(zip(xs, ys, indices), key=lambda pair: (-pair[0], pair[1], pair[2])):
+            if not front or y < front[-1][1]:
+                front.append((x, y, oi))
+                ratio = (offset * unit + x, gained + y)
+                if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
+                    best = ratio
+        fronts.append(tuple(sorted(front, key=lambda pair: pair[2])))
+    return best, (edges, ends, fronts)
 
 
 def _dag_solve(dag, p, q):
@@ -448,17 +469,15 @@ def _dag_key(states, sid, weights):
     return sid, frozenset((kept, prob // divisor) for kept, prob in merged.items())
 
 
-def _gain_unit(kernel, depth):
-    """A multiple of every state map's denominator within ``depth`` steps
-    of the kernel's search, so that every expected gain times the scale is
-    an integer in this unit: L**depth, L the least common multiple of rg's
-    lottery denominators over the menu, since each step multiplies a map's
-    denominator by at most L; 1 for a deterministic policy."""
+def _gain_lcm(kernel):
+    """L, the least common multiple of rg's lottery denominators over the
+    menu (1 for a deterministic policy): each step multiplies a state
+    map's denominator by at most L, so every expected gain times the
+    scale is an integer in the unit L**depth."""
     if kernel.policy != "rg":
         return 1
     scaled = [w.numerator * (kernel.scale // w.denominator) for w in kernel.weight_rank]
-    lottery = lcm(*(_rg_lottery(e, h)[0] for e in scaled for h in scaled if e <= h))
-    return lottery**depth
+    return lcm(*(_rg_lottery(e, h)[0] for e in scaled for h in scaled if e <= h))
 
 
 def _dag_values(edges, ends, fronts, p, q):
@@ -499,10 +518,14 @@ def _dag_descent(edges, ends, fronts, values, p, q):
 class _SearchKernel:
     """One search node's work, in integers: the policy's state map stepped
     by ``engine.advance`` with one transition memo, the offline table, and
-    the ratio of their drained gains.  A packet is the key ((n_w - 1 -
-    weight index) * D + deadline) * A + (2 - lifespan) * branching + k,
-    over the menu's n_w weights ascending, with D = depth + 3 above every
-    deadline, A = 2 * branching and k the packet's place in its option.
+    the ratio of their drained gains (``node``).  A node of the search's
+    last level needs only the two drained gains: ``table_step`` gives its
+    table through the table memo and ``gains`` its expected gain per
+    carried set, so the DAG build calls ``node`` above that level only.
+    A packet is the key ((n_w - 1 - weight index) * D + deadline) * A +
+    (2 - lifespan) * branching + k, over the menu's n_w weights ascending,
+    with D = depth + 3 above every deadline, A = 2 * branching and k the
+    packet's place in its option.
     The only pending packets that share a deadline are the ones carried
     from the step before (lifespan 2) and the step's lifespan-1 arrivals,
     and the lifespan term puts the carried ones first, so a step's keys
@@ -538,7 +561,7 @@ class _SearchKernel:
         scaled = [w.numerator * (self.scale // w.denominator) for w in reversed(menu)]
         self.weights = [w for w in scaled for _ in range(block)]
         self.start = start(self.scale)
-        self.memo: Transitions = {}
+        self.memo = {}  # an engine.Transitions
         self.arrivals: dict[tuple[int, int], frozenset[int]] = {}
 
     def _intern(self, table):
@@ -564,21 +587,39 @@ class _SearchKernel:
             )
         return arrivals
 
-    def node(self, state, table, step, oi):
-        """The state map, offline table and ratio after option ``oi``
-        arrives at ``step``."""
-        keys = self.keys(step, oi)
-        state2 = advance(self.policy, state, step, keys, self.deadlines, self.weights, self.memo)
-        sid, offset = table
+    def table_step(self, sid, oi):
+        """The next shape id and the offset's change after option ``oi``
+        arrives on the table of shape ``sid``."""
         move = self.move_ids[oi]
         nxt = self.steps.get((sid, move))
         if nxt is None:
             nxt = self.steps[sid, move] = self._intern(
                 _advance_opt_state(self.tables[sid], *self.moves[move])
             )
-        sid, delta = nxt
-        offset += delta
+        return nxt
+
+    def node(self, state, table, step, oi):
+        """The state map, offline table and ratio after option ``oi``
+        arrives at ``step``."""
+        keys = self.keys(step, oi)
+        state2 = advance(self.policy, state, step, keys, self.deadlines, self.weights, self.memo)
+        sid, delta = self.table_step(table[0], oi)
+        offset = table[1] + delta
         return state2, (sid, offset), self._node_ratio(state2, offset + self.drained[sid])
+
+    def gains(self, carry, step, lottery):
+        """Per option arriving at ``step`` on the carried set ``carry``: the
+        policy's expected gain there plus the drain of what it carries on,
+        times the scale and ``lottery``, a multiple of every lottery's
+        denominator.  The pending set holds ``carry`` as its only keys of
+        lifespan 2 and deadline step + 1, so no memo could serve it twice."""
+        weights, deadlines, row = self.weights, self.deadlines, []
+        for oi in range(len(self.options)):
+            pending = carry | self.keys(step, oi)
+            den, outcomes = _transition(self.policy, pending, step, deadlines, weights, None)
+            drains = (f * (sent + (weights[min(c)] if c else 0)) for c, f, sent in outcomes)
+            row.append(lottery // den * sum(drains))
+        return row
 
     def _node_ratio(self, states, opt_scaled):
         """OPT over the policy's expected gain, both drained, as an

@@ -61,7 +61,6 @@ from .model import (
     Packet,
     Schedule,
     _edf_slots,
-    has_agreeable_deadlines,
     is_feasible_set,
     weight_scale,
 )
@@ -620,7 +619,8 @@ def conforming_clairvoyant(
     ones either.  So the pending part already lies inside a true oblivious
     schedule; a pending packet outside ``oblivious`` raises InvariantError.
     The packets are compiled, and the greedy over their keys
-    (``_fifo_solve``) is laid out by ``_conforming_layout``.
+    (``_fifo_solve``, which refuses keys not agreeable from ``step``) is
+    laid out by ``_conforming_layout``.
     """
     pending = list(pending)
     future = list(future)
@@ -633,13 +633,14 @@ def conforming_clairvoyant(
         if p.release <= step:
             raise ValueError(f"packet {p.id} is not a future arrival at step {step}")
     universe = pending + future
-    if not has_agreeable_deadlines(universe):
-        raise ValueError("conforming schedules require agreeable deadlines")
     scheduled = oblivious.schedule.packets
     compiled = _compile(scheduled.union(universe))
     order, deadlines = compiled.packets, compiled.deadlines
     rank = {p: k for k, p in enumerate(order)}
-    kept = _fifo_solve(map(rank.__getitem__, universe), step, compiled.releases, deadlines).keys
+    solved = _fifo_solve(map(rank.__getitem__, universe), step, compiled.releases, deadlines)
+    if solved is None:
+        raise ValueError("conforming schedules require agreeable deadlines")
+    kept = solved.keys
     oblivious_keys = set(map(rank.__getitem__, scheduled))
     slots = _conforming_layout(compiled, kept, step, oblivious_keys, lambda k: (deadlines[k], k))
     return Schedule(tuple((t, order[k]) for t, k in slots))

@@ -42,6 +42,7 @@ FACTS = (
     "tests/test_analysis.py::TestCheckFacts",
     "tests/test_offline.py::TestConformingClairvoyant",
 )
+DAG = ("tests/test_analysis.py::TestDagSearch",)
 CLI = "src/pktsched/cli.py"
 POLICIES = "src/pktsched/policies.py"
 ENGINE = "src/pktsched/engine.py"
@@ -274,6 +275,50 @@ MUTANTS = (
         "releases[first] <= step < deadlines[first]",
         "releases[first] < step < deadlines[first]",
         FACTS,
+    ),
+    # The exhaustive search's transposition DAG, analysis._dag_build,
+    # _dag_key and _dag_descent, and the rows that score its last level.
+    Mutant(
+        "dag: nodes keyed without their table shape",
+        ANALYSIS,
+        "    return sid, frozenset((kept, prob // divisor) for kept, prob in merged.items())",
+        "    return frozenset((kept, prob // divisor) for kept, prob in merged.items())",
+        DAG,
+    ),
+    Mutant(
+        "dag: nodes keyed without their probabilities",
+        ANALYSIS,
+        "    return sid, frozenset((kept, prob // divisor) for kept, prob in merged.items())",
+        "    return sid, frozenset(merged)",
+        DAG,
+    ),
+    Mutant(
+        "dag: the descent enters the last attaining child",
+        ANALYSIS,
+        "for oi, (child, da, db) in enumerate(rows[node]):",
+        "for oi, (child, da, db) in reversed(list(enumerate(rows[node]))):",
+        DAG,
+    ),
+    Mutant(
+        "dag rows: the gain row drops the drain of the carried set",
+        ANALYSIS,
+        "f * (sent + (weights[min(c)] if c else 0))",
+        "f * sent",
+        DAG,
+    ),
+    Mutant(
+        "dag rows: the gain row not rescaled to the lottery lcm",
+        ANALYSIS,
+        "row.append(lottery // den * sum(drains))",
+        "row.append(sum(drains))",
+        DAG,
+    ),
+    Mutant(
+        "dag rows: the optimum row drains the parent's shape",
+        ANALYSIS,
+        "(delta + drained[child]) * unit for child, delta in steps",
+        "(delta + drained[sid]) * unit for child, delta in steps",
+        DAG,
     ),
     # The instance reader's C scanner, cli.parse_instance.
     Mutant(

@@ -378,6 +378,83 @@ class TestDagSearch:
         _, dag = analysis._dag_build(policy, depth, branching, options)
         assert analysis._dag_solve(dag, 1, 1) == (ratio, path)
 
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(small_searches(), st.sampled_from(POLICIES))
+    @example(([Fraction(1, 2), Fraction(1), Fraction(5, 2)], 3, 1), "rg")
+    @example(([Fraction(3, 2), Fraction(2), Fraction(7, 3)], 2, 2), "rg")
+    @example(([Fraction(1), Fraction(3)], 1, 2), "rg")
+    @example(([Fraction(2), Fraction(3)], 1, 3), "mg")
+    def test_last_level_rows_match_the_kernel(self, drawn, policy):
+        # Each last-level parent's front, scored from the rows, against the
+        # Pareto front of its children stepped one by one by kernel.node,
+        # from the parent's first path in the build's order.
+        menu, depth, branching = drawn
+        options = two_bounded_step_options(menu, branching)
+        _, (edges, _, fronts) = analysis._dag_build(policy, depth, branching, options)
+        kernel = analysis._SearchKernel(policy, options, depth, branching)
+        unit = analysis._gain_lcm(kernel) ** depth
+        paths = [()]
+        for rows in edges:
+            reached = {}
+            for path, row in zip(paths, rows):
+                for oi, (child, _, _) in enumerate(row):
+                    reached.setdefault(child, path + (oi,))
+            paths = [reached[child] for child in range(len(reached))]
+        assert len(paths) == len(fronts)
+        for path, front in zip(paths, fronts):
+            state, table = kernel.start, kernel.table_start
+            for step, oi in enumerate(path, start=1):
+                state, table, _ = kernel.node(state, table, step, oi)
+            gained = sum(w for _, w, _ in state.carried.values()) * (unit // state.denominator)
+            triples = []
+            for oi in range(len(options)):
+                state2, (sid, offset2), ratio = kernel.node(state, table, depth, oi)
+                x = (offset2 + kernel.drained[sid] - table[1]) * unit
+                triples.append((x, ratio[1] * (unit // state2.denominator) - gained, oi))
+            assert front == pareto_front(triples)
+
+    @pytest.mark.parametrize(
+        "policy,menu,depth,branching",
+        [
+            ("rg", (1, 3), 1, 2),
+            ("mg-prime", (1, 2, 3), 2, 2),
+            ("rg", (Fraction(1, 2), 1, Fraction(5, 2)), 3, 2),
+            ("edf-nondominated", (1, 2, 3, 5), 3, 1),
+        ],
+    )
+    def test_kernel_steps_no_node_of_the_last_level(
+        self, monkeypatch, policy, menu, depth, branching
+    ):
+        # kernel.node runs once per option on each DAG node above the last
+        # level's parents, and never on the last level.
+        steps = []
+        node = analysis._SearchKernel.node
+
+        def counted(kernel, state, table, step, oi):
+            steps.append(step)
+            return node(kernel, state, table, step, oi)
+
+        monkeypatch.setattr(analysis._SearchKernel, "node", counted)
+        options = two_bounded_step_options(menu, branching)
+        _, (edges, _, fronts) = analysis._dag_build(policy, depth, branching, options)
+        assert len(steps) == len(options) * sum(map(len, edges))
+        assert all(step < depth for step in steps)
+        assert fronts and (depth > 1) == bool(steps)
+
+
+def pareto_front(triples):
+    """The (x, y, option) triples, in option order, that no other triple
+    beats: none with x and y both at least as good (x higher, y lower),
+    one of them better or, on equal pairs, an earlier option."""
+    return tuple(
+        t
+        for t in triples
+        if not any(
+            u[0] >= t[0] and u[1] <= t[1] and (u[0] > t[0] or u[1] < t[1] or u[2] < t[2])
+            for u in triples
+        )
+    )
+
 
 class TestSearchKeys:
     """The search's key space: key = ((n_w - 1 - weight index) * D +

@@ -10,6 +10,7 @@ from conftest import mk, mk_instance, random_agreeable
 from oracles import (
     brute_force_opt,
     follows_priority_order,
+    oracle_conforming,
     oracle_greedy_set,
     oracle_oblivious,
     order_key,
@@ -622,6 +623,22 @@ class TestConformingClairvoyant:
         ob = oblivious_schedule({a}, 1)
         with pytest.raises(ValueError, match="agreeable"):
             conforming_clairvoyant([a], [late], 1, ob)
+
+    def test_accepts_a_set_agreeable_from_the_step(self):
+        # Released in falling-deadline order, but both pending at step 2,
+        # where r' = 2 for both and the FIFO order is b, a.
+        a, b = mk("a", 1, 5, 1, 0), mk("b", 2, 3, 2, 1)
+        assert not has_agreeable_deadlines([a, b])
+        ob = oblivious_schedule({a, b}, 2)
+        conf = conforming_clairvoyant([a, b], [], 2, ob)
+        assert conf == oracle_conforming([a, b], [], 2, ob)
+        assert conf.slots == ((2, b), (3, a))
+
+    def test_rejects_a_set_not_agreeable_from_the_step(self):
+        a, late = mk("a", 2, 6, 1, 0), mk("b", 3, 4, 1, 1)
+        ob = oblivious_schedule({a}, 2)
+        with pytest.raises(ValueError, match="^conforming schedules require agreeable deadlines$"):
+            conforming_clairvoyant([a], [late], 2, ob)
 
     def test_conformance_clauses_on_random_instances(self):
         rng = random.Random(31)
