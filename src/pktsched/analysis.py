@@ -25,7 +25,7 @@ from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 from .engine import DEFAULT_EXACT_CAP, _rg_exact, _transition, advance, run_policy, start
 from .model import Instance, InvariantError, as_weight
-from .offline import _Conforming, _conforming_layout, _conforming_send, _solved, _walk
+from .offline import _Conforming, _conforming_front, _conforming_send, _solved, _walk
 from .policies import _choose, _rg_lottery
 
 _T = TypeVar("_T")
@@ -370,9 +370,9 @@ def _dag_build(policy, depth, branching, options):
     ``_SearchKernel.node`` steps each child above the last level.  The
     last level steps no state map: per option, a leaf's dA + a is the
     offset's change plus the child shape's drained maximum, a row per
-    parent shape, and its dB + b the sum, over the parent's carried sets,
-    of the set's probability times its row of ``_SearchKernel.gains``,
-    times the unit over L and the map's denominator.
+    parent shape (``leaf_optima``), and its dB + b the sum, over the
+    parent's carried sets, of the set's probability times its row of
+    ``_SearchKernel.gains``, times the unit over L and the denominator.
 
     Only two levels of representatives are kept.  The DAG is (edges,
     ends, fronts): per level above the last parents, per node, one
@@ -422,8 +422,7 @@ def _dag_build(policy, depth, branching, options):
         state, (sid, offset), gained = frontier.pop()
         xs = optima.get(sid)
         if xs is None:
-            steps = map(kernel.table_step, itertools.repeat(sid), indices)
-            xs = optima[sid] = [(delta + drained[child]) * unit for child, delta in steps]
+            xs = optima[sid] = [x * unit for x in kernel.leaf_optima(sid)]
         ys, spread = [0] * len(options), unit // state.denominator // lottery
         for carry, (prob, _, _) in state.carried.items():
             row = gains.get(carry)
@@ -519,8 +518,8 @@ class _SearchKernel:
     """One search node's work, in integers: the policy's state map stepped
     by ``engine.advance`` with one transition memo, the offline table, and
     the ratio of their drained gains (``node``).  A node of the search's
-    last level needs only the two drained gains: ``table_step`` gives its
-    table through the table memo and ``gains`` its expected gain per
+    last level needs only the two drained gains: ``leaf_optima`` gives its
+    drained optimum in closed form and ``gains`` its expected gain per
     carried set, so the DAG build calls ``node`` above that level only.
     A packet is the key ((n_w - 1 - weight index) * D + deadline) * A +
     (2 - lifespan) * branching + k, over the menu's n_w weights ascending,
@@ -597,6 +596,21 @@ class _SearchKernel:
                 _advance_opt_state(self.tables[sid], *self.moves[move])
             )
         return nxt
+
+    def leaf_optima(self, sid):
+        """Per option arriving on the table of shape ``sid``, ``table_step``'s
+        offset change plus the next shape's drained maximum, in closed form:
+        L1 + max(v + max(expiring, c[-1], L2)) over the items (c, v), with
+        L1 >= L2 the two heaviest long-lived arrivals (0 if absent).  An
+        item carries them all on and drains L1 last, or sends L1 now and
+        drains L2 (sending a lighter one gains no more)."""
+        items = [(v, c[-1] if c else 0) for c, v in self.tables[sid]]
+        row = []
+        for expiring, long_lived in self.moves:
+            *_, l2, l1 = (0, 0, *long_lived)
+            floor = max(expiring, l2)
+            row.append(l1 + max(v + max(floor, top) for v, top in items))
+        return list(map(row.__getitem__, self.move_ids))
 
     def node(self, state, table, step, oi):
         """The state map, offline table and ratio after option ``oi``
@@ -698,7 +712,7 @@ FACT_CHECKS = (
 )
 
 # (step, the oblivious schedule's ranks in the deadline-first order) -> a
-# replacement sequence, or None to keep it.
+# replacement sequence of ranks released by the step, or None to keep it.
 Corruption = Callable[[int, tuple[int, ...]], Sequence[int] | None]
 
 
@@ -752,14 +766,15 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     pending plus future ranks, which the conforming schedule lays out, is
     carried from step to step (``offline._Conforming``) as the oblivious
     schedule is.  A packet is looked up only to name it in a step's note.
-    ``_check_step`` decides each fact once, two of them by laying C out.
+    ``_check_step`` decides each fact once, from C's released members.
 
     ``corrupt(step, sequence)`` is a mutation-testing hook: it gets the
     ranks of the step's oblivious schedule in the deadline-first order and
-    may return a replacement sequence, in the same order, to hand to the
-    checks in its place.  The checked earliest packet is the replacement's
-    first member and the checked heaviest its smallest rank.  The run itself
-    is driven by the true schedules.  Failures are findings, not exceptions.
+    may return a replacement sequence of ranks released by the step, in
+    the same order, to hand to the checks in its place.  The checked
+    earliest packet is the replacement's first member and the checked
+    heaviest its smallest rank.  The run itself is driven by the true
+    schedules.  Failures are findings, not exceptions.
     """
     if not instance.is_agreeable:
         raise ValueError("fact checks require an agreeable instance")
@@ -776,7 +791,7 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
             replacement = corrupt(step, tuple(sequence))
             if replacement is not None:
                 checked = replacement
-        report.steps.append(_check_step(compiled, step, conforming.keys, checked, sequence, order))
+        report.steps.append(_check_step(compiled, step, conforming, checked, sequence, order))
         choice = _choose("mg-prime", e, h, sequence, weights.__getitem__)
         expired = expiring.get(step + 1, ())
         _conforming_send(conforming, choice, step, releases, deadlines, expired)
@@ -786,29 +801,32 @@ def check_facts(instance: Instance, corrupt: Corruption | None = None) -> FactsR
     return report
 
 
-def _check_step(compiled, step: int, kept: list[int], checked, truth, order) -> StepFacts:
-    """The facts at one step over the ranks of ``compiled``: ``kept`` is
-    the greedy basis of the pending and the future ranks from ``step``,
-    ``checked`` the oblivious schedule handed to the checks and ``truth``
-    the true one, both in the deadline-first order, and ``order`` maps a
-    rank to its place in that order, ``(deadline, rank)``.
+def _check_step(compiled, step: int, conforming, checked, truth, order) -> StepFacts:
+    """The facts at one step over the ranks of ``compiled``: ``conforming``
+    holds C, the greedy basis of the pending and the future ranks from
+    ``step``, ``checked`` the oblivious schedule handed to the checks and
+    ``truth`` the true one, both in the deadline-first order, and
+    ``order`` maps a rank to its place in that order, ``(deadline, rank)``.
 
-    ``_conforming_layout`` lays C out once.  It raises, giving a note, for
-    a released rank of C outside ``checked``, and its first-slot
-    substitute is in ``checked``, so ``pending_within_oblivious`` holds
-    when it returns.  The substitute comes before the rank it replaces in
-    the order, so the layout is the deadline-first one of its own ranks,
-    ``conforming_built``, iff the first slot's rank is pending at ``step``."""
+    The facts ask only about the released ranks of ``checked``, so C's
+    released members, the lead of its lists, decide them all.
+    ``_conforming_front`` raises, giving a note, for a released rank of C
+    outside ``checked``, and its first-slot substitute is in ``checked``,
+    so ``pending_within_oblivious`` holds when it returns.  The substitute
+    comes before the rank it replaces in the order, so the layout is the
+    deadline-first one of its own ranks, ``conforming_built``, iff the
+    first slot's rank is pending at ``step``."""
     releases, deadlines, weights = compiled.releases, compiled.deadlines, compiled.weights
     results = dict.fromkeys(FACT_CHECKS, False)
     weight = weights.__getitem__
     results["oblivious_optimal"] = sum(map(weight, checked)) == sum(map(weight, truth))
     try:
-        conforming = _conforming_layout(compiled, kept, step, set(checked), order)
-    except (InvariantError, ValueError) as err:
+        n, replaced, first = _conforming_front(compiled, conforming, step, set(checked))
+    except InvariantError as err:
         return StepFacts(step, results, note=str(err))
-    chosen = {k for _, k in conforming}
-    first = conforming[0][1]
+    chosen = set(conforming.keys[:n])
+    chosen.remove(replaced)
+    chosen.add(first)
     results["conforming_built"] = releases[first] <= step < deadlines[first]
     results["pending_within_oblivious"] = True
     heaviest, before = weights[first], order(first)
@@ -816,9 +834,7 @@ def _check_step(compiled, step: int, kept: list[int], checked, truth, order) -> 
         weights[k] < heaviest for k in checked if order(k) < before
     )
     results["heavier_scheduled_monotone"] = heavier_scheduled_monotone(checked, chosen, weight)
-    results["front_swap_feasible"] = _front_swap_feasible(
-        conforming, chosen, step, checked, releases, deadlines
-    )
+    results["front_swap_feasible"] = _front_swap_feasible(first, chosen, step, checked, order)
     return StepFacts(step, results)
 
 
@@ -844,16 +860,21 @@ def heavier_scheduled_monotone(
 
 
 def _front_swap_feasible(
-    conforming: list[tuple[int, int]],
-    chosen: Container[int],
-    step: int,
-    checked: Sequence[int],
-    releases: list[int],
-    deadlines: list[int],
+    first: int, chosen: set[int], step: int, checked: Sequence[int], order: Callable
 ) -> bool:
     """When the first rank of ``checked``, the oblivious schedule, is
     skipped, its heaviest (its smallest rank) must be movable to the front
-    of the conforming schedule."""
+    of the conforming schedule, the rest following in its order, each at
+    the first free step from its release.  ``chosen`` holds C's released
+    members, the first slot's rank ``first`` among them; they are walked
+    on consecutive steps from ``step``: the heaviest, ``first``, then the
+    others in the order ``(deadline, rank)``.  C's n released members and
+    future members f_1, ..., f_i sent in that order by the schedule all
+    have deadlines up to d_i (agreeable deadlines: f_j goes out before f_i
+    in the order or before its release), so the feasible C fits them
+    before d_i, and f_j, ..., f_i go out on distinct steps from r_j.  So
+    f_i's step, the latest of step + n + i - 1 and r_j + i - j (j <= i),
+    is below d_i: the future members never fail."""
     if not checked:
         return False
     if checked[0] in chosen:
@@ -861,17 +882,9 @@ def _front_swap_feasible(
     heaviest = min(checked)
     if heaviest not in chosen:
         return False
-    sequence = [k for _, k in conforming]
-    reordered = [heaviest]
-    reordered += [k for k in sequence if releases[k] <= step and k != heaviest]
-    reordered += [k for k in sequence if releases[k] > step]
-    current = step
-    for k in reordered:
-        slot = max(current, releases[k])
-        if slot >= deadlines[k]:
-            return False
-        current = slot + 1
-    return True
+    front = dict.fromkeys((heaviest, first))
+    walk = [*front, *sorted(chosen.difference(front), key=order)]
+    return all(order(k)[0] > t for t, k in enumerate(walk, start=step))
 
 
 def drop_packet_corruption(target_step: int, drop_position: int) -> Corruption:

@@ -257,9 +257,9 @@ def _cmd_run(args) -> int:
 def _cmd_opt(args) -> int:
     instance = _load(args, require_agreeable=False)
     schedule, value = opt_schedule(instance.packets, instance.first_release)
-    for step, packet in schedule.slots:
-        print(f"step {step}: {packet.id} (w={format_rational(packet.weight)})")
-    _print_ratio("optimum", value)
+    lines = [f"step {t}: {p.id} (w={format_rational(p.weight)})" for t, p in schedule.slots]
+    lines.append(_ratio_line("optimum", value))
+    print("\n".join(lines))
     payload = {
         "command": "opt",
         "slots": [{"step": t, "id": p.id} for t, p in schedule.slots],
@@ -340,12 +340,16 @@ def _cmd_search(args) -> int:
 def _cmd_check_facts(args) -> int:
     instance = _load(args, require_agreeable=True)
     report = check_facts(instance)
+    lines = []
     for entry in report.steps:
         failed = [name for name, ok in entry.results.items() if not ok]
         status = "ok" if not failed else f"FAIL ({', '.join(failed)})"
-        print(f"step {entry.step}: {status}")
+        lines.append(f"step {entry.step}: {status}")
         if entry.note:
-            print(f"  note: {entry.note}")
+            lines.append(f"  note: {entry.note}")
+    if report.passed:
+        lines.append(f"all checks passed over {len(report.steps)} steps")
+    print("\n".join(lines))
     payload = {
         "command": "check-facts",
         "passed": report.passed,
@@ -356,7 +360,6 @@ def _cmd_check_facts(args) -> int:
     }
     _write_report(args, payload)
     if report.passed:
-        print(f"all checks passed over {len(report.steps)} steps")
         return 0
     print("structural checks FAILED; this indicates a bug", file=sys.stderr)
     return 2

@@ -36,13 +36,13 @@ and ``analysis.check_facts``, each of which only chooses the sent key.
 The *conforming clairvoyant schedule* is built here as well: its kept set
 C is the greedy optimum over pending plus future packets, whose pending
 part lies inside the oblivious schedule because both greedies share one
-order, and ``_conforming_layout`` lays C out with its first packet chosen
-to outweigh every order-earlier oblivious member.  ``conforming_clairvoyant``
-solves C afresh by ``_fifo_solve``, the reference; a single path carries
-it (``_Conforming``), changed by the sent key, its replacement and the
-lost slot, each one exchange found by a bisection or by Hall's condition
-on C's slots.  ``analysis.check_facts`` steps it and lays C out once
-at every step.
+order, and ``_conforming_front`` picks its first packet to outweigh every
+order-earlier oblivious member.  ``conforming_clairvoyant`` solves C
+afresh by ``_fifo_solve``, the reference; a single path carries it
+(``_Conforming``), changed by the sent key, its replacement and the lost
+slot, each one exchange found by a bisection or by Hall's condition on
+C's slots.  ``analysis.check_facts`` steps it and reads its released
+members, never laying all of C out.
 """
 
 from __future__ import annotations
@@ -619,8 +619,8 @@ def conforming_clairvoyant(
     ones either.  So the pending part already lies inside a true oblivious
     schedule; a pending packet outside ``oblivious`` raises InvariantError.
     The packets are compiled, and the greedy over their keys
-    (``_fifo_solve``, which refuses keys not agreeable from ``step``) is
-    laid out by ``_conforming_layout``.
+    (``_fifo_solve``, which refuses keys not agreeable from ``step``) gets
+    its first slot from ``_conforming_front``, the rest laid out in order.
     """
     pending = list(pending)
     future = list(future)
@@ -637,38 +637,45 @@ def conforming_clairvoyant(
     compiled = _compile(scheduled.union(universe))
     order, deadlines = compiled.packets, compiled.deadlines
     rank = {p: k for k, p in enumerate(order)}
-    solved = _fifo_solve(map(rank.__getitem__, universe), step, compiled.releases, deadlines)
+    releases = compiled.releases
+    solved = _fifo_solve(map(rank.__getitem__, universe), step, releases, deadlines)
     if solved is None:
         raise ValueError("conforming schedules require agreeable deadlines")
-    kept = solved.keys
     oblivious_keys = set(map(rank.__getitem__, scheduled))
-    slots = _conforming_layout(compiled, kept, step, oblivious_keys, lambda k: (deadlines[k], k))
+    _, _, substitute = _conforming_front(compiled, solved, step, oblivious_keys)
+    slots = _edf_slots(solved.keys, step, releases.__getitem__, lambda k: (deadlines[k], k))
+    slots[0] = (step, substitute)
     return Schedule(tuple((t, order[k]) for t, k in slots))
 
 
-def _conforming_layout(
-    compiled: _Compiled,
-    kept: Sequence[int],
-    step: int,
-    oblivious: Collection[int],
-    order: Callable[[int], tuple[int, int]],
-) -> list[tuple[int, int]]:
-    """The conforming clairvoyant schedule of ``kept``, the greedy basis of
-    the pending and the future keys from ``step`` (``_fifo_solve`` solves
-    it, ``_Conforming`` carries it), as ``(step, key)`` slots in
-    step order.  Among equal deadlines, key order is the deadline-first
-    order, so ``order`` maps a key to ``(deadline, key)``."""
-    releases, weights = compiled.releases, compiled.weights
-    slots = _edf_slots(kept, step, releases.__getitem__, order)
-    for _, k in slots:
-        if releases[k] <= step and k not in oblivious:
-            raise InvariantError(
-                f"pending packet {compiled.packets[k].id} of the optimum lies outside "
-                "the oblivious schedule; the oblivious schedule is not optimal"
-            )
-    if not slots or slots[0][0] != step:
+def _conforming_front(
+    compiled: _Compiled, conforming: _Conforming, step: int, oblivious: Collection[int]
+) -> tuple[int, int, int]:
+    """The front of the conforming clairvoyant schedule, read off C's FIFO
+    lists at ``step`` against the oblivious schedule's keys ``oblivious``,
+    all released: the number n of C's released members, which lead the
+    lists in deadline order (their FIFO key is ``(step, deadline)``), the
+    key that C's deadline-first layout sends at ``step``, the lowest among
+    the leading ones of deadline ``dls[0]``, and its substitute, the
+    order-minimal key of equal weight in ``oblivious``.  Raises
+    InvariantError for a released member outside ``oblivious`` (naming
+    the order-first), for an idle ``step`` (n = 0), and for a first key
+    with no equal weight in ``oblivious`` or whose substitute is already a
+    member, which only a released one can be."""
+    releases, deadlines, weights = compiled.releases, compiled.deadlines, compiled.weights
+    _, dls, keys, _ = conforming
+    n = bisect_left(keys, True, key=lambda k: releases[k] > step)
+    released = keys[:n]
+    outside = [k for k in released if k not in oblivious]
+    if outside:
+        k = min(outside, key=lambda k: (deadlines[k], k))
+        raise InvariantError(
+            f"pending packet {compiled.packets[k].id} of the optimum lies outside "
+            "the oblivious schedule; the oblivious schedule is not optimal"
+        )
+    if not n:
         raise InvariantError("conforming schedule leaves the current step idle")
-    first = slots[0][1]
+    first = min(keys[: bisect_right(dls, dls[0], 0, n)])
     # Among keys of one weight, key order is by deadline, then arrival.
     substitute = min((k for k in oblivious if weights[k] == weights[first]), default=None)
     if substitute is None:
@@ -676,8 +683,6 @@ def _conforming_layout(
             "first packet of the conforming schedule is not weight-matched "
             "in the oblivious schedule"
         )
-    if substitute != first:
-        if substitute in kept:
-            raise InvariantError("equal-weight substitute already scheduled")
-        slots[0] = (step, substitute)
-    return slots
+    if substitute != first and substitute in released:
+        raise InvariantError("equal-weight substitute already scheduled")
+    return n, first, substitute

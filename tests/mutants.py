@@ -42,6 +42,7 @@ FACTS = (
     "tests/test_analysis.py::TestCheckFacts",
     "tests/test_offline.py::TestConformingClairvoyant",
 )
+CHECK_FACTS = ("tests/test_analysis.py::TestCheckFacts",)
 DAG = ("tests/test_analysis.py::TestDagSearch",)
 CLI = "src/pktsched/cli.py"
 POLICIES = "src/pktsched/policies.py"
@@ -239,8 +240,8 @@ MUTANTS = (
         "        if False:",
         SHARED_SOLVE,
     ),
-    # The conforming layout and the fact checks, offline._conforming_layout
-    # and analysis._check_step.
+    # The conforming schedule's front and the fact checks,
+    # offline._conforming_front and analysis._check_step.
     Mutant(
         "layout: the largest equal-weight substitute",
         OFFLINE,
@@ -249,11 +250,25 @@ MUTANTS = (
         FACTS,
     ),
     Mutant(
-        "layout: keyed (deadline, -rank)",
+        "layout: the first slot keyed (deadline, -rank)",
         OFFLINE,
-        "slots = _edf_slots(kept, step, releases.__getitem__, order)",
-        "slots = _edf_slots(kept, step, releases.__getitem__, lambda k: (order(k)[0], -k))",
+        "first = min(keys[: bisect_right(dls, dls[0], 0, n)])",
+        "first = max(keys[: bisect_right(dls, dls[0], 0, n)])",
         FACTS,
+    ),
+    Mutant(
+        "front: the first slot taken as C's first FIFO member",
+        OFFLINE,
+        "first = min(keys[: bisect_right(dls, dls[0], 0, n)])",
+        "first = keys[0]",
+        CHECK_FACTS,
+    ),
+    Mutant(
+        "front: a future rank counted among the released ones",
+        OFFLINE,
+        "key=lambda k: releases[k] > step)",
+        "key=lambda k: releases[k] > step + 1)",
+        CHECK_FACTS,
     ),
     Mutant(
         "facts: the conforming order always holds",
@@ -316,8 +331,15 @@ MUTANTS = (
     Mutant(
         "dag rows: the optimum row drains the parent's shape",
         ANALYSIS,
-        "(delta + drained[child]) * unit for child, delta in steps",
-        "(delta + drained[sid]) * unit for child, delta in steps",
+        "row.append(l1 + max(v + max(floor, top) for v, top in items))",
+        "row.append(max(v + top for v, top in items))",
+        DAG,
+    ),
+    Mutant(
+        "dag rows: the optimum row drops the second long-lived arrival",
+        ANALYSIS,
+        "floor = max(expiring, l2)",
+        "floor = expiring",
         DAG,
     ),
     # The instance reader's C scanner, cli.parse_instance.

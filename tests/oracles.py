@@ -580,13 +580,20 @@ def _oracle_front_swap_feasible(conforming, step, oblivious) -> bool:
     reordered = [heaviest]
     reordered += [p for p in sequence if p.release <= step and p != heaviest]
     reordered += [p for p in sequence if p.release > step]
-    current = step
-    for packet in reordered:
+    return oracle_first_late(reordered, step) is None
+
+
+def oracle_first_late(packets, start: int) -> int | None:
+    """The index of the first of ``packets`` that misses its deadline when
+    each goes out, in the given order, at the first step from ``start``
+    after the one before and at or after its release; None if none does."""
+    current = start
+    for index, packet in enumerate(packets):
         slot = max(current, packet.release)
         if slot >= packet.deadline:
-            return False
+            return index
         current = slot + 1
-    return True
+    return None
 
 
 def oracle_parse_instance(path) -> Instance:

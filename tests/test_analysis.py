@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import mk, mk_instance, random_agreeable
 from oracles import (
     at_most_golden,
@@ -14,7 +16,7 @@ from oracles import (
     order_key,
 )
 
-from pktsched import analysis
+from pktsched import analysis, model, offline
 from pktsched.analysis import (
     FACT_CHECKS,
     GeneratorSpec,
@@ -67,6 +69,41 @@ def tied_agreeable(draw):
 def as_rows(steps):
     """Step facts as comparable rows, the results in their order."""
     return [(entry.step, list(entry.results.items()), entry.note) for entry in steps]
+
+
+def drops(inst):
+    """Every ``(step, position)`` of a drop from an oblivious schedule of
+    the mg-prime run; one position past the end wraps around to the first."""
+    return [
+        (record.step, position)
+        for record in run_policy(inst, "mg-prime").per_step
+        for position in range(len(record.scheduled_ids) + 1)
+    ]
+
+
+# At step 1 the oblivious schedule is e, j, h, and C is h, j and the
+# future x: the earliest, e, is skipped, and moving h to the front walks
+# j and then x.
+FRONT_SWAP_THROUGH_FUTURE = Instance.build(
+    [("e", 1, 2, 1), ("j", 1, 3, 2), ("h", 1, 4, 3), ("x", 2, 4, 10)]
+)
+
+
+def front_swap_walks(inst, drop=None):
+    """The front-swap walks of ``oracle_check_facts(inst, drop)``: per
+    walk, its number of released packets (which lead it), the index of its
+    first late packet or None, and its length."""
+    walks = []
+    first_late = oracles.oracle_first_late
+
+    def spy(packets, start):
+        late = first_late(packets, start)
+        walks.append((sum(p.release <= start for p in packets), late, len(packets)))
+        return late
+
+    with mock.patch.object(oracles, "oracle_first_late", spy):
+        oracle_check_facts(inst, drop)
+    return walks
 
 
 class TestCompetitiveRatio:
@@ -413,6 +450,29 @@ class TestDagSearch:
                 triples.append((x, ratio[1] * (unit // state2.denominator) - gained, oi))
             assert front == pareto_front(triples)
 
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(small_searches(), st.sampled_from(POLICIES))
+    def test_leaf_optima_match_the_table_step(self, drawn, policy):
+        # Every shape the build interns, each option: the closed form
+        # against the table memo's step plus the next shape's drained
+        # maximum.
+        menu, depth, branching = drawn
+        options = two_bounded_step_options(menu, branching)
+        kernels = []
+        leaf_optima = analysis._SearchKernel.leaf_optima
+
+        def spy(kernel, sid):
+            kernels.append(kernel)
+            return leaf_optima(kernel, sid)
+
+        with mock.patch.object(analysis._SearchKernel, "leaf_optima", spy):
+            analysis._dag_build(policy, depth, branching, options)
+        kernel = kernels[0]
+        for sid in range(len(kernel.tables)):
+            steps = [kernel.table_step(sid, oi) for oi in range(len(options))]
+            expected = [delta + kernel.drained[child] for child, delta in steps]
+            assert leaf_optima(kernel, sid) == expected
+
     @pytest.mark.parametrize(
         "policy,menu,depth,branching",
         [
@@ -550,17 +610,53 @@ class TestCheckFacts:
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(tied_agreeable())
+    # The future p2 goes out at step 2, ahead of the released p1 of equal
+    # deadline.
+    @example(Instance.build([("p0", 1, 2, 1), ("p1", 1, 4, 1), ("p2", 2, 4, 8)]))
+    # The first slot's rank, p0, shares its weight and deadline with p1,
+    # which C's FIFO lists hold first: the substitute rule picks p0.
+    @example(Instance.build([("p0", 1, 3, 1), ("p1", 1, 3, 1), ("p2", 2, 4, 2)]))
+    @example(FRONT_SWAP_THROUGH_FUTURE)
     def test_matches_the_packet_oracle_with_and_without_a_corruption(self, inst):
         report = check_facts(inst)
         assert as_rows(report.steps) == as_rows(oracle_check_facts(inst))
         assert all(list(entry.results) == list(FACT_CHECKS) for entry in report.steps)
-        for record in run_policy(inst, "mg-prime").per_step:
-            # One position past the end wraps around to the first.
-            for position in range(len(record.scheduled_ids) + 1):
-                corrupt = drop_packet_corruption(record.step, position)
-                assert as_rows(check_facts(inst, corrupt).steps) == as_rows(
-                    oracle_check_facts(inst, (record.step, position))
-                )
+        for step, position in drops(inst):
+            corrupt = drop_packet_corruption(step, position)
+            assert as_rows(check_facts(inst, corrupt).steps) == as_rows(
+                oracle_check_facts(inst, (step, position))
+            )
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(tied_agreeable())
+    @example(FRONT_SWAP_THROUGH_FUTURE)
+    def test_the_front_swap_walk_never_fails_among_future_ranks(self, inst):
+        # So check_facts walks only C's released members.
+        for drop in [None, *drops(inst)]:
+            for released, late, _ in front_swap_walks(inst, drop):
+                assert late is None or late < released
+
+    def test_the_front_swap_walk_reaches_future_ranks(self):
+        walks = front_swap_walks(FRONT_SWAP_THROUGH_FUTURE)
+        assert any(late is None and released < total for released, late, total in walks)
+
+    def test_builds_no_deadline_first_layout(self, monkeypatch):
+        calls = []
+        edf_slots = model._edf_slots
+
+        def counted(*args):
+            calls.append(args)
+            return edf_slots(*args)
+
+        monkeypatch.setattr(model, "_edf_slots", counted)
+        monkeypatch.setattr(offline, "_edf_slots", counted)
+        spec = GeneratorSpec("agreeable-random", steps=40, max_per_step=4, deadline_spread=12)
+        inst = Instance(generate(spec).packets[:40])
+        report = check_facts(inst)
+        assert report.passed and len(report.steps) > 20
+        assert calls == []
+        offline.opt_schedule(inst.packets, inst.first_release)  # the counter counts
+        assert len(calls) == 1
 
     def test_passes_on_random_agreeable_instances(self):
         rng = random.Random(2024)
