@@ -356,11 +356,11 @@ def _dag_build(policy, depth, branching, options):
     as (numerator, denominator).
 
     A node's future depends only on its step, its state map with each
-    carried set read as its sorted weights (every carried key expires at
-    the next step, and the policies read weights only) and its offline
-    table's shape, so nodes equal in those are one DAG node
-    (``_dag_key``), expanded once from one representative: the first path
-    that reaches it.  A tree node's ratio is (A + a) / (B + b): the path's
+    carried set read as its heaviest weight (no other carried key is ever
+    sent, and the policies read weights only) and its offline table's
+    shape, so nodes equal in those are one DAG node (``_dag_key``),
+    expanded once from one representative: the first path that reaches
+    it.  A tree node's ratio is (A + a) / (B + b): the path's
     drained-optimum offset A and expected gain B, each a sum of fixed
     (dA, dB) per DAG edge, over the node's drained optimum a above the
     offset and drained expected gain b.  Gains are integers in one unit
@@ -370,9 +370,10 @@ def _dag_build(policy, depth, branching, options):
     ``_SearchKernel.node`` steps each child above the last level.  The
     last level steps no state map: per option, a leaf's dA + a is the
     offset's change plus the child shape's drained maximum, a row per
-    parent shape (``leaf_optima``), and its dB + b the sum, over the
-    parent's carried sets, of the set's probability times its row of
-    ``_SearchKernel.gains``, times the unit over L and the denominator.
+    parent shape from ``table_step`` and ``drained``, and its dB + b the
+    sum, over the parent's carried sets, of the set's probability times
+    its row of ``_SearchKernel.gains``, times the unit over L and the
+    denominator.
 
     Only two levels of representatives are kept.  The DAG is (edges,
     ends, fronts): per level above the last parents, per node, one
@@ -422,7 +423,8 @@ def _dag_build(policy, depth, branching, options):
         state, (sid, offset), gained = frontier.pop()
         xs = optima.get(sid)
         if xs is None:
-            xs = optima[sid] = [x * unit for x in kernel.leaf_optima(sid)]
+            steps = map(kernel.table_step, itertools.repeat(sid), indices)
+            xs = optima[sid] = [(delta + drained[nxt]) * unit for nxt, delta in steps]
         ys, spread = [0] * len(options), unit // state.denominator // lottery
         for carry, (prob, _, _) in state.carried.items():
             row = gains.get(carry)
@@ -458,14 +460,19 @@ def _dag_solve(dag, p, q):
 
 def _dag_key(states, sid, weights):
     """The DAG node of a state map at some step with offline table shape
-    ``sid``: the shape, and the map's distribution over carried weight
-    tuples, equal tuples' probabilities added and divided by their gcd."""
-    merged: dict[tuple[int, ...], int] = {}
+    ``sid``: the shape, and the map's distribution over the carried sets'
+    heaviest weights (0 for none), equal weights' probabilities added and
+    divided by their gcd.  Sets of equal heaviest weight have one future:
+    no other key is ever sent (``_SearchKernel``), two heaviest keys of
+    equal weight differ only in their place in their option, so each
+    sorts against the next arrivals as the other does, and the policies
+    read weights only."""
+    merged: dict[int, int] = {}
     for carry, (prob, _, _) in states.carried.items():
-        kept = tuple(sorted(map(weights.__getitem__, carry)))
-        merged[kept] = merged.get(kept, 0) + prob
+        top = weights[min(carry)] if carry else 0
+        merged[top] = merged.get(top, 0) + prob
     divisor = gcd(*merged.values())
-    return sid, frozenset((kept, prob // divisor) for kept, prob in merged.items())
+    return sid, frozenset((top, prob // divisor) for top, prob in merged.items())
 
 
 def _gain_lcm(kernel):
@@ -518,9 +525,22 @@ class _SearchKernel:
     """One search node's work, in integers: the policy's state map stepped
     by ``engine.advance`` with one transition memo, the offline table, and
     the ratio of their drained gains (``node``).  A node of the search's
-    last level needs only the two drained gains: ``leaf_optima`` gives its
-    drained optimum in closed form and ``gains`` its expected gain per
-    carried set, so the DAG build calls ``node`` above that level only.
+    last level needs only the two drained gains: ``table_step`` and
+    ``drained`` give its drained optimum and ``gains`` its expected gain
+    per carried set, so the DAG build calls ``node`` above that level
+    only.
+
+    Only a carried set's heaviest key counts.  A key carried into step t
+    has deadline t + 1, like the step's one-step arrivals: step t's slot
+    is the only one they can use.  The oblivious schedule, the matroid
+    greedy in key order, keeps the first of them in key order or none,
+    and a carried key sorts before a one-step arrival of equal
+    weight; a rejected key changes none of the greedy's later choices.
+    So a carried key other than the heaviest never enters the oblivious
+    schedule, is never sent, and expires, and the optimum can send one
+    of them at most: each state's future, and the offline table's, is
+    fixed by its heaviest carried weight alone.
+
     A packet is the key ((n_w - 1 - weight index) * D + deadline) * A +
     (2 - lifespan) * branching + k, over the menu's n_w weights ascending,
     with D = depth + 3 above every deadline, A = 2 * branching and k the
@@ -533,6 +553,8 @@ class _SearchKernel:
     common denominator) list every key's, n_w * D * A entries; each
     option's keys are built once per step.
 
+    The offline table maps the heaviest carried weight (0 for none) to
+    the best gain so far, in at most two items (``_advance_opt_state``).
     A table is (shape id, offset): its items less their smallest value,
     interned in ``tables`` with the drained maximum in ``drained``, and
     that value.  A table step shifts with its input, so ``steps`` maps
@@ -549,7 +571,7 @@ class _SearchKernel:
         self.tables: list[tuple] = []
         self.drained: list[int] = []
         self.steps: dict[tuple[int, int], tuple[int, int]] = {}
-        self.table_start = self._intern({(): 0})
+        self.table_start = self._intern({0: 0})
         menu = sorted({w for option in options for _, w in option})
         self.weight_rank = {w: len(menu) - 1 - i for i, w in enumerate(menu)}
         self.branching = branching
@@ -566,12 +588,12 @@ class _SearchKernel:
     def _intern(self, table):
         """The dict ``table`` as (shape id, offset)."""
         offset = min(table.values())
-        shape = tuple(sorted((carry, value - offset) for carry, value in table.items()))
+        shape = tuple(sorted((top, value - offset) for top, value in table.items()))
         sid = self.shapes.get(shape)
         if sid is None:
             sid = self.shapes[shape] = len(self.tables)
             self.tables.append(shape)
-            self.drained.append(max(value + (c[-1] if c else 0) for c, value in shape))
+            self.drained.append(max(top + value for top, value in shape))
         return sid, offset
 
     def keys(self, step, oi):
@@ -596,21 +618,6 @@ class _SearchKernel:
                 _advance_opt_state(self.tables[sid], *self.moves[move])
             )
         return nxt
-
-    def leaf_optima(self, sid):
-        """Per option arriving on the table of shape ``sid``, ``table_step``'s
-        offset change plus the next shape's drained maximum, in closed form:
-        L1 + max(v + max(expiring, c[-1], L2)) over the items (c, v), with
-        L1 >= L2 the two heaviest long-lived arrivals (0 if absent).  An
-        item carries them all on and drains L1 last, or sends L1 now and
-        drains L2 (sending a lighter one gains no more)."""
-        items = [(v, c[-1] if c else 0) for c, v in self.tables[sid]]
-        row = []
-        for expiring, long_lived in self.moves:
-            *_, l2, l1 = (0, 0, *long_lived)
-            floor = max(expiring, l2)
-            row.append(l1 + max(v + max(floor, top) for v, top in items))
-        return list(map(row.__getitem__, self.move_ids))
 
     def node(self, state, table, step, oi):
         """The state map, offline table and ratio after option ``oi``
@@ -661,42 +668,30 @@ def _instance_from_path(options, path) -> Instance:
 
 def _offline_moves(options):
     """The common denominator of the options' weights and, per option, what
-    the offline table needs of it: the heaviest scaled weight among the
-    packets that expire after this step (0 if none) and the sorted scaled
-    weights of the ones it may carry."""
+    the offline table needs of it, (E, L1, L2): the heaviest scaled weight
+    among the packets that expire after this step and the two heaviest
+    among the ones it may carry, each 0 if absent."""
     scale = lcm(*(w.denominator for option in options for _, w in option))
     moves = []
     for option in options:
         scaled = [(lifespan, w.numerator * (scale // w.denominator)) for lifespan, w in option]
-        moves.append(
-            (
-                max((w for lifespan, w in scaled if lifespan == 1), default=0),
-                tuple(sorted(w for lifespan, w in scaled if lifespan == 2)),
-            )
-        )
+        l1, l2, *_ = sorted((w for lifespan, w in scaled if lifespan == 2), reverse=True) + [0, 0]
+        moves.append((max((w for lifespan, w in scaled if lifespan == 1), default=0), l1, l2))
     return scale, moves
 
 
-def _advance_opt_state(items, expiring, long_lived):
-    """One step of the offline table, given as its (carried packets, best
-    gain so far) items, on arrivals whose expiring packets' heaviest scaled
-    weight is ``expiring`` and whose long-lived scaled weights are
-    ``long_lived`` (sorted); returns the next table as a dict.  Every
-    carried packet has deadline step + 2, so equal weights are
-    interchangeable and a carry is keyed by its sorted weights.  Weights
-    and gains are ints, the menu's weights times their common denominator."""
-    out: dict[tuple[int, ...], int] = {}
-
-    def put(key, value):
-        if out.get(key, -1) < value:
-            out[key] = value
-
-    for carry, value in items:
-        put(long_lived, value + max(expiring, carry[-1] if carry else 0))  # 0: idle
-        for i, w in enumerate(long_lived):
-            if i == 0 or long_lived[i - 1] != w:
-                put(long_lived[:i] + long_lived[i + 1 :], value + w)
-    return out
+def _advance_opt_state(items, expiring, l1, l2):
+    """One step of the offline table, given as its (heaviest carried
+    weight, best gain so far) items, on the move (E, L1, L2) of
+    ``_offline_moves``; returns the next table as a dict.  The step sends
+    the heavier of the carried one and E, or a long-lived arrival other
+    than L1, at best L2, and carries L1 on; or it sends L1 and carries L2
+    on, which gains no more when L1 = L2.  Weights and gains are ints,
+    the menu's weights times their common denominator."""
+    keep = max(value + max(expiring, top, l2) for top, value in items)
+    if l1 == l2:
+        return {l1: keep}
+    return {l1: keep, l2: max(value for _, value in items) + l1}
 
 
 # ---------------------------------------------------------------------------

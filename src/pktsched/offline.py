@@ -659,9 +659,12 @@ def _conforming_front(
     the leading ones of deadline ``dls[0]``, and its substitute, the
     order-minimal key of equal weight in ``oblivious``.  Raises
     InvariantError for a released member outside ``oblivious`` (naming
-    the order-first), for an idle ``step`` (n = 0), and for a first key
-    with no equal weight in ``oblivious`` or whose substitute is already a
-    member, which only a released one can be."""
+    the order-first) and for an idle ``step`` (n = 0).  The first key is a
+    released member, so it is in ``oblivious`` and has a substitute of no
+    higher rank.  Keys of one weight rank by deadline, so a released
+    substitute would have deadline ``dls[0]``, the least among the
+    released members, and a rank no lower than the first key's, the
+    least of theirs: it would be the first key."""
     releases, deadlines, weights = compiled.releases, compiled.deadlines, compiled.weights
     _, dls, keys, _ = conforming
     n = bisect_left(keys, True, key=lambda k: releases[k] > step)
@@ -677,12 +680,5 @@ def _conforming_front(
         raise InvariantError("conforming schedule leaves the current step idle")
     first = min(keys[: bisect_right(dls, dls[0], 0, n)])
     # Among keys of one weight, key order is by deadline, then arrival.
-    substitute = min((k for k in oblivious if weights[k] == weights[first]), default=None)
-    if substitute is None:
-        raise InvariantError(
-            "first packet of the conforming schedule is not weight-matched "
-            "in the oblivious schedule"
-        )
-    if substitute != first and substitute in released:
-        raise InvariantError("equal-weight substitute already scheduled")
+    substitute = min(k for k in oblivious if weights[k] == weights[first])
     return n, first, substitute

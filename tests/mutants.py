@@ -44,6 +44,7 @@ FACTS = (
 )
 CHECK_FACTS = ("tests/test_analysis.py::TestCheckFacts",)
 DAG = ("tests/test_analysis.py::TestDagSearch",)
+TABLE = ("tests/test_analysis.py::TestOfflineTableMemo",)
 CLI = "src/pktsched/cli.py"
 POLICIES = "src/pktsched/policies.py"
 ENGINE = "src/pktsched/engine.py"
@@ -245,8 +246,8 @@ MUTANTS = (
     Mutant(
         "layout: the largest equal-weight substitute",
         OFFLINE,
-        "substitute = min((k for k in oblivious",
-        "substitute = max((k for k in oblivious",
+        "substitute = min(k for k in oblivious",
+        "substitute = max(k for k in oblivious",
         FACTS,
     ),
     Mutant(
@@ -296,15 +297,22 @@ MUTANTS = (
     Mutant(
         "dag: nodes keyed without their table shape",
         ANALYSIS,
-        "    return sid, frozenset((kept, prob // divisor) for kept, prob in merged.items())",
-        "    return frozenset((kept, prob // divisor) for kept, prob in merged.items())",
+        "    return sid, frozenset((top, prob // divisor) for top, prob in merged.items())",
+        "    return frozenset((top, prob // divisor) for top, prob in merged.items())",
         DAG,
     ),
     Mutant(
         "dag: nodes keyed without their probabilities",
         ANALYSIS,
-        "    return sid, frozenset((kept, prob // divisor) for kept, prob in merged.items())",
+        "    return sid, frozenset((top, prob // divisor) for top, prob in merged.items())",
         "    return sid, frozenset(merged)",
+        DAG,
+    ),
+    Mutant(
+        "dag: nodes keyed by their lightest carried weight",
+        ANALYSIS,
+        "top = weights[min(carry)] if carry else 0",
+        "top = weights[max(carry)] if carry else 0",
         DAG,
     ),
     Mutant(
@@ -331,16 +339,24 @@ MUTANTS = (
     Mutant(
         "dag rows: the optimum row drains the parent's shape",
         ANALYSIS,
-        "row.append(l1 + max(v + max(floor, top) for v, top in items))",
-        "row.append(max(v + top for v, top in items))",
+        "(delta + drained[nxt]) * unit",
+        "drained[sid] * unit",
         DAG,
     ),
+    # The offline table's closed-form step, analysis._advance_opt_state.
     Mutant(
-        "dag rows: the optimum row drops the second long-lived arrival",
+        "table: the step drops the second long-lived arrival",
         ANALYSIS,
-        "floor = max(expiring, l2)",
-        "floor = expiring",
-        DAG,
+        "max(expiring, top, l2)",
+        "max(expiring, top)",
+        TABLE,
+    ),
+    Mutant(
+        "table: the step drops its send-L1-now entry",
+        ANALYSIS,
+        "    return {l1: keep, l2: max(value for _, value in items) + l1}",
+        "    return {l1: keep}",
+        TABLE,
     ),
     # The instance reader's C scanner, cli.parse_instance.
     Mutant(

@@ -16,7 +16,7 @@ from oracles import (
     order_key,
 )
 
-from pktsched import analysis, model, offline
+from pktsched import analysis, engine, model, offline
 from pktsched.analysis import (
     FACT_CHECKS,
     GeneratorSpec,
@@ -36,6 +36,7 @@ from pktsched.offline import _compile
 from pktsched.policies import POLICIES
 
 MENU12 = (Fraction(1), Fraction(2))
+MENU13_OPTIONS = two_bounded_step_options((Fraction(1), Fraction(3)), 2)
 
 # Few weights, two of them fractional, so that weights tie often.
 TIE_MENU = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(3), Fraction(8))
@@ -397,6 +398,11 @@ class TestDagSearch:
     # Nodes that differ only in the probabilities of their carried sets: a
     # 3-step rg witness through such a node, which no small tree holds.
     @example(([Fraction(1), Fraction(2), Fraction(3), Fraction(8)], 3, 2), "rg")
+    # Nodes that differ only in a carried weight below the heaviest: at
+    # step 2, options (1:1, 2:1) then (2:1, 2:1) carry 1 and 1, and
+    # (1:1, 2:3) then (2:1, 2:1) carry 1 and 1 or, when rg sent the 3 at
+    # step 1, the lone 1.
+    @example(([Fraction(1), Fraction(3)], 3, 2), "rg")
     def test_matches_the_tree_walk(self, drawn, policy):
         menu, depth, branching = drawn
         options = two_bounded_step_options(menu, branching)
@@ -452,26 +458,35 @@ class TestDagSearch:
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(small_searches(), st.sampled_from(POLICIES))
-    def test_leaf_optima_match_the_table_step(self, drawn, policy):
-        # Every shape the build interns, each option: the closed form
-        # against the table memo's step plus the next shape's drained
-        # maximum.
+    @example(([Fraction(1), Fraction(3)], 3, 2), "rg")
+    def test_every_tree_node_scores_along_its_dag_path(self, drawn, policy):
+        # Every tree node, stepped by kernel.node, against its path in the
+        # DAG: above the last level, the path's summed edges plus its DAG
+        # node's end give the node's drained optimum and expected gain, so
+        # every path into a DAG node has the representative's future; a
+        # leaf's pair past its parent's sums is its option's front member,
+        # or a front member beats it.
         menu, depth, branching = drawn
         options = two_bounded_step_options(menu, branching)
-        kernels = []
-        leaf_optima = analysis._SearchKernel.leaf_optima
-
-        def spy(kernel, sid):
-            kernels.append(kernel)
-            return leaf_optima(kernel, sid)
-
-        with mock.patch.object(analysis._SearchKernel, "leaf_optima", spy):
-            analysis._dag_build(policy, depth, branching, options)
-        kernel = kernels[0]
-        for sid in range(len(kernel.tables)):
-            steps = [kernel.table_step(sid, oi) for oi in range(len(options))]
-            expected = [delta + kernel.drained[child] for child, delta in steps]
-            assert leaf_optima(kernel, sid) == expected
+        _, (edges, ends, fronts) = analysis._dag_build(policy, depth, branching, options)
+        kernel = analysis._SearchKernel(policy, options, depth, branching)
+        unit = analysis._gain_lcm(kernel) ** depth
+        stack = [(kernel.start, kernel.table_start, 1, 0, 0, 0)]
+        while stack:
+            state, table, step, node, a_sum, b_sum = stack.pop()
+            front = {oi: (x, y) for x, y, oi in fronts[node]} if step == depth else None
+            for oi in range(len(options)):
+                state2, (sid, offset), ratio = kernel.node(state, table, step, oi)
+                opt = (offset + kernel.drained[sid]) * unit - a_sum
+                gain = ratio[1] * (unit // state2.denominator) - b_sum
+                if front is None:
+                    child, da, db = edges[step - 1][node][oi]
+                    assert (da, db) == (opt - ends[step][child][0], gain - ends[step][child][1])
+                    stack.append((state2, (sid, offset), step + 1, child, a_sum + da, b_sum + db))
+                elif oi in front:
+                    assert front[oi] == (opt, gain)
+                else:
+                    assert any(x >= opt and y <= gain for x, y in front.values())
 
     @pytest.mark.parametrize(
         "policy,menu,depth,branching",
@@ -547,6 +562,35 @@ class TestSearchKeys:
                 assert [Fraction(kernel.weights[k], kernel.scale) for k in keys] == [
                     p.weight for p in pending
                 ]
+            state, table, _ = kernel.node(state, table, step, oi)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(search_paths(), st.sampled_from(POLICIES))
+    # rg on 1,3 carries both long-lived 1s into step 3 when it sends the
+    # carried 3 at step 2, and one more 1 arrives there.
+    @example((MENU13_OPTIONS, 3, 2, [7, 11, 2]), "rg")
+    def test_only_the_heaviest_carried_key_counts(self, drawn, policy):
+        # The lemma behind the heaviest-carried keys: a step's decision on a
+        # carried set plus the arrivals is the one on its heaviest key plus
+        # the arrivals, outcome by outcome.
+        options, depth, branching, path = drawn
+        kernel = analysis._SearchKernel(policy, options, depth, branching)
+        deadlines, weights = kernel.deadlines, kernel.weights
+        state, table = kernel.start, kernel.table_start
+        for step, oi in enumerate(path, start=1):
+            arrivals = kernel.keys(step, oi)
+            for carry in filter(None, state.carried):
+                den, outcomes = engine._transition(
+                    policy, carry | arrivals, step, deadlines, weights, None
+                )
+                top_den, top_outcomes = engine._transition(
+                    policy, arrivals | {min(carry)}, step, deadlines, weights, None
+                )
+                assert den == top_den
+                assert len(outcomes) == len(top_outcomes)
+                for (c, prob, sent), (top_c, top_prob, top_sent) in zip(outcomes, top_outcomes):
+                    assert (prob, sent) == (top_prob, top_sent)
+                    assert min(c, default=None) == min(top_c, default=None)
             state, table, _ = kernel.node(state, table, step, oi)
 
     @pytest.mark.parametrize("weights,depth,branching", [(1, 1, 1), (2, 3, 2), (4, 5, 3)])
