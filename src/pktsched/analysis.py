@@ -6,12 +6,12 @@ packet lives one or two steps).  That restriction keeps the game tree
 tractable and loses little: the known worst-case families for this problem
 are two-bounded.  Because a two-bounded packet never survives two steps,
 both the policy's pending set and the offline optimum carry at most the
-current step's long-lived arrivals, which lets the search step the
-engine's state map (``engine.advance``, over integer packet keys of the
-search's own key space) and an offline-optimum table incrementally
-instead of re-simulating every prefix; no ``Packet`` is built per node.
-Both step through memos: the table is an interned shape plus an offset,
-so most nodes cost one lookup for it.
+current step's long-lived arrivals, and only the heaviest of them counts.
+So the search steps the engine's state map (``engine.advance``), keyed by
+that weight, and an offline-optimum table incrementally instead of
+re-simulating every prefix, each in closed form per step; no ``Packet``
+is built per node.  The table is an interned shape plus an offset,
+stepped through a memo, so most nodes cost one lookup for it.
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from operator import itemgetter
 from math import gcd, lcm
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
-from .engine import DEFAULT_EXACT_CAP, _rg_exact, _transition, advance, run_policy, start
+from .engine import DEFAULT_EXACT_CAP, States, _rg_exact, advance, run_policy
 from .model import Instance, InvariantError, as_weight
 from .offline import _Conforming, _conforming_front, _conforming_send, _solved, _walk
 from .policies import _choose, _rg_lottery
@@ -276,27 +278,27 @@ def adversary_search(
         if beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         best_ratio, best_path, nodes, complete = _beam_search(
-            policy, depth, branching, options, beam_width, max_nodes
+            policy, depth, options, beam_width, max_nodes
         )
     elif tree is not None and (max_nodes is None or tree <= max_nodes):
-        best, dag = _dag_build(policy, depth, branching, options)
+        best, dag = _dag_build(policy, depth, options)
         best_ratio, best_path = _dag_solve(dag, *best)
         nodes, complete = tree, True
     else:
         best_ratio, best_path, nodes, complete = _explore_roots(
-            policy, depth, branching, options, max_nodes
+            policy, depth, options, max_nodes
         )
     witness = _instance_from_path(options, best_path)
     return SearchResult(witness, policy, best_ratio, nodes, complete)
 
 
-def _explore_roots(policy, depth, branching, options, max_nodes):
+def _explore_roots(policy, depth, options, max_nodes):
     """The tree walk, in pre-order and option order up to ``max_nodes``
     nodes, on an explicit stack so any depth fits."""
     best = None  # the best ratio, as (numerator, denominator)
     nodes = 0
     complete = True
-    kernel = _SearchKernel(policy, options, depth, branching)
+    kernel = _SearchKernel(policy, options)
     indices = range(len(options))
     stack = [(kernel.start, kernel.table_start, (), iter(indices))]
     while stack:
@@ -310,7 +312,7 @@ def _explore_roots(policy, depth, branching, options, max_nodes):
             break
         nodes += 1
         step = len(path) + 1
-        state2, table2, ratio = kernel.node(state, table, step, oi)
+        state2, table2, ratio = kernel.node(state, table, oi)
         child = path + (oi,)
         if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
             best, best_path = ratio, child
@@ -319,11 +321,11 @@ def _explore_roots(policy, depth, branching, options, max_nodes):
     return Fraction(*best), best_path, nodes, complete
 
 
-def _beam_search(policy, depth, branching, options, beam_width, max_nodes):
+def _beam_search(policy, depth, options, beam_width, max_nodes):
     best = None
     nodes = 0
     complete = True
-    kernel = _SearchKernel(policy, options, depth, branching)
+    kernel = _SearchKernel(policy, options)
     frontier = [(kernel.start, kernel.table_start, ())]
     for step in range(1, depth + 1):
         scored = []
@@ -333,7 +335,7 @@ def _beam_search(policy, depth, branching, options, beam_width, max_nodes):
                     complete = False
                     break
                 nodes += 1
-                state2, table2, ratio = kernel.node(state, table, step, oi)
+                state2, table2, ratio = kernel.node(state, table, oi)
                 child = path + (oi,)
                 if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
                     best, best_path = ratio, child
@@ -351,29 +353,30 @@ def _beam_search(policy, depth, branching, options, beam_width, max_nodes):
     return Fraction(*best), best_path, nodes, complete
 
 
-def _dag_build(policy, depth, branching, options):
+def _dag_build(policy, depth, options):
     """The tree's transposition DAG, and the best ratio among its nodes,
     as (numerator, denominator).
 
-    A node's future depends only on its step, its state map with each
-    carried set read as its heaviest weight (no other carried key is ever
-    sent, and the policies read weights only) and its offline table's
-    shape, so nodes equal in those are one DAG node (``_dag_key``),
-    expanded once from one representative: the first path that reaches
-    it.  A tree node's ratio is (A + a) / (B + b): the path's
-    drained-optimum offset A and expected gain B, each a sum of fixed
-    (dA, dB) per DAG edge, over the node's drained optimum a above the
-    offset and drained expected gain b.  Gains are integers in one unit
-    for the whole search, L**depth (``_gain_lcm``), and A and a are
-    scaled by it, so every ratio is a quotient of two integers.
+    A node's future depends only on its step, its state map over the
+    heaviest carried weights and its offline table's shape, so nodes equal
+    in those are one DAG node (``_dag_key``), expanded once from one
+    representative: the first path that reaches it.  A tree node's ratio
+    is (A + a) / (B + b): the path's drained-optimum offset A and expected
+    gain B, each a sum of fixed (dA, dB) per DAG edge, over the node's
+    drained optimum a above the offset and drained expected gain b.  Gains
+    are integers in one unit for the whole search, L**depth
+    (``_gain_lcm``), and A and a are scaled by it, so every ratio is a
+    quotient of two integers.
 
     ``_SearchKernel.node`` steps each child above the last level.  The
-    last level steps no state map: per option, a leaf's dA + a is the
-    offset's change plus the child shape's drained maximum, a row per
-    parent shape from ``table_step`` and ``drained``, and its dB + b the
-    sum, over the parent's carried sets, of the set's probability times
-    its row of ``_SearchKernel.gains``, times the unit over L and the
-    denominator.
+    last level steps no state map and scores moves, not options: options
+    with one move have one leaf pair, so only the first of them can enter
+    a front.  Per move, a leaf's dA + a is the offset's change plus the
+    child shape's drained maximum, a row per parent shape from
+    ``table_step`` and ``drained``, sorted by it once, and its dB + b the
+    sum, over the parent's carried weights, of the weight's probability
+    times its row of ``_SearchKernel.gains``, times the unit over L and
+    the denominator.
 
     Only two levels of representatives are kept.  The DAG is (edges,
     ends, fronts): per level above the last parents, per node, one
@@ -381,7 +384,7 @@ def _dag_build(policy, depth, branching, options):
     the root; and per last-level parent, its children's (dA + a, dB + b,
     option) pairs that no other pair beats in both, in option order,
     since only such a pair can attain a best value."""
-    kernel = _SearchKernel(policy, options, depth, branching)
+    kernel = _SearchKernel(policy, options)
     lottery = _gain_lcm(kernel)
     unit = lottery**depth
     drained = kernel.drained
@@ -391,18 +394,18 @@ def _dag_build(policy, depth, branching, options):
     # Per node of the level: its representative state map, table and
     # expected gain B (A is the table's offset).
     frontier = [(kernel.start, kernel.table_start, 0)]
-    for step in range(1, depth):
+    for _ in range(1, depth):
         children: dict[tuple, int] = {}
         reps, level_ends, rows = [], [], []
         for state, table, gained in frontier:
             offset = table[1]
             row = []
             for oi in indices:
-                state2, (sid, offset2), ratio = kernel.node(state, table, step, oi)
+                state2, (sid, offset2), ratio = kernel.node(state, table, oi)
                 if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
                     best = ratio
                 spread = unit // state2.denominator
-                key = _dag_key(state2, sid, kernel.weights)
+                key = _dag_key(state2, sid)
                 child = children.get(key)
                 if child is None:
                     child = children[key] = len(reps)
@@ -416,31 +419,40 @@ def _dag_build(policy, depth, branching, options):
         edges.append(rows)
         ends.append(level_ends)
         frontier = reps
-        kernel.memo.clear()  # its entries are keyed by this step
+    moves = range(len(kernel.moves))
+    first = [kernel.move_ids.index(move) for move in moves]  # its first option
     fronts, optima, gains = [], {}, {}
     frontier.reverse()
     while frontier:  # each parent's state map goes once it is scored
         state, (sid, offset), gained = frontier.pop()
         xs = optima.get(sid)
-        if xs is None:
-            steps = map(kernel.table_step, itertools.repeat(sid), indices)
-            xs = optima[sid] = [(delta + drained[nxt]) * unit for nxt, delta in steps]
-        ys, spread = [0] * len(options), unit // state.denominator // lottery
-        for carry, (prob, _, _) in state.carried.items():
-            row = gains.get(carry)
+        if xs is None:  # (x, move), x falling, then in option order
+            steps = map(kernel.table_step, itertools.repeat(sid), moves)
+            xs = [((delta + drained[nxt]) * unit, move) for move, (nxt, delta) in zip(moves, steps)]
+            xs = optima[sid] = sorted(xs, key=itemgetter(0), reverse=True)  # stable
+        ys, spread = [0] * len(moves), unit // state.denominator // lottery
+        for top, (prob, _, _) in state.carried.items():
+            row = gains.get(top)
             if row is None:
-                row = gains[carry] = kernel.gains(carry, depth, lottery)
+                row = gains[top] = kernel.gains(top, lottery)
             ys = [y + prob * spread * h for y, h in zip(ys, row)]
         if not gained and not all(ys):
             raise InvariantError("policy gained nothing on a nonempty injection")
-        front = []
-        for x, y, oi in sorted(zip(xs, ys, indices), key=lambda pair: (-pair[0], pair[1], pair[2])):
-            if not front or y < front[-1][1]:
-                front.append((x, y, oi))
-                ratio = (offset * unit + x, gained + y)
-                if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
-                    best = ratio
-        fronts.append(tuple(sorted(front, key=lambda pair: pair[2])))
+        front = []  # (move, x, y), x falling and y strictly falling
+        for x, move in xs:
+            y = ys[move]
+            if not front or y < front[-1][2]:
+                if front and x == front[-1][1]:
+                    front.pop()
+                front.append((move, x, y))
+        for _, x, y in front:
+            ratio = (offset * unit + x, gained + y)
+            if best is None or ratio[0] * best[1] > best[0] * ratio[1]:
+                best = ratio
+        front.sort()
+        # From a list: tuples grown from a generator raise the peak RSS of
+        # repeated searches.
+        fronts.append(tuple([(x, y, first[move]) for move, x, y in front]))
     return best, (edges, ends, fronts)
 
 
@@ -458,21 +470,13 @@ def _dag_solve(dag, p, q):
         p, q = a, b
 
 
-def _dag_key(states, sid, weights):
+def _dag_key(states, sid):
     """The DAG node of a state map at some step with offline table shape
-    ``sid``: the shape, and the map's distribution over the carried sets'
-    heaviest weights (0 for none), equal weights' probabilities added and
-    divided by their gcd.  Sets of equal heaviest weight have one future:
-    no other key is ever sent (``_SearchKernel``), two heaviest keys of
-    equal weight differ only in their place in their option, so each
-    sorts against the next arrivals as the other does, and the policies
-    read weights only."""
-    merged: dict[int, int] = {}
-    for carry, (prob, _, _) in states.carried.items():
-        top = weights[min(carry)] if carry else 0
-        merged[top] = merged.get(top, 0) + prob
-    divisor = gcd(*merged.values())
-    return sid, frozenset((top, prob // divisor) for top, prob in merged.items())
+    ``sid``: the shape, and the map's distribution over the heaviest
+    carried weights, divided by its gcd.  A state's future is fixed by
+    that weight (``_SearchKernel``)."""
+    divisor = gcd(*(prob for prob, _, _ in states.carried.values()))
+    return sid, frozenset((top, prob // divisor) for top, (prob, _, _) in states.carried.items())
 
 
 def _gain_lcm(kernel):
@@ -482,7 +486,7 @@ def _gain_lcm(kernel):
     scale is an integer in the unit L**depth."""
     if kernel.policy != "rg":
         return 1
-    scaled = [w.numerator * (kernel.scale // w.denominator) for w in kernel.weight_rank]
+    scaled = {w for move in kernel.moves for w in move if w}  # the menu
     return lcm(*(_rg_lottery(e, h)[0] for e in scaled for h in scaled if e <= h))
 
 
@@ -523,35 +527,24 @@ def _dag_descent(edges, ends, fronts, values, p, q):
 
 class _SearchKernel:
     """One search node's work, in integers: the policy's state map stepped
-    by ``engine.advance`` with one transition memo, the offline table, and
-    the ratio of their drained gains (``node``).  A node of the search's
-    last level needs only the two drained gains: ``table_step`` and
-    ``drained`` give its drained optimum and ``gains`` its expected gain
-    per carried set, so the DAG build calls ``node`` above that level
-    only.
+    by ``engine.advance``, the offline table, and the ratio of their
+    drained gains (``node``).  A node of the search's last level needs
+    only the two drained gains: ``table_step`` and ``drained`` give its
+    drained optimum and ``gains`` its expected gain per heaviest carried
+    weight, so the DAG build calls ``node`` above that level only.
 
-    Only a carried set's heaviest key counts.  A key carried into step t
-    has deadline t + 1, like the step's one-step arrivals: step t's slot
-    is the only one they can use.  The oblivious schedule, the matroid
-    greedy in key order, keeps the first of them in key order or none,
-    and a carried key sorts before a one-step arrival of equal
-    weight; a rejected key changes none of the greedy's later choices.
-    So a carried key other than the heaviest never enters the oblivious
-    schedule, is never sent, and expires, and the optimum can send one
-    of them at most: each state's future, and the offline table's, is
-    fixed by its heaviest carried weight alone.
-
-    A packet is the key ((n_w - 1 - weight index) * D + deadline) * A +
-    (2 - lifespan) * branching + k, over the menu's n_w weights ascending,
-    with D = depth + 3 above every deadline, A = 2 * branching and k the
-    packet's place in its option.
-    The only pending packets that share a deadline are the ones carried
-    from the step before (lifespan 2) and the step's lifespan-1 arrivals,
-    and the lifespan term puts the carried ones first, so a step's keys
-    are distinct and sorting them gives the greedy order, arrival order
-    breaking ties.  ``deadlines`` and ``weights`` (times the options'
-    common denominator) list every key's, n_w * D * A entries; each
-    option's keys are built once per step.
+    Only a carried set's heaviest packet counts.  A packet carried into
+    step t has deadline t + 1, like the step's one-step arrivals: step t's
+    slot is the only one they can use.  The oblivious schedule, the
+    matroid greedy in the greedy order, keeps the first of them in that
+    order or none, and a carried packet ranks before a one-step arrival of
+    equal weight; a rejected packet changes none of the greedy's later
+    choices.  So a carried packet other than the heaviest never enters the
+    oblivious schedule, is never sent, and expires, and the optimum can
+    send one of them at most: each state's future, and the offline
+    table's, is fixed by its heaviest carried weight alone.  The state map
+    is keyed by that weight (0 for none), and a step's decision on it is
+    the closed form ``_decision`` on the option's move (E, L1, L2).
 
     The offline table maps the heaviest carried weight (0 for none) to
     the best gain so far, in at most two items (``_advance_opt_state``).
@@ -560,30 +553,19 @@ class _SearchKernel:
     that value.  A table step shifts with its input, so ``steps`` maps
     (shape id, move id) to (next shape id, offset delta)."""
 
-    def __init__(self, policy, options, depth, branching):
+    def __init__(self, policy, options):
         self.policy = policy
-        self.options = options
         self.scale, moves = _offline_moves(options)
         ids: dict[tuple, int] = {}  # options with equal moves share an id
         self.move_ids = [ids.setdefault(move, len(ids)) for move in moves]
         self.moves = list(ids)
+        self.decisions = [partial(_decision, policy, *move) for move in moves]
         self.shapes: dict[tuple, int] = {}
         self.tables: list[tuple] = []
         self.drained: list[int] = []
         self.steps: dict[tuple[int, int], tuple[int, int]] = {}
         self.table_start = self._intern({0: 0})
-        menu = sorted({w for option in options for _, w in option})
-        self.weight_rank = {w: len(menu) - 1 - i for i, w in enumerate(menu)}
-        self.branching = branching
-        self.span, self.slots = depth + 3, 2 * branching  # D and A
-        block = self.span * self.slots
-        # One int object per deadline value, shared by all of its keys.
-        self.deadlines = [d for d in range(self.span) for _ in range(self.slots)] * len(menu)
-        scaled = [w.numerator * (self.scale // w.denominator) for w in reversed(menu)]
-        self.weights = [w for w in scaled for _ in range(block)]
-        self.start = start(self.scale)
-        self.memo = {}  # an engine.Transitions
-        self.arrivals: dict[tuple[int, int], frozenset[int]] = {}
+        self.start = States(self.scale, 1, {0: (1, 0, 1)})
 
     def _intern(self, table):
         """The dict ``table`` as (shape id, offset)."""
@@ -596,22 +578,9 @@ class _SearchKernel:
             self.drained.append(max(top + value for top, value in shape))
         return sid, offset
 
-    def keys(self, step, oi):
-        """The keys of option ``oi`` arriving at ``step``."""
-        arrivals = self.arrivals.get((oi, step))
-        if arrivals is None:
-            arrivals = self.arrivals[oi, step] = frozenset(
-                (self.weight_rank[weight] * self.span + step + lifespan) * self.slots
-                + (2 - lifespan) * self.branching
-                + k
-                for k, (lifespan, weight) in enumerate(self.options[oi])
-            )
-        return arrivals
-
-    def table_step(self, sid, oi):
-        """The next shape id and the offset's change after option ``oi``
-        arrives on the table of shape ``sid``."""
-        move = self.move_ids[oi]
+    def table_step(self, sid, move):
+        """The next shape id and the offset's change after an option of
+        move id ``move`` arrives on the table of shape ``sid``."""
         nxt = self.steps.get((sid, move))
         if nxt is None:
             nxt = self.steps[sid, move] = self._intern(
@@ -619,40 +588,34 @@ class _SearchKernel:
             )
         return nxt
 
-    def node(self, state, table, step, oi):
+    def node(self, state, table, oi):
         """The state map, offline table and ratio after option ``oi``
-        arrives at ``step``."""
-        keys = self.keys(step, oi)
-        state2 = advance(self.policy, state, step, keys, self.deadlines, self.weights, self.memo)
-        sid, delta = self.table_step(table[0], oi)
+        arrives."""
+        state2 = advance(state, self.decisions[oi])
+        sid, delta = self.table_step(table[0], self.move_ids[oi])
         offset = table[1] + delta
         return state2, (sid, offset), self._node_ratio(state2, offset + self.drained[sid])
 
-    def gains(self, carry, step, lottery):
-        """Per option arriving at ``step`` on the carried set ``carry``: the
+    def gains(self, top, lottery):
+        """Per move arriving on the heaviest carried weight ``top``: the
         policy's expected gain there plus the drain of what it carries on,
         times the scale and ``lottery``, a multiple of every lottery's
-        denominator.  The pending set holds ``carry`` as its only keys of
-        lifespan 2 and deadline step + 1, so no memo could serve it twice."""
-        weights, deadlines, row = self.weights, self.deadlines, []
-        for oi in range(len(self.options)):
-            pending = carry | self.keys(step, oi)
-            den, outcomes = _transition(self.policy, pending, step, deadlines, weights, None)
-            drains = (f * (sent + (weights[min(c)] if c else 0)) for c, f, sent in outcomes)
-            row.append(lottery // den * sum(drains))
+        denominator."""
+        row = []
+        for move in self.moves:
+            den, outcomes = _decision(self.policy, *move, top)
+            row.append(lottery // den * sum(f * (sent + carry) for carry, f, sent in outcomes))
         return row
 
     def _node_ratio(self, states, opt_scaled):
         """OPT over the policy's expected gain, both drained, as an
         unreduced (numerator, denominator) pair; ``opt_scaled`` is the
-        drained optimum times the scale.  Every carried key has deadline
-        step + 2, so at step + 1 the oblivious schedule is the heaviest key
-        alone, the smallest, and every policy, like the optimum, transmits
-        it."""
-        weights = self.weights
+        drained optimum times the scale.  Every carried packet has deadline
+        step + 2, so at step + 1 the oblivious schedule is the heaviest
+        alone, and every policy, like the optimum, transmits it."""
         algorithm = 0  # times the map's denominator and the scale
-        for carry, (prob, weighted, _) in states.carried.items():
-            algorithm += weighted + (prob * weights[min(carry)] if carry else 0)
+        for top, (prob, weighted, _) in states.carried.items():
+            algorithm += weighted + prob * top
         if opt_scaled == 0:
             return 1, 1
         if algorithm == 0:
@@ -668,9 +631,10 @@ def _instance_from_path(options, path) -> Instance:
 
 def _offline_moves(options):
     """The common denominator of the options' weights and, per option, what
-    the offline table needs of it, (E, L1, L2): the heaviest scaled weight
-    among the packets that expire after this step and the two heaviest
-    among the ones it may carry, each 0 if absent."""
+    the offline table and the policy's step (``_decision``) need of it,
+    (E, L1, L2): the heaviest scaled weight among the packets that expire
+    after this step and the two heaviest among the ones it may carry, each
+    0 if absent."""
     scale = lcm(*(w.denominator for option in options for _, w in option))
     moves = []
     for option in options:
@@ -692,6 +656,29 @@ def _advance_opt_state(items, expiring, l1, l2):
     if l1 == l2:
         return {l1: keep}
     return {l1: keep, l2: max(value for _, value in items) + l1}
+
+
+def _decision(policy, expiring, l1, l2, top):
+    """The policy's transition (``engine.Transition``) as the move (E, L1,
+    L2) of ``_offline_moves`` arrives on the heaviest carried weight
+    ``top`` (0 for none); each outcome carries its heaviest weight on.
+    The step's slot is the only one for A = max(top, E), and the
+    oblivious schedule keeps A, ahead of an equal L2, beside L1, or else
+    L1 and L2.  So A is both the earliest and the heaviest when A >= L1,
+    ties going deadline-first, and L1 is when there is no A or L2 > A:
+    every policy sends it.  Otherwise A is the earliest and L1 the
+    heaviest, and the rules choose.  Sending A carries L1 on, and sending
+    L1 carries L2 on."""
+    a = max(top, expiring)
+    if a >= l1:
+        return 1, ((l1, 1, a),)
+    if a == 0 or l2 > a:
+        return 1, ((l2, 1, l1),)
+    if policy == "rg":
+        denominator, p_a, p_l1 = _rg_lottery(a, l1)
+        return denominator, ((l1, p_a, a), (l2, p_l1, l1))
+    sent = _choose(policy, a, l1, (a, l1), int)
+    return 1, ((l1 if sent == a else l2, 1, sent),)
 
 
 # ---------------------------------------------------------------------------

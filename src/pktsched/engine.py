@@ -4,8 +4,7 @@ Every mode steps the same rule, over integer keys.  A key stands for one
 packet; sorting keys gives the greedy order (weight descending, ties in
 the deadline-first order), and the key's deadline and weight, an integer
 over a common denominator, sit in lists indexed by key.  An instance's
-keys are its packets' ranks, from its compile; the adversarial search
-builds its own key space (``analysis._SearchKernel``).  At each step the
+keys are its packets' ranks, from its compile.  At each step the
 arrivals join the pending set, the policy rule reads the integer weights
 of the oblivious schedule's earliest and heaviest key, and the sent key
 and every key whose deadline has come leave.  A run checks its gain
@@ -14,16 +13,16 @@ with the compile (``offline._solved``), for ``analysis.check_facts`` too.
 
 One walk, ``offline._walk``, steps every single path: ``run_policy``,
 each Monte Carlo trial and ``check_facts`` only choose the key to send
-from the oblivious schedule it carries.  Exact mode and the search branch
-instead: their pending sets are frozensets of keys, merged per step and
-memoised by the search, and ``offline._ranked_step`` solves each one
-afresh.
+from the oblivious schedule it carries.  Exact mode branches instead: its
+pending sets are frozensets of keys, merged per step, and
+``offline._ranked_step`` solves each one afresh (``_transition``).
 
-``advance`` takes that step for a distribution over carried sets,
-merging outcomes that carry the same set.  ``offline.busy_steps`` lists
-the steps a run visits, skipping the idle ones where nothing is pending.  A
-transition memo (``Transitions``) lets search paths that meet a pending
-set again at the same step decide it once.
+``advance`` takes one step of a distribution over carried states, given
+the decision on each state, and merges outcomes that carry the same
+state.  Exact mode decides through ``_transition``; the adversarial
+search (``analysis._SearchKernel``) carries the heaviest carried weight
+alone and decides in closed form.  ``offline.busy_steps`` lists the steps
+a run visits, skipping the idle ones where nothing is pending.
 
 Inside the kernel everything is an integer: weights over their common
 denominator, and a state map's probabilities and gains over one
@@ -50,7 +49,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Hashable, Mapping, NamedTuple
 
 from .model import Instance, InvariantError, Packet
 from .offline import _compile, _ranked_step, _solved, _walk, busy_steps
@@ -60,18 +59,18 @@ DEFAULT_EXACT_CAP = 1 << 20
 
 
 class States(NamedTuple):
-    """A distribution over carried pending sets, in integers.
+    """A distribution over carried states, in integers.
 
-    Weights are integers over ``scale``.  Each carried set of keys maps to
-    its probability, as a numerator over ``denominator``; its
-    probability-weighted gain so far, as a numerator over
-    ``denominator * scale``; and the number of branching-tree paths
+    Weights are integers over ``scale``.  Each carried state (a set of
+    keys in exact mode) maps to its probability, as a numerator over
+    ``denominator``; its probability-weighted gain so far, as a numerator
+    over ``denominator * scale``; and the number of branching-tree paths
     reaching it.
     """
 
     scale: int
     denominator: int
-    carried: Mapping[frozenset[int], tuple[int, int, int]]
+    carried: Mapping[Hashable, tuple[int, int, int]]
 
 
 def start(scale: int) -> States:
@@ -81,13 +80,9 @@ def start(scale: int) -> States:
 
 
 # One policy decision as integers: the common denominator of its
-# probabilities and, per outcome, the carried set of keys, the
-# probability's numerator over that denominator and the sent key's weight
-# times the scale.
-Transition = tuple[int, tuple[tuple[frozenset[int], int, int], ...]]
-
-# (step, pending keys) -> the transition of one policy there.
-Transitions = dict[tuple[int, frozenset[int]], Transition]
+# probabilities and, per outcome, the carried state, the probability's
+# numerator over that denominator and the sent weight times the scale.
+Transition = tuple[int, tuple[tuple[Hashable, int, int], ...]]
 
 # An empty pending set sends nothing and carries nothing.
 _IDLE: Transition = (1, ((frozenset(), 1, 0),))
@@ -120,23 +115,13 @@ class RunReport:
 
 
 def _transition(
-    policy: str,
-    pending: frozenset[int],
-    step: int,
-    deadlines: list[int],
-    weights: list[int],
-    memo: Transitions | None,
+    policy: str, pending: frozenset[int], step: int, deadlines: list[int], weights: list[int]
 ) -> Transition:
     """The outcomes of the policy's decision on the oblivious schedule of
-    ``pending``, taken from ``memo`` when it holds this step and pending
-    set, and stored there otherwise.  The policy rule reads the keys'
-    integer weights; rg's lottery is w_e / w_h in lowest terms.  A memo
-    serves one policy and one key space."""
-    key = (step, pending)
-    if memo is not None:
-        transition = memo.get(key)
-        if transition is not None:
-            return transition
+    ``pending``, each carrying a set of keys.  The policy rule reads the
+    keys' integer weights; rg's lottery is w_e / w_h in lowest terms."""
+    if not pending:
+        return _IDLE
     if min(map(deadlines.__getitem__, pending)) <= step:
         raise ValueError(f"a key of the pending set is not pending at step {step}")
     expired = [k for k in pending if deadlines[k] == step + 1]
@@ -148,50 +133,31 @@ def _transition(
         denominator = 1
         sent = e if policy == "rg" else _choose(policy, e, h, sequence, weights.__getitem__)
         outcomes = ((sent, 1),)
-    transition = (
+    return (
         denominator,
         tuple((pending.difference(expired, (k,)), p, weights[k]) for k, p in outcomes),
     )
-    if memo is not None:
-        memo[key] = transition
-    return transition
 
 
-def advance(
-    policy: str,
-    states: States,
-    step: int,
-    arrivals: Iterable[int],
-    deadlines: list[int],
-    weights: list[int],
-    memo: Transitions | None = None,
-) -> States:
-    """One step of a policy's distribution over carried pending sets.
+def advance(states: States, decide: Callable[[Hashable], Transition]) -> States:
+    """One step of a policy's distribution over carried states.
 
-    The arrivals join every carried set, the policy decides on the
-    oblivious schedule of the result, and every outcome of the decision is
-    carried on with its probability; outcomes that carry the same set are
-    merged.  ``deadlines`` and ``weights`` (integers over the map's scale)
-    are indexed by key.  The new denominator is the old one times the
-    least common multiple of the step's lottery denominators, divided by
-    the gcd of the map when a lottery multiplied it.  A deterministic
-    policy keeps a single state of probability 1.  ``memo``, if given,
-    remembers the policy's transitions across calls.
+    ``decide`` gives the policy's transition on each carried state, and
+    every outcome is carried on with its probability; outcomes that carry
+    the same state are merged.  The new denominator is the old one times
+    the least common multiple of the step's lottery denominators, divided
+    by the gcd of the map when a lottery multiplied it.  A deterministic
+    policy keeps a single state of probability 1.
     """
     scale, denominator, current = states
-    arrivals = frozenset(arrivals)
     moves = []
     common = 1
     for carry, value in current.items():
-        pending = carry | arrivals
-        if pending:
-            transition = _transition(policy, pending, step, deadlines, weights, memo)
-            if transition[0] != 1:
-                common = lcm(common, transition[0])
-        else:
-            transition = _IDLE
+        transition = decide(carry)
+        if transition[0] != 1:
+            common = lcm(common, transition[0])
         moves.append((value, transition))
-    out: dict[frozenset[int], tuple[int, int, int]] = {}
+    out: dict[Hashable, tuple[int, int, int]] = {}
     for (prob, weighted, paths), (lottery, outcomes) in moves:
         spread = common // lottery
         for carry, factor, sent in outcomes:
@@ -282,7 +248,10 @@ def _rg_exact(instance: Instance, cap: int) -> tuple[Fraction, int, Fraction, Fr
             raise ExactCapExceeded(
                 f"instance too large for exact mode (exact states > {cap})"
             )
-        states = advance("rg", states, step, arrivals.get(step, ()), deadlines, weights)
+        arrived = frozenset(arrivals.get(step, ()))
+        states = advance(
+            states, lambda carry: _transition("rg", carry | arrived, step, deadlines, weights)
+        )
     scale, denominator, final = states
     gain = sum(weighted for _, weighted, _ in final.values())  # times denominator * scale
     leaves = sum(paths for _, _, paths in final.values())

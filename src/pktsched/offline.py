@@ -25,8 +25,9 @@ keeps an instance's compile and optimum, solved once.
 Over a pending set, every key is released, and ``_ranked_step`` gives the
 *oblivious schedule* (optimal deadline-first-order schedule of the pending
 set, made canonical by the tie order) with its earliest and heaviest key.
-It serves exact mode, the search and ``oblivious_schedule``, whose
-pending sets branch.  A single path instead carries its oblivious
+It serves exact mode and ``oblivious_schedule``, whose pending sets
+branch (the adversarial search decides in closed form,
+``analysis._decision``).  A single path instead carries its oblivious
 schedule, the greedy basis of its pending set, from step to step
 (``_Basis``): the sent key, the lost slot and each arrival change it by
 at most one exchange, found by a bisection and a scan that skips by slack.

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import chain
 
+from pktsched.engine import _transition, advance
 from pktsched.offline import _compile
 from pktsched.model import Instance, Packet
 
@@ -20,6 +21,17 @@ def key_space(*packet_sets):
     share a key."""
     compiled = _compile(dict.fromkeys(chain(*packet_sets)))
     return compiled, {p: k for k, p in enumerate(compiled.packets)}
+
+
+def advance_keys(policy, states, step, keys, compiled):
+    """``engine.advance`` as exact mode steps it: the policy decides on
+    each carried set of keys plus ``keys`` (``engine._transition``), over
+    ``compiled``'s key space."""
+    arrived = frozenset(keys)
+    deadlines, weights = compiled.deadlines, compiled.weights
+    return advance(
+        states, lambda carry: _transition(policy, carry | arrived, step, deadlines, weights)
+    )
 
 
 def as_fractions(states, packets) -> dict:

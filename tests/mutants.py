@@ -45,6 +45,7 @@ FACTS = (
 CHECK_FACTS = ("tests/test_analysis.py::TestCheckFacts",)
 DAG = ("tests/test_analysis.py::TestDagSearch",)
 TABLE = ("tests/test_analysis.py::TestOfflineTableMemo",)
+DECISION = ("tests/test_analysis.py::TestSearchDecisions::test_every_node_matches_the_engine",)
 CLI = "src/pktsched/cli.py"
 POLICIES = "src/pktsched/policies.py"
 ENGINE = "src/pktsched/engine.py"
@@ -297,22 +298,15 @@ MUTANTS = (
     Mutant(
         "dag: nodes keyed without their table shape",
         ANALYSIS,
-        "    return sid, frozenset((top, prob // divisor) for top, prob in merged.items())",
-        "    return frozenset((top, prob // divisor) for top, prob in merged.items())",
+        "    return sid, frozenset((top, prob // divisor) for top, (prob, _, _) in states",
+        "    return frozenset((top, prob // divisor) for top, (prob, _, _) in states",
         DAG,
     ),
     Mutant(
         "dag: nodes keyed without their probabilities",
         ANALYSIS,
-        "    return sid, frozenset((top, prob // divisor) for top, prob in merged.items())",
-        "    return sid, frozenset(merged)",
-        DAG,
-    ),
-    Mutant(
-        "dag: nodes keyed by their lightest carried weight",
-        ANALYSIS,
-        "top = weights[min(carry)] if carry else 0",
-        "top = weights[max(carry)] if carry else 0",
+        "    return sid, frozenset((top, prob // divisor) for top, (prob, _, _) in states.carried.items())",
+        "    return sid, frozenset(states.carried)",
         DAG,
     ),
     Mutant(
@@ -323,17 +317,24 @@ MUTANTS = (
         DAG,
     ),
     Mutant(
-        "dag rows: the gain row drops the drain of the carried set",
+        "dag rows: the gain row drops the drain of the carried weight",
         ANALYSIS,
-        "f * (sent + (weights[min(c)] if c else 0))",
+        "f * (sent + carry)",
         "f * sent",
         DAG,
     ),
     Mutant(
         "dag rows: the gain row not rescaled to the lottery lcm",
         ANALYSIS,
-        "row.append(lottery // den * sum(drains))",
-        "row.append(sum(drains))",
+        "row.append(lottery // den * sum(",
+        "row.append(sum(",
+        DAG,
+    ),
+    Mutant(
+        "dag rows: a front keeps a pair that an equal-x pair after it beats",
+        ANALYSIS,
+        "if front and x == front[-1][1]:",
+        "if False:",
         DAG,
     ),
     Mutant(
@@ -343,7 +344,37 @@ MUTANTS = (
         "drained[sid] * unit",
         DAG,
     ),
-    # The offline table's closed-form step, analysis._advance_opt_state.
+    # The search's closed-form policy step, analysis._decision.
+    Mutant(
+        "decision: the carried weight ignored",
+        ANALYSIS,
+        "    a = max(top, expiring)",
+        "    a = expiring",
+        DECISION,
+    ),
+    Mutant(
+        "decision: no one-slot packet taken for one that is kept",
+        ANALYSIS,
+        "    if a == 0 or l2 > a:",
+        "    if l2 > a:",
+        DECISION,
+    ),
+    Mutant(
+        "decision: the one-slot packet loses a tie with L2",
+        ANALYSIS,
+        "    if a == 0 or l2 > a:",
+        "    if a == 0 or l2 >= a:",
+        DECISION,
+    ),
+    Mutant(
+        "decision: sending the one-slot packet carries L2 on",
+        ANALYSIS,
+        "    if a >= l1:\n        return 1, ((l1, 1, a),)",
+        "    if a >= l1:\n        return 1, ((l2, 1, a),)",
+        DECISION,
+    ),
+    # The offline table's step, analysis._advance_opt_state through the
+    # (shape, move) memo of _SearchKernel.table_step.
     Mutant(
         "table: the step drops the second long-lived arrival",
         ANALYSIS,
@@ -356,6 +387,20 @@ MUTANTS = (
         ANALYSIS,
         "    return {l1: keep, l2: max(value for _, value in items) + l1}",
         "    return {l1: keep}",
+        TABLE,
+    ),
+    Mutant(
+        "table: the memo keyed by shape alone",
+        ANALYSIS,
+        "nxt = self.steps.get((sid, move))\n        if nxt is None:\n            nxt = self.steps[sid, move]",
+        "nxt = self.steps.get(sid)\n        if nxt is None:\n            nxt = self.steps[sid]",
+        TABLE,
+    ),
+    Mutant(
+        "table: the offset not carried",
+        ANALYSIS,
+        "        offset = table[1] + delta",
+        "        offset = delta",
         TABLE,
     ),
     # The instance reader's C scanner, cli.parse_instance.

@@ -16,7 +16,7 @@ from oracles import (
     order_key,
 )
 
-from pktsched import analysis, engine, model, offline
+from pktsched import analysis, model, offline
 from pktsched.analysis import (
     FACT_CHECKS,
     GeneratorSpec,
@@ -32,7 +32,6 @@ from pktsched.analysis import (
 )
 from pktsched.engine import run_policy
 from pktsched.model import Instance
-from pktsched.offline import _compile
 from pktsched.policies import POLICIES
 
 MENU12 = (Fraction(1), Fraction(2))
@@ -406,9 +405,7 @@ class TestDagSearch:
     def test_matches_the_tree_walk(self, drawn, policy):
         menu, depth, branching = drawn
         options = two_bounded_step_options(menu, branching)
-        ratio, path, nodes, complete = analysis._explore_roots(
-            policy, depth, branching, options, None
-        )
+        ratio, path, nodes, complete = analysis._explore_roots(policy, depth, options, None)
         result = adversary_search(policy, depth, menu, branching)
         assert (result.ratio, result.witness, result.nodes, result.complete) == (
             ratio,
@@ -418,7 +415,7 @@ class TestDagSearch:
         )
         # From 1, at most every ratio, Dinkelbach's method takes more than
         # one pass on some draws, which the kernel's best ratio spares.
-        _, dag = analysis._dag_build(policy, depth, branching, options)
+        _, dag = analysis._dag_build(policy, depth, options)
         assert analysis._dag_solve(dag, 1, 1) == (ratio, path)
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -433,8 +430,8 @@ class TestDagSearch:
         # from the parent's first path in the build's order.
         menu, depth, branching = drawn
         options = two_bounded_step_options(menu, branching)
-        _, (edges, _, fronts) = analysis._dag_build(policy, depth, branching, options)
-        kernel = analysis._SearchKernel(policy, options, depth, branching)
+        _, (edges, _, fronts) = analysis._dag_build(policy, depth, options)
+        kernel = analysis._SearchKernel(policy, options)
         unit = analysis._gain_lcm(kernel) ** depth
         paths = [()]
         for rows in edges:
@@ -446,12 +443,12 @@ class TestDagSearch:
         assert len(paths) == len(fronts)
         for path, front in zip(paths, fronts):
             state, table = kernel.start, kernel.table_start
-            for step, oi in enumerate(path, start=1):
-                state, table, _ = kernel.node(state, table, step, oi)
+            for oi in path:
+                state, table, _ = kernel.node(state, table, oi)
             gained = sum(w for _, w, _ in state.carried.values()) * (unit // state.denominator)
             triples = []
             for oi in range(len(options)):
-                state2, (sid, offset2), ratio = kernel.node(state, table, depth, oi)
+                state2, (sid, offset2), ratio = kernel.node(state, table, oi)
                 x = (offset2 + kernel.drained[sid] - table[1]) * unit
                 triples.append((x, ratio[1] * (unit // state2.denominator) - gained, oi))
             assert front == pareto_front(triples)
@@ -468,15 +465,15 @@ class TestDagSearch:
         # or a front member beats it.
         menu, depth, branching = drawn
         options = two_bounded_step_options(menu, branching)
-        _, (edges, ends, fronts) = analysis._dag_build(policy, depth, branching, options)
-        kernel = analysis._SearchKernel(policy, options, depth, branching)
+        _, (edges, ends, fronts) = analysis._dag_build(policy, depth, options)
+        kernel = analysis._SearchKernel(policy, options)
         unit = analysis._gain_lcm(kernel) ** depth
         stack = [(kernel.start, kernel.table_start, 1, 0, 0, 0)]
         while stack:
             state, table, step, node, a_sum, b_sum = stack.pop()
             front = {oi: (x, y) for x, y, oi in fronts[node]} if step == depth else None
             for oi in range(len(options)):
-                state2, (sid, offset), ratio = kernel.node(state, table, step, oi)
+                state2, (sid, offset), ratio = kernel.node(state, table, oi)
                 opt = (offset + kernel.drained[sid]) * unit - a_sum
                 gain = ratio[1] * (unit // state2.denominator) - b_sum
                 if front is None:
@@ -502,19 +499,19 @@ class TestDagSearch:
     ):
         # kernel.node runs once per option on each DAG node above the last
         # level's parents, and never on the last level.
-        steps = []
+        calls = []
         node = analysis._SearchKernel.node
 
-        def counted(kernel, state, table, step, oi):
-            steps.append(step)
-            return node(kernel, state, table, step, oi)
+        def counted(kernel, state, table, oi):
+            calls.append(oi)
+            return node(kernel, state, table, oi)
 
         monkeypatch.setattr(analysis._SearchKernel, "node", counted)
         options = two_bounded_step_options(menu, branching)
-        _, (edges, _, fronts) = analysis._dag_build(policy, depth, branching, options)
-        assert len(steps) == len(options) * sum(map(len, edges))
-        assert all(step < depth for step in steps)
-        assert fronts and (depth > 1) == bool(steps)
+        _, (edges, _, fronts) = analysis._dag_build(policy, depth, options)
+        assert len(edges) == depth - 1
+        assert len(calls) == len(options) * sum(map(len, edges))
+        assert fronts and (depth > 1) == bool(calls)
 
 
 def pareto_front(triples):
@@ -531,76 +528,28 @@ def pareto_front(triples):
     )
 
 
-class TestSearchKeys:
-    """The search's key space: key = ((n_w - 1 - weight index) * D +
-    deadline) * A + (2 - lifespan) * branching + k, with D = depth + 3,
-    A = 2 * branching and k the packet's place in its option."""
-
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(search_paths(), st.sampled_from(POLICIES))
-    def test_keys_sort_as_the_witness_packets(self, drawn, policy):
-        options, depth, branching, path = drawn
-        slots = 2 * branching
-        packets = analysis._instance_from_path(options, path).packets
-        # A packet by its (deadline, slot); at any step, the pending ones
-        # have distinct ones.
-        arrived = {}
-        kernel = analysis._SearchKernel(policy, options, depth, branching)
-        state, table = kernel.start, kernel.table_start
-        for step, oi in enumerate(path, start=1):
-            arrivals = kernel.keys(step, oi)
-            released = [p for p in packets if p.release == step]
-            assert len(arrivals) == len(released)
-            for k, (lifespan, _) in enumerate(options[oi]):
-                arrived[step + lifespan, (2 - lifespan) * branching + k] = released[k]
-            for carry in state.carried:
-                keys = sorted(carry | arrivals)
-                pending = [arrived[kernel.deadlines[k], k % slots] for k in keys]
-                assert all(p.release <= step < p.deadline for p in pending)
-                assert pending == _compile(pending).packets
-                assert [kernel.deadlines[k] for k in keys] == [p.deadline for p in pending]
-                assert [Fraction(kernel.weights[k], kernel.scale) for k in keys] == [
-                    p.weight for p in pending
-                ]
-            state, table, _ = kernel.node(state, table, step, oi)
+class TestSearchDecisions:
+    """The search's closed-form policy step (``analysis._decision``) and
+    its state map over the heaviest carried weight, against the engine's
+    exact mode on the instance of each node's path."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(search_paths(), st.sampled_from(POLICIES))
     # rg on 1,3 carries both long-lived 1s into step 3 when it sends the
     # carried 3 at step 2, and one more 1 arrives there.
     @example((MENU13_OPTIONS, 3, 2, [7, 11, 2]), "rg")
-    def test_only_the_heaviest_carried_key_counts(self, drawn, policy):
-        # The lemma behind the heaviest-carried keys: a step's decision on a
-        # carried set plus the arrivals is the one on its heaviest key plus
-        # the arrivals, outcome by outcome.
-        options, depth, branching, path = drawn
-        kernel = analysis._SearchKernel(policy, options, depth, branching)
-        deadlines, weights = kernel.deadlines, kernel.weights
+    # At step 2 the carried 1 ties the second long-lived arrival: the
+    # oblivious schedule keeps the carried one, which edf sends, and the
+    # long-lived 3 it carries meets the one-step 3 of step 3.
+    @example((MENU13_OPTIONS, 3, 2, [12, 12, 1]), "edf-nondominated")
+    def test_every_node_matches_the_engine(self, drawn, policy):
+        options, _, _, path = drawn
+        kernel = analysis._SearchKernel(policy, options)
         state, table = kernel.start, kernel.table_start
         for step, oi in enumerate(path, start=1):
-            arrivals = kernel.keys(step, oi)
-            for carry in filter(None, state.carried):
-                den, outcomes = engine._transition(
-                    policy, carry | arrivals, step, deadlines, weights, None
-                )
-                top_den, top_outcomes = engine._transition(
-                    policy, arrivals | {min(carry)}, step, deadlines, weights, None
-                )
-                assert den == top_den
-                assert len(outcomes) == len(top_outcomes)
-                for (c, prob, sent), (top_c, top_prob, top_sent) in zip(outcomes, top_outcomes):
-                    assert (prob, sent) == (top_prob, top_sent)
-                    assert min(c, default=None) == min(top_c, default=None)
-            state, table, _ = kernel.node(state, table, step, oi)
-
-    @pytest.mark.parametrize("weights,depth,branching", [(1, 1, 1), (2, 3, 2), (4, 5, 3)])
-    def test_deadline_list_holds_every_keys_deadline(self, weights, depth, branching):
-        menu = [Fraction(w) for w in range(1, weights + 1)]
-        options = two_bounded_step_options(menu, branching)
-        kernel = analysis._SearchKernel("rg", options, depth, branching)
-        span, slots = depth + 3, 2 * branching
-        assert len(kernel.deadlines) == weights * span * slots
-        assert kernel.deadlines == [key // slots % span for key in range(weights * span * slots)]
+            state, table, ratio = kernel.node(state, table, oi)
+            instance = analysis._instance_from_path(options, path[:step])
+            assert Fraction(*ratio) == competitive_ratio(instance, policy)
 
 
 def walk_drained_optima(kernel, options, path):
@@ -608,8 +557,8 @@ def walk_drained_optima(kernel, options, path):
     along ``path``."""
     state, (shape, offset) = kernel.start, kernel.table_start
     optima = []
-    for step, oi in enumerate(path, start=1):
-        state, (shape, offset), _ = kernel.node(state, (shape, offset), step, oi)
+    for oi in path:
+        state, (shape, offset), _ = kernel.node(state, (shape, offset), oi)
         optima.append(kernel.drained[shape] + offset)
     return optima
 
@@ -627,8 +576,8 @@ class TestOfflineTableMemo:
         for step in range(1, len(path) + 1):
             instance = analysis._instance_from_path(options, path[:step])
             expected.append(brute_force_opt(instance.packets, instance.first_release))
-        cold = analysis._SearchKernel("mg-prime", options, depth, branching)
-        warm = analysis._SearchKernel("mg-prime", options, depth, branching)
+        cold = analysis._SearchKernel("mg-prime", options)
+        warm = analysis._SearchKernel("mg-prime", options)
         # Walking another path from the same first option leaves table
         # steps that ``path`` hits.
         walk_drained_optima(warm, options, (path[:1] + other)[:depth])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_fractions, key_space, mk_instance, random_agreeable
+from conftest import advance_keys, as_fractions, key_space, mk_instance, random_agreeable
 from oracles import (
     brute_force_opt,
     oracle_advance,
@@ -31,7 +31,6 @@ from pktsched.analysis import (
 from pktsched.engine import (
     ExactCapExceeded,
     _rg_exact,
-    advance,
     run_policy,
     run_rg_exact,
     run_rg_mc,
@@ -89,23 +88,21 @@ def small_non_agreeable(draw):
     return inst
 
 
-def advance_packets(policy, states, step, arrivals, space, memo=None):
+def advance_packets(policy, states, step, arrivals, space):
     """``advance`` with packet ``arrivals``, stepped as their keys in
     ``space``: a key space and its packet -> key map (``key_space``)."""
     compiled, key = space
-    keys = [key[p] for p in arrivals]
-    return advance(policy, states, step, keys, compiled.deadlines, compiled.weights, memo)
+    return advance_keys(policy, states, step, [key[p] for p in arrivals], compiled)
 
 
-def step_states(instance, policy, memo=None, space=None):
+def step_states(instance, policy):
     """The state map after ``advance`` has stepped through every step, in
-    ``Fraction``s over packets; the keys come from ``space``, by default
-    the instance's own key space."""
-    space = key_space(instance) if space is None else space
+    ``Fraction``s over packets, over the instance's own key space."""
+    space = key_space(instance)
     states = start(space[0].scale)
     for step in range(instance.first_release, instance.horizon + 1):
         arrivals = instance.arrivals_by_step.get(step, ())
-        states = advance_packets(policy, states, step, arrivals, space, memo)
+        states = advance_packets(policy, states, step, arrivals, space)
     return as_fractions(states, space[0].packets)
 
 
@@ -286,31 +283,13 @@ class TestAdvance:
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(small_agreeable(), small_agreeable())
-    def test_shared_memo_changes_nothing(self, first, second):
-        # One memo per policy serves two instances whose packets share
-        # arrival indices, then a rebuilt copy of the first, whose packets
-        # are equal to, not identical with, the remembered ones and so map
-        # to the same keys.  A memo serves one key space.
-        copy = Instance.build((p.id, p.release, p.deadline, p.weight) for p in first)
-        space = key_space(first, second)
-        for policy in POLICIES:
-            memo = {}
-            for inst in (first, second):
-                assert step_states(inst, policy, memo, space) == step_states(inst, policy)
-            remembered = len(memo)
-            assert step_states(copy, policy, memo, space) == step_states(first, policy)
-            assert len(memo) == remembered  # every decision was found again
-
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-    @given(small_agreeable(), small_agreeable())
     def test_matches_fraction_reference(self, first, second):
-        # After every step, alone and with one memo shared by two
-        # instances over one key space, the integer map, its keys mapped
-        # back to packets, equals the Fraction reference entry for entry:
-        # carried sets, probabilities, gains and path counts.
+        # After every step, alone and over one key space shared by two
+        # instances, the integer map, its keys mapped back to packets,
+        # equals the Fraction reference entry for entry: carried sets,
+        # probabilities, gains and path counts.
         shared_space = key_space(first, second)
         for policy in POLICIES:
-            memo = {}
             for inst in (first, second):
                 own_space = key_space(inst)
                 reference = {frozenset(): (Fraction(1), Fraction(0), 1)}
@@ -320,7 +299,7 @@ class TestAdvance:
                     arrivals = inst.arrivals_by_step.get(step, ())
                     reference = oracle_advance(policy, reference, step, arrivals)
                     alone = advance_packets(policy, alone, step, arrivals, own_space)
-                    shared = advance_packets(policy, shared, step, arrivals, shared_space, memo)
+                    shared = advance_packets(policy, shared, step, arrivals, shared_space)
                     assert as_fractions(alone, own_space[0].packets) == reference
                     assert as_fractions(shared, shared_space[0].packets) == reference
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_fractions, key_space, mk, mk_instance
+from conftest import advance_keys, as_fractions, key_space, mk, mk_instance
 from oracles import (
     carry_after,
     edf_schedule,
@@ -18,7 +18,7 @@ from oracles import (
     slot_at,
 )
 
-from pktsched.engine import States, advance
+from pktsched.engine import States
 from pktsched.model import (
     MAX_DIGITS,
     Instance,
@@ -240,8 +240,9 @@ class TestInstance:
 
 class TestBuffer:
     """The pending buffer from one step to the next: ``carry_after`` keeps
-    what is still pending, ``advance`` admits the arrivals and refuses a
-    key whose deadline has passed."""
+    what is still pending, and exact mode's step (``advance`` through
+    ``_transition``) admits the arrivals and refuses a key whose deadline
+    has passed."""
 
     def test_expiry_at_deadline(self):
         a, b = mk("a", 1, 2, 1, 0), mk("b", 1, 3, 2, 1)
@@ -252,7 +253,7 @@ class TestBuffer:
         c = mk("c", 3, 5, 1, 1)
         compiled, key = key_space([b, c])
         carried = States(1, 1, {frozenset({key[b]}): (1, 0, 1)})
-        states = advance("mg-prime", carried, 3, (key[c],), compiled.deadlines, compiled.weights)
+        states = advance_keys("mg-prime", carried, 3, (key[c],), compiled)
         assert as_fractions(states, compiled.packets) == {frozenset({c}): (1, 1, 1)}
 
     def test_only_expired_dropped(self):
@@ -264,7 +265,7 @@ class TestBuffer:
         compiled, key = key_space([a])
         stale = States(1, 1, {frozenset({key[a]}): (1, 0, 1)})
         with pytest.raises(ValueError, match="not pending"):
-            advance("mg-prime", stale, 3, (), compiled.deadlines, compiled.weights)
+            advance_keys("mg-prime", stale, 3, (), compiled)
 
     def test_never_retains_expired_never_drops_live(self):
         rng = random.Random(5)
